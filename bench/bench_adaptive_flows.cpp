@@ -10,6 +10,8 @@
 // with rate collapses).
 #include <iostream>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -69,8 +71,11 @@ std::unique_ptr<BufferManager> make_manager(const std::string& name, ByteSize bu
                                                    ByteSize::kilobytes(100.0));
 }
 
-std::map<std::string, double> run_once(const std::string& manager_name, ByteSize buffer,
-                                       const BenchOptions& options, std::uint64_t seed) {
+/// One replication, packaged for the sweep: per_flow carries each flow's
+/// delivered bytes over the measured interval and its dropped bytes over
+/// the whole run (warmup included), interval the measured duration.
+ExperimentResult run_once(const std::string& manager_name, ByteSize buffer,
+                          const BenchOptions& options, std::uint64_t seed) {
   const Rate link_rate = paper_link_rate();
   Simulator sim;
   auto manager = make_manager(manager_name, buffer, link_rate, seed ^ 0xA1Dull);
@@ -98,29 +103,34 @@ std::map<std::string, double> run_once(const std::string& manager_name, ByteSize
         sim, link, static_cast<FlowId>(f), Rate::megabits_per_second(30.0), kPkt));
   }
 
-  std::vector<std::int64_t> delivered(kFlows, 0);
-  std::vector<std::int64_t> dropped(kFlows, 0);
+  ExperimentResult result;
+  result.interval = options.duration;
+  result.per_flow.resize(kFlows);
   fifo.set_drop_handler([&](const Packet& p, Time) {
-    dropped[static_cast<std::size_t>(p.flow)] += p.size_bytes;
+    result.per_flow[static_cast<std::size_t>(p.flow)].dropped_bytes += p.size_bytes;
     if (static_cast<std::size_t>(p.flow) < kAdaptive) {
       adaptive[static_cast<std::size_t>(p.flow)]->on_loss();
     }
   });
   link.set_delivery_handler([&](const Packet& p, Time t) {
-    if (t >= options.warmup) delivered[static_cast<std::size_t>(p.flow)] += p.size_bytes;
+    if (t >= options.warmup) {
+      result.per_flow[static_cast<std::size_t>(p.flow)].delivered_bytes += p.size_bytes;
+    }
   });
 
   for (auto& s : adaptive) s->start();
   for (auto& s : blasters) s->start();
   sim.run_until(options.warmup + options.duration);
+  return result;
+}
 
-  const double secs = options.duration.to_seconds();
+std::map<std::string, double> adaptive_metrics(const ExperimentResult& result) {
   double adaptive_mbps = 0.0, blaster_mbps = 0.0, adaptive_dropped = 0.0;
   for (std::size_t f = 0; f < kFlows; ++f) {
-    const double mbps = static_cast<double>(delivered[f]) * 8.0 / secs * 1e-6;
+    const double mbps = result.flow_throughput_mbps(static_cast<FlowId>(f));
     if (f < kAdaptive) {
       adaptive_mbps += mbps;
-      adaptive_dropped += static_cast<double>(dropped[f]);
+      adaptive_dropped += static_cast<double>(result.per_flow[f].dropped_bytes);
     } else {
       blaster_mbps += mbps;
     }
@@ -140,22 +150,31 @@ int main(int argc, char** argv) {
                "4 AIMD flows (16 Mb/s reserved) vs 2 greedy blasters (4 Mb/s reserved)",
                options);
 
+  std::vector<SweepCase> cases;
+  for (double buffer_mb : options.buffers_mb) {
+    for (const char* manager : {"tail-drop", "red", "thresholds", "sharing", "selective"}) {
+      SweepCase c;
+      c.label = manager;
+      c.params = {{"buffer_mb", format_double(buffer_mb)}};
+      c.runner = [manager = std::string{manager}, buffer = ByteSize::megabytes(buffer_mb),
+                  &options](std::uint64_t seed) {
+        return run_once(manager, buffer, options, seed);
+      };
+      cases.push_back(std::move(c));
+    }
+  }
+  const SweepResult result = run_sweep(std::move(cases), adaptive_metrics, sweep_options(options));
+
   CsvWriter csv{std::cout, {"buffer_mb", "manager", "adaptive_mbps", "blaster_mbps",
                             "adaptive_dropped_kb"}};
-  for (double buffer_mb : options.buffers_mb) {
-    for (const char* manager :
-         {"tail-drop", "red", "thresholds", "sharing", "selective"}) {
-      ReplicationRunner runner{options.base_seed, options.seeds};
-      const auto metrics = runner.run([&](std::uint64_t seed) {
-        return run_once(manager, ByteSize::megabytes(buffer_mb), options, seed);
-      });
-      csv.row({format_double(buffer_mb), manager,
-               format_double(metrics.at("adaptive_mbps").mean),
-               format_double(metrics.at("blaster_mbps").mean),
-               format_double(metrics.at("adaptive_dropped_kb").mean)});
-    }
+  for (const SweepRow& row : result.rows) {
+    if (!row.error.empty()) continue;
+    csv.row({row.params[0].second, row.label,
+             format_double(row.metrics.at("adaptive_mbps").mean),
+             format_double(row.metrics.at("blaster_mbps").mean),
+             format_double(row.metrics.at("adaptive_dropped_kb").mean)});
   }
   std::cout << "\n# adaptive flows are entitled to 16 Mb/s plus a fair slice of the\n"
                "# ~28 Mb/s of unreserved capacity; blasters are entitled to 4 Mb/s.\n";
-  return 0;
+  return report_sweep_errors(result);
 }

@@ -28,7 +28,7 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,14 +53,6 @@ struct Scheme {
   const char* name;
   FabricManager manager;
 };
-
-std::vector<double> parse_loads(const std::string& csv) {
-  std::vector<double> loads;
-  std::stringstream stream{csv};
-  std::string item;
-  while (std::getline(stream, item, ',')) loads.push_back(std::stod(item));
-  return loads;
-}
 
 std::string format_load(double load) {
   char buf[32];
@@ -94,18 +86,31 @@ double measure_leaf_spine_events_per_sec(Time warmup, Time duration, std::uint64
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags{argc, argv};
-  const std::size_t seeds = static_cast<std::size_t>(flags.get_int("seeds", 2));
-  const std::uint64_t base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const Time warmup = Time::from_seconds(flags.get_double("warmup", 1.0));
-  const Time duration = Time::from_seconds(flags.get_double("duration", 4.0));
-  const std::vector<double> loads = parse_loads(flags.get_string("loads", "0.6,1.0"));
-  const std::size_t jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
-  const int shards = static_cast<int>(flags.get_int("shards", 1));
-  const bool progress = flags.get_bool("progress", false);
-  const std::string metrics_out = flags.get_string("metrics-out", "");
-  if (const auto unused = flags.unused(); !unused.empty()) {
-    std::fprintf(stderr, "unknown flag: --%s\n", unused.front().c_str());
+  std::size_t seeds = 0;
+  std::uint64_t base_seed = 0;
+  Time warmup;
+  Time duration;
+  std::vector<double> loads;
+  std::size_t jobs = 0;
+  int shards = 1;
+  bool progress = false;
+  std::string metrics_out;
+  try {
+    Flags flags{argc, argv};
+    seeds = static_cast<std::size_t>(flags.get_int("seeds", 2));
+    base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    warmup = Time::from_seconds(flags.get_double("warmup", 1.0));
+    duration = Time::from_seconds(flags.get_double("duration", 4.0));
+    loads = flags.get_list<double>("loads", {0.6, 1.0});
+    jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+    shards = static_cast<int>(flags.get_int("shards", 1));
+    progress = flags.get_bool("progress", false);
+    metrics_out = flags.get_string("metrics-out", "");
+    if (const auto unused = flags.unused(); !unused.empty()) {
+      throw std::invalid_argument("unknown flag: --" + unused.front());
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 

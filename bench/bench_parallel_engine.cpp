@@ -29,7 +29,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <sstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,28 +84,36 @@ bool identical(const Sample& serial, const Sample& sharded) {
              counter_or_zero(sharded.result, "fabric.egress_audit");
 }
 
-std::vector<int> parse_shards(const std::string& csv) {
-  std::vector<int> shards;
-  std::stringstream stream{csv};
-  std::string item;
-  while (std::getline(stream, item, ',')) shards.push_back(std::stoi(item));
-  return shards;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags{argc, argv};
-  const Time warmup = Time::from_seconds(flags.get_double("warmup", 0.25));
-  const Time duration = Time::from_seconds(flags.get_double("duration", 1.0));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const double link_mbps = flags.get_double("link-mbps", 480.0);
-  const std::vector<int> shard_counts =
-      parse_shards(flags.get_string("shards-list", "2,4,8"));
-  const double min_speedup = flags.get_double("min-speedup", 0.0);
-  const std::string metrics_out = flags.get_string("metrics-out", "");
-  if (const auto unused = flags.unused(); !unused.empty()) {
-    std::fprintf(stderr, "unknown flag: --%s\n", unused.front().c_str());
+  Time warmup;
+  Time duration;
+  std::uint64_t seed = 0;
+  double link_mbps = 0.0;
+  std::vector<std::int64_t> shard_counts;
+  double min_speedup = 0.0;
+  std::string metrics_out;
+  try {
+    Flags flags{argc, argv};
+    warmup = Time::from_seconds(flags.get_double("warmup", 0.25));
+    duration = Time::from_seconds(flags.get_double("duration", 1.0));
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    link_mbps = flags.get_double("link-mbps", 480.0);
+    shard_counts = flags.get_list<std::int64_t>("shards-list", {2, 4, 8});
+    min_speedup = flags.get_double("min-speedup", 0.0);
+    metrics_out = flags.get_string("metrics-out", "");
+    if (const auto unused = flags.unused(); !unused.empty()) {
+      throw std::invalid_argument("unknown flag: --" + unused.front());
+    }
+    for (const std::int64_t shards : shard_counts) {
+      if (shards < 1 || shards > std::numeric_limits<int>::max()) {
+        throw std::invalid_argument("--shards-list entries must be positive integers, got " +
+                                    std::to_string(shards));
+      }
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 
@@ -144,7 +153,8 @@ int main(int argc, char** argv) {
   report.derived["hardware_threads"] = static_cast<double>(hardware_threads);
 
   double best_speedup = 0.0;
-  for (const int shards : shard_counts) {
+  for (const std::int64_t count : shard_counts) {
+    const auto shards = static_cast<int>(count);
     FabricConfig sharded_config = config;
     sharded_config.shards = shards;
     const Sample sharded = run_once(sharded_config);

@@ -13,7 +13,6 @@
 
 #include "common.h"
 #include "util/csv.h"
-#include "util/task_pool.h"
 
 int main(int argc, char** argv) {
   using namespace bufq;
@@ -56,13 +55,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  SweepOptions sweep_options;
-  sweep_options.jobs = options.jobs == 0 ? TaskPool::default_thread_count() : options.jobs;
-  sweep_options.replications = options.seeds;
-  sweep_options.base_seed = options.base_seed;
-  sweep_options.seed_mode = SeedMode::kSharedAcrossCases;
-  sweep_options.progress = options.progress ? &std::cerr : nullptr;
-
   const auto result = run_sweep(std::move(cases),
                                 [&conformant](const ExperimentResult& r) {
                                   return std::map<std::string, double>{
@@ -70,7 +62,7 @@ int main(int argc, char** argv) {
                                       {"throughput", r.aggregate_throughput_mbps()},
                                   };
                                 },
-                                sweep_options);
+                                sweep_options(options));
 
   const auto mean = [](const SweepRow& row, const char* name) {
     const auto it = row.metrics.find(name);
@@ -83,14 +75,5 @@ int main(int argc, char** argv) {
              format_double(mean(row, "loss")), format_double(mean(row, "throughput"))});
   }
 
-  if (!result.ok()) {
-    for (const SweepRow& row : result.rows) {
-      if (!row.error.empty()) {
-        std::cerr << "error: case " << row.index << " (" << row.label << "): " << row.error
-                  << "\n";
-      }
-    }
-    return 1;
-  }
-  return 0;
+  return report_sweep_errors(result);
 }

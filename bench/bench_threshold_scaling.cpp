@@ -6,9 +6,12 @@
 // aggressive flows).
 #include <iostream>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common.h"
 #include "core/threshold.h"
+#include "expt/run_harness.h"
 #include "sched/fifo.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
@@ -23,10 +26,10 @@ using namespace bufq;
 using namespace bufq::bench;
 
 /// Local pipeline so the scaling mode can be toggled (the standard
-/// ExperimentConfig always uses the paper's kScaleToFill).
-std::map<std::string, double> run_with_scaling(ThresholdScaling scaling, ByteSize buffer,
-                                               const BenchOptions& options,
-                                               std::uint64_t seed) {
+/// ExperimentConfig always uses the paper's kScaleToFill).  Returns the
+/// measured interval's per-flow counter deltas.
+ExperimentResult run_with_scaling(ThresholdScaling scaling, ByteSize buffer,
+                                  const BenchOptions& options, std::uint64_t seed) {
   const auto flows = table1_flows();
   const auto specs = flow_specs(flows);
   Simulator sim;
@@ -58,25 +61,11 @@ std::map<std::string, double> run_with_scaling(ThresholdScaling scaling, ByteSiz
   std::vector<FlowCounters> at_warmup;
   sim.at(options.warmup, [&] { at_warmup = stats.snapshot(); });
   sim.run_until(options.warmup + options.duration);
-  const auto at_end = stats.snapshot();
 
-  std::int64_t delivered = 0, conformant_offered = 0, conformant_dropped = 0;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const auto delta = at_end[f] - at_warmup[f];
-    delivered += delta.delivered_bytes;
-    if (f < 6) {
-      conformant_offered += delta.offered_bytes;
-      conformant_dropped += delta.dropped_bytes;
-    }
-  }
-  return {
-      {"throughput_mbps",
-       static_cast<double>(delivered) * 8.0 / options.duration.to_seconds() * 1e-6},
-      {"conformant_loss", conformant_offered > 0
-                              ? static_cast<double>(conformant_dropped) /
-                                    static_cast<double>(conformant_offered)
-                              : 0.0},
-  };
+  ExperimentResult result;
+  result.interval = options.duration;
+  result.per_flow = per_flow_deltas(stats.snapshot(), at_warmup);
+  return result;
 }
 
 }  // namespace
@@ -86,20 +75,38 @@ int main(int argc, char** argv) {
   print_banner(std::cout, "Footnote 5 ablation",
                "threshold scale-to-fill vs exact analytic thresholds", options);
 
-  CsvWriter csv{std::cout,
-                {"buffer_mb", "scaling", "throughput_mbps", "conformant_loss"}};
+  std::vector<SweepCase> cases;
   for (double buffer_mb : options.buffers_mb) {
     for (auto [name, scaling] :
          {std::pair{"scale-to-fill", ThresholdScaling::kScaleToFill},
           std::pair{"exact", ThresholdScaling::kExact}}) {
-      ReplicationRunner runner{options.base_seed, options.seeds};
-      const auto metrics = runner.run([&](std::uint64_t seed) {
-        return run_with_scaling(scaling, ByteSize::megabytes(buffer_mb), options, seed);
-      });
-      csv.row({format_double(buffer_mb), name,
-               format_double(metrics.at("throughput_mbps").mean),
-               format_double(metrics.at("conformant_loss").mean)});
+      SweepCase c;
+      c.label = name;
+      c.params = {{"buffer_mb", format_double(buffer_mb)}};
+      c.runner = [scaling, buffer = ByteSize::megabytes(buffer_mb), &options](std::uint64_t seed) {
+        return run_with_scaling(scaling, buffer, options, seed);
+      };
+      cases.push_back(std::move(c));
     }
   }
-  return 0;
+  const auto conformant = table1_conformant_flows();
+  const SweepResult result = run_sweep(
+      std::move(cases),
+      [&conformant](const ExperimentResult& r) {
+        return std::map<std::string, double>{
+            {"throughput_mbps", r.aggregate_throughput_mbps()},
+            {"conformant_loss", r.loss_ratio(conformant)},
+        };
+      },
+      sweep_options(options));
+
+  CsvWriter csv{std::cout,
+                {"buffer_mb", "scaling", "throughput_mbps", "conformant_loss"}};
+  for (const SweepRow& row : result.rows) {
+    if (!row.error.empty()) continue;
+    csv.row({row.params[0].second, row.label,
+             format_double(row.metrics.at("throughput_mbps").mean),
+             format_double(row.metrics.at("conformant_loss").mean)});
+  }
+  return report_sweep_errors(result);
 }

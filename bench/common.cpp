@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -12,72 +11,59 @@
 #include "util/task_pool.h"
 
 namespace bufq::bench {
-namespace {
-
-std::vector<double> parse_list(const std::string& csv) {
-  std::vector<double> values;
-  std::stringstream ss{csv};
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    values.push_back(std::stod(item));
-  }
-  return values;
-}
-
-}  // namespace
 
 BenchOptions parse_options(int argc, const char* const* argv,
                            std::vector<double> default_buffers_mb) {
-  Flags flags{argc, argv};
   BenchOptions options;
-  options.seeds = static_cast<std::size_t>(
-      flags.get_int("replications", flags.get_int("seeds", 5)));
-  options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  options.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
-  options.duration = Time::from_seconds(flags.get_double("duration", 20.0));
-  if (const auto buffers = flags.get("buffers")) {
-    options.buffers_mb = parse_list(*buffers);
-  } else {
-    options.buffers_mb = std::move(default_buffers_mb);
-  }
-  options.jobs = static_cast<std::size_t>(
-      flags.get_int("jobs", static_cast<std::int64_t>(TaskPool::default_thread_count())));
-  options.progress = flags.get_bool("progress", false);
-  options.metrics_out = flags.get("metrics-out").value_or("");
-  const auto checkpoint_out = flags.get("checkpoint-out");
-  const auto checkpoint_in = flags.get("checkpoint-in");
-  const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
-  if (static_cast<int>(checkpoint_out.has_value()) + static_cast<int>(checkpoint_in.has_value()) +
-          static_cast<int>(roundtrip) >
-      1) {
-    std::fprintf(stderr,
-                 "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually "
-                 "exclusive\n");
-    std::exit(2);
-  }
-  if (checkpoint_out) {
-    options.checkpoint.mode = SweepCheckpointMode::kWrite;
-    options.checkpoint.dir = *checkpoint_out;
-  } else if (checkpoint_in) {
-    options.checkpoint.mode = SweepCheckpointMode::kRead;
-    options.checkpoint.dir = *checkpoint_in;
-  } else if (roundtrip) {
-    options.checkpoint.mode = SweepCheckpointMode::kRoundtrip;
-  }
-  options.checkpoint.trigger.events =
-      static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
-  options.checkpoint.trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
-  const auto unknown = flags.unused();
-  if (!unknown.empty()) {
-    std::fprintf(stderr,
-                 "unknown flag --%s (supported: --seeds --replications --seed --warmup "
-                 "--duration --buffers --jobs --progress --metrics-out --checkpoint-out "
-                 "--checkpoint-in --checkpoint-roundtrip --checkpoint-events "
-                 "--checkpoint-at)\n",
-                 unknown.front().c_str());
+  try {
+    Flags flags{argc, argv};
+    options.seeds = static_cast<std::size_t>(
+        flags.get_int("replications", flags.get_int("seeds", 5)));
+    options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    options.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
+    options.duration = Time::from_seconds(flags.get_double("duration", 20.0));
+    options.buffers_mb = flags.get_list<double>("buffers", std::move(default_buffers_mb));
+    options.jobs = static_cast<std::size_t>(
+        flags.get_int("jobs", static_cast<std::int64_t>(TaskPool::default_thread_count())));
+    options.progress = flags.get_bool("progress", false);
+    options.metrics_out = flags.get("metrics-out").value_or("");
+    options.checkpoint = parse_sweep_checkpoint(flags);
+    const auto unknown = flags.unused();
+    if (!unknown.empty()) {
+      throw std::invalid_argument(
+          "unknown flag --" + unknown.front() +
+          " (supported: --seeds --replications --seed --warmup --duration --buffers --jobs "
+          "--progress --metrics-out --checkpoint-out --checkpoint-in --checkpoint-roundtrip "
+          "--checkpoint-events --checkpoint-at)");
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
   }
   return options;
+}
+
+SweepOptions sweep_options(const BenchOptions& options) {
+  SweepOptions sweep;
+  sweep.jobs = options.jobs == 0 ? TaskPool::default_thread_count() : options.jobs;
+  sweep.replications = options.seeds;
+  sweep.base_seed = options.base_seed;
+  // Common random numbers: every grid point sees the same seed set, which
+  // sharpens scheme-vs-scheme comparisons at a fixed replication budget.
+  sweep.seed_mode = SeedMode::kSharedAcrossCases;
+  sweep.progress = options.progress ? &std::cerr : nullptr;
+  sweep.checkpoint = options.checkpoint;
+  return sweep;
+}
+
+int report_sweep_errors(const SweepResult& result) {
+  for (const SweepRow& row : result.rows) {
+    if (!row.error.empty()) {
+      std::cerr << "error: case " << row.index << " (" << row.label << "): " << row.error
+                << "\n";
+    }
+  }
+  return result.ok() ? 0 : 1;
 }
 
 std::map<std::string, Summary> replicate(
@@ -90,13 +76,7 @@ std::map<std::string, Summary> replicate(
   single.label = "replicate";
   single.config = std::move(config);
 
-  SweepOptions sweep_options;
-  sweep_options.jobs = options.jobs;
-  sweep_options.replications = options.seeds;
-  sweep_options.base_seed = options.base_seed;
-  sweep_options.seed_mode = SeedMode::kSharedAcrossCases;
-  sweep_options.checkpoint = options.checkpoint;
-  const SweepResult result = run_sweep({std::move(single)}, extract, sweep_options);
+  const SweepResult result = run_sweep({std::move(single)}, extract, sweep_options(options));
 
   const SweepRow& row = result.rows.front();
   if (!row.error.empty()) {
@@ -171,20 +151,10 @@ int run_figure_main(int figure, int argc, const char* const* argv) {
   if (fig.print_workload) {
     (fig.workload_table == 2 ? print_table2 : print_table1)(std::cout);
   }
-  std::cerr << "# jobs=" << (options.jobs == 0 ? TaskPool::default_thread_count() : options.jobs)
-            << " runs=" << fig.cases.size() * options.seeds << "\n";
+  const SweepOptions sweep = sweep_options(options);
+  std::cerr << "# jobs=" << sweep.jobs << " runs=" << fig.cases.size() * options.seeds << "\n";
 
-  SweepOptions sweep_options;
-  sweep_options.jobs = options.jobs == 0 ? TaskPool::default_thread_count() : options.jobs;
-  sweep_options.replications = options.seeds;
-  sweep_options.base_seed = options.base_seed;
-  // Common random numbers: every grid point sees the same seed set, which
-  // is the methodology the serial benches always used.
-  sweep_options.seed_mode = SeedMode::kSharedAcrossCases;
-  sweep_options.progress = options.progress ? &std::cerr : nullptr;
-  sweep_options.checkpoint = options.checkpoint;
-
-  const SweepResult result = run_sweep(std::move(fig.cases), fig.extract, sweep_options);
+  const SweepResult result = run_sweep(std::move(fig.cases), fig.extract, sweep);
 
   CsvWriter csv{std::cout, fig.columns};
   for (const SweepRow& row : result.rows) {
@@ -210,16 +180,7 @@ int run_figure_main(int figure, int argc, const char* const* argv) {
     }
   }
 
-  if (!result.ok()) {
-    for (const SweepRow& row : result.rows) {
-      if (!row.error.empty()) {
-        std::cerr << "error: case " << row.index << " (" << row.label << "): " << row.error
-                  << "\n";
-      }
-    }
-    return 1;
-  }
-  return 0;
+  return report_sweep_errors(result);
 }
 
 }  // namespace bufq::bench

@@ -63,9 +63,19 @@ struct BenchOptions {
   SweepCheckpoint checkpoint;
 };
 
-/// Parses options; exits with a message on malformed or unknown flags.
+/// Parses options; exits 2 with a message on malformed or unknown flags.
 BenchOptions parse_options(int argc, const char* const* argv,
                            std::vector<double> default_buffers_mb);
+
+/// The sweep options a bench derives from its BenchOptions: --jobs (0 =
+/// hardware concurrency), --seeds replications under --seed with common
+/// random numbers (SeedMode::kSharedAcrossCases), --progress and the
+/// checkpoint policy.
+SweepOptions sweep_options(const BenchOptions& options);
+
+/// Prints every failed row's error on stderr; returns the process exit
+/// code (0 when every run succeeded, 1 otherwise).
+int report_sweep_errors(const SweepResult& result);
 
 /// Runs `seeds` replications of `config` (varying only the seed) through
 /// the sweep engine and summarizes each metric produced by `extract`.

@@ -17,23 +17,28 @@
 //   --warmup, --duration  seconds                    (default 5 / 20)
 //   --delays      also report per-flow delays        (default false)
 //   --checkpoint-out=DIR   snapshot each replication mid-run into DIR
+//                          (files ckpt_case0_rep<r>.bufq, the sweep's names)
 //   --checkpoint-in=DIR    resume each replication from DIR (skips warmup)
 //   --checkpoint-roundtrip snapshot + restore in-process; the report must
 //                          match a plain run exactly
 //   --checkpoint-events=N / --checkpoint-at=SECS  when to snapshot
 //                          (default: end of warmup)
+//
+// The replications are one case of the sweep engine (expt/sweep.h): seeds
+// derive from SeedSequence(1), and they run on every hardware thread with
+// a report independent of the thread count.
 #include <cstdio>
 #include <iostream>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "expt/experiment.h"
 #include "expt/sweep.h"
 #include "expt/workloads.h"
-#include "sim/checkpoint.h"
-#include "stats/replication.h"
 #include "util/csv.h"
 #include "util/flags.h"
+#include "util/task_pool.h"
 
 namespace {
 
@@ -87,30 +92,7 @@ int main(int argc, char** argv) {
     config.record_delays = flags.get_bool("delays", false);
     const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 5));
 
-    const auto checkpoint_out = flags.get("checkpoint-out");
-    const auto checkpoint_in = flags.get("checkpoint-in");
-    const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
-    if (static_cast<int>(checkpoint_out.has_value()) +
-            static_cast<int>(checkpoint_in.has_value()) + static_cast<int>(roundtrip) >
-        1) {
-      throw std::invalid_argument(
-          "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually "
-          "exclusive");
-    }
-    auto checkpoint_mode = SweepCheckpointMode::kOff;
-    std::string checkpoint_dir;
-    if (checkpoint_out) {
-      checkpoint_mode = SweepCheckpointMode::kWrite;
-      checkpoint_dir = *checkpoint_out;
-    } else if (checkpoint_in) {
-      checkpoint_mode = SweepCheckpointMode::kRead;
-      checkpoint_dir = *checkpoint_in;
-    } else if (roundtrip) {
-      checkpoint_mode = SweepCheckpointMode::kRoundtrip;
-    }
-    CheckpointTrigger trigger;
-    trigger.events = static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
-    trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
+    const SweepCheckpoint checkpoint = parse_sweep_checkpoint(flags);
 
     std::vector<FlowId> conformant;
     if (workload == "table1") {
@@ -139,35 +121,13 @@ int main(int argc, char** argv) {
                 config.buffer.to_string().c_str(), seeds);
 
     // Per-flow metrics across replications.
-    ReplicationRunner runner{1, seeds};
     const bool with_delays = config.record_delays;
-    const auto metrics = runner.run([&, config](std::uint64_t seed) {
-      ExperimentConfig trial_config = config;
-      trial_config.seed = seed;
-      const auto result = [&]() -> ExperimentResult {
-        const std::string path =
-            checkpoint_dir + "/ckpt_seed" + std::to_string(seed) + ".bufq";
-        switch (checkpoint_mode) {
-          case SweepCheckpointMode::kOff:
-            return run_experiment(trial_config);
-          case SweepCheckpointMode::kRoundtrip: {
-            const CheckpointedRun run = run_experiment_with_checkpoint(trial_config, trigger);
-            return resume_experiment(trial_config, run.checkpoint);
-          }
-          case SweepCheckpointMode::kWrite: {
-            CheckpointedRun run = run_experiment_with_checkpoint(trial_config, trigger);
-            write_checkpoint_file(path, run.checkpoint);
-            return std::move(run.result);
-          }
-          case SweepCheckpointMode::kRead:
-            return resume_experiment(trial_config, read_checkpoint_file(path));
-        }
-        return run_experiment(trial_config);  // unreachable
-      }();
+    const std::size_t flow_count = config.flows.size();
+    const MetricExtractor extract = [&](const ExperimentResult& result) {
       std::map<std::string, double> m;
       m["agg_mbps"] = result.aggregate_throughput_mbps();
       m["conformant_loss"] = result.loss_ratio(conformant);
-      for (std::size_t f = 0; f < trial_config.flows.size(); ++f) {
+      for (std::size_t f = 0; f < flow_count; ++f) {
         const auto id = static_cast<FlowId>(f);
         m[flow_key(f, "_mbps")] = result.flow_throughput_mbps(id);
         m[flow_key(f, "_loss")] = result.per_flow[f].loss_ratio();
@@ -176,7 +136,19 @@ int main(int argc, char** argv) {
         }
       }
       return m;
-    });
+    };
+    SweepCase single;
+    single.label = workload;
+    single.config = config;
+    SweepOptions options;
+    options.jobs = TaskPool::default_thread_count();
+    options.replications = seeds;
+    options.base_seed = 1;
+    options.checkpoint = checkpoint;
+    const SweepResult result = run_sweep({std::move(single)}, extract, options);
+    const SweepRow& row = result.rows.front();
+    if (!row.error.empty()) throw std::runtime_error(row.error);
+    const auto& metrics = row.metrics;
 
     TextTable table{with_delays
                         ? std::vector<std::string>{"flow", "reserved(Mb/s)",
@@ -187,20 +159,20 @@ int main(int argc, char** argv) {
     for (std::size_t f = 0; f < config.flows.size(); ++f) {
       const auto& mbps = metrics.at(flow_key(f, "_mbps"));
       const auto& loss = metrics.at(flow_key(f, "_loss"));
-      std::vector<std::string> row{
+      std::vector<std::string> cells{
           std::to_string(f), format_double(config.flows[f].token_rate.mbps()),
-          format_double(mbps.mean), format_double(mbps.half_width_95),
+          format_double(mbps.mean), format_double(mbps.ci95),
           format_double(loss.mean * 100.0)};
       if (with_delays) {
-        row.push_back(format_double(metrics.at(flow_key(f, "_delay_ms")).mean));
+        cells.push_back(format_double(metrics.at(flow_key(f, "_delay_ms")).mean));
       }
-      table.row(std::move(row));
+      table.row(std::move(cells));
     }
     table.print(std::cout);
 
     const auto& agg = metrics.at("agg_mbps");
     std::printf("\naggregate: %.2f +- %.2f Mb/s (utilization %.1f%%), conformant loss %.4f%%\n",
-                agg.mean, agg.half_width_95, agg.mean / config.link_rate.mbps() * 100.0,
+                agg.mean, agg.ci95, agg.mean / config.link_rate.mbps() * 100.0,
                 metrics.at("conformant_loss").mean * 100.0);
     return 0;
   } catch (const std::exception& e) {

@@ -29,8 +29,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "expt/sweep.h"
 #include "fabric/scenario.h"
-#include "sim/checkpoint.h"
 #include "util/flags.h"
 
 namespace {
@@ -77,20 +77,11 @@ int main(int argc, char** argv) try {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   config.shards = static_cast<int>(flags.get_int("shards", 1));
   const bool report = flags.get_bool("report", true);
-  const auto checkpoint_out = flags.get("checkpoint-out");
-  const auto checkpoint_in = flags.get("checkpoint-in");
-  const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
-  if (static_cast<int>(checkpoint_out.has_value()) + static_cast<int>(checkpoint_in.has_value()) +
-          static_cast<int>(roundtrip) >
-      1) {
-    std::fprintf(stderr,
-                 "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually "
-                 "exclusive\n");
-    return 2;
-  }
-  CheckpointTrigger trigger;
-  trigger.events = static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
-  trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
+  // The sweep's checkpoint flags, with a file path where the sweep takes a
+  // directory.
+  const SweepCheckpoint checkpoint = parse_sweep_checkpoint(flags);
+  const SweepCheckpointRequest request{
+      .mode = checkpoint.mode, .trigger = checkpoint.trigger, .path = checkpoint.dir};
   if (const auto unused = flags.unused(); !unused.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unused.front().c_str());
     return 2;
@@ -103,21 +94,9 @@ int main(int argc, char** argv) try {
               scenario.topo.link_count(), scenario.bindings.size());
   if (report) std::printf("\n%s\n", scenario.plan.report(scenario.topo).c_str());
 
-  const ExperimentResult result = [&] {
-    if (checkpoint_out) {
-      CheckpointedRun run = run_fabric_experiment_with_checkpoint(config, trigger);
-      write_checkpoint_file(*checkpoint_out, run.checkpoint);
-      return run.result;
-    }
-    if (checkpoint_in) {
-      return resume_fabric_experiment(config, read_checkpoint_file(*checkpoint_in));
-    }
-    if (roundtrip) {
-      const CheckpointedRun run = run_fabric_experiment_with_checkpoint(config, trigger);
-      return resume_fabric_experiment(config, run.checkpoint);
-    }
-    return run_fabric_experiment(config);
-  }();
+  const ExperimentResult result =
+      run_checkpoint_request(config, request, run_fabric_experiment,
+                             run_fabric_experiment_with_checkpoint, resume_fabric_experiment);
   const auto metrics = fabric_metrics(result);
   std::printf("premium:   %.2f Mb/s delivered (declared %.2f), loss %.4f%%\n",
               metrics.at("premium_mbps"), config.premium_rate.mbps(),

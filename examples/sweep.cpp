@@ -13,78 +13,44 @@
 // every run is snapshotted and restored in-process, and the CSV must stay
 // byte-identical to a plain run — the CI replay job relies on that.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "expt/figures.h"
 #include "expt/sweep.h"
 #include "util/flags.h"
 #include "util/task_pool.h"
 
-namespace {
-
-std::vector<double> parse_list(const std::string& csv) {
-  std::vector<double> values;
-  std::stringstream ss{csv};
-  std::string item;
-  while (std::getline(ss, item, ',')) values.push_back(std::stod(item));
-  return values;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace bufq;
 
-  Flags flags{argc, argv};
-  const auto figure = static_cast<int>(flags.get_int("figure", 1));
+  int figure = 1;
   FigureParams params;
-  if (const auto buffers = flags.get("buffers")) params.buffers_mb = parse_list(*buffers);
-  params.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
-  params.duration = Time::from_seconds(flags.get_double("duration", 20.0));
-
   SweepOptions options;
-  options.jobs = static_cast<std::size_t>(
-      flags.get_int("jobs", static_cast<std::int64_t>(TaskPool::default_thread_count())));
-  options.replications = static_cast<std::size_t>(flags.get_int("replications", 5));
-  options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  options.seed_mode = SeedMode::kSharedAcrossCases;
-  options.progress = flags.get_bool("progress", false) ? &std::cerr : nullptr;
-
-  const auto checkpoint_out = flags.get("checkpoint-out");
-  const auto checkpoint_in = flags.get("checkpoint-in");
-  const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
-  if (static_cast<int>(checkpoint_out.has_value()) + static_cast<int>(checkpoint_in.has_value()) +
-          static_cast<int>(roundtrip) >
-      1) {
-    std::fprintf(stderr,
-                 "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually "
-                 "exclusive\n");
-    return 2;
-  }
-  if (checkpoint_out) {
-    options.checkpoint.mode = SweepCheckpointMode::kWrite;
-    options.checkpoint.dir = *checkpoint_out;
-  } else if (checkpoint_in) {
-    options.checkpoint.mode = SweepCheckpointMode::kRead;
-    options.checkpoint.dir = *checkpoint_in;
-  } else if (roundtrip) {
-    options.checkpoint.mode = SweepCheckpointMode::kRoundtrip;
-  }
-  options.checkpoint.trigger.events =
-      static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
-  options.checkpoint.trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
-
-  const auto unknown = flags.unused();
-  if (!unknown.empty()) {
-    std::fprintf(stderr,
-                 "unknown flag --%s (supported: --figure --jobs --replications --seed "
-                 "--buffers --warmup --duration --progress --checkpoint-out --checkpoint-in "
-                 "--checkpoint-roundtrip --checkpoint-events --checkpoint-at)\n",
-                 unknown.front().c_str());
+  try {
+    Flags flags{argc, argv};
+    figure = static_cast<int>(flags.get_int("figure", 1));
+    params.buffers_mb = flags.get_list<double>("buffers", params.buffers_mb);
+    params.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
+    params.duration = Time::from_seconds(flags.get_double("duration", 20.0));
+    options.jobs = static_cast<std::size_t>(
+        flags.get_int("jobs", static_cast<std::int64_t>(TaskPool::default_thread_count())));
+    options.replications = static_cast<std::size_t>(flags.get_int("replications", 5));
+    options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    options.seed_mode = SeedMode::kSharedAcrossCases;
+    options.progress = flags.get_bool("progress", false) ? &std::cerr : nullptr;
+    options.checkpoint = parse_sweep_checkpoint(flags);
+    const auto unknown = flags.unused();
+    if (!unknown.empty()) {
+      throw std::invalid_argument(
+          "unknown flag --" + unknown.front() +
+          " (supported: --figure --jobs --replications --seed --buffers --warmup --duration "
+          "--progress --checkpoint-out --checkpoint-in --checkpoint-roundtrip "
+          "--checkpoint-events --checkpoint-at)");
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
   if (figure < kFirstFigure || figure > kLastFigure) {

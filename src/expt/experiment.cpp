@@ -1,19 +1,17 @@
 #include "expt/experiment.h"
 
 #include <cassert>
-#include <chrono>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "check/invariants.h"
-#include "obs/export.h"
 #include "core/buffer_manager.h"
 #include "core/dynamic_threshold.h"
 #include "core/red.h"
 #include "core/sharing.h"
 #include "core/threshold.h"
+#include "expt/run_harness.h"
+#include "obs/export.h"
 #include "sched/fifo.h"
 #include "sched/hybrid.h"
 #include "sched/wfq.h"
@@ -24,7 +22,6 @@
 #include "stats/delay.h"
 #include "traffic/shaper.h"
 #include "traffic/sources.h"
-#include "util/annotations.h"
 #include "util/rng.h"
 
 namespace bufq {
@@ -175,26 +172,26 @@ Pipeline build_pipeline(const ExperimentConfig& config) {
   return p;
 }
 
-/// The whole single-multiplexer pipeline as an object, so a checkpoint can
-/// walk every component in a fixed registry order.  Construction wires the
+/// The single-multiplexer pipeline as a RunModel.  Construction wires the
 /// exact event sequence run_experiment always produced: sources are built
-/// (forking the master RNG in flow order) and started in flow order, then
-/// the warmup snapshot is scheduled, then the optional metrics tick — the
-/// interleaved construct-and-start of the old free function assigned the
-/// same sequence numbers because construction schedules nothing.
-class ExperimentEngine {
+/// (forking the master RNG in flow order) and started in flow order; the
+/// harness then schedules the warmup snapshot, then arm_tail() the
+/// optional metrics tick.
+class ExperimentModel final : public RunModel {
  public:
-  explicit ExperimentEngine(const ExperimentConfig& config)
+  ExperimentModel(const ExperimentConfig& config, Simulator& sim,
+                  obs::MetricsRegistry& registry)
       : config_{config},
+        sim_{sim},
+        registry_{registry},
         pipeline_{build_pipeline(config)},
-        link_{sim_, *pipeline_.discipline, config.link_rate},
+        link_{sim, *pipeline_.discipline, config.link_rate},
         stats_{config.flows.size()},
         delays_{config.flows.size()},
         tap_{stats_, link_},
         master_{config.seed},
         horizon_{config.warmup + config.duration} {
     assert(!config.flows.empty());
-    assert(config.duration > Time::zero());
     link_.set_delivery_handler([this](const Packet& p, Time t) {
       stats_.on_delivered(p, t);
       if (config_.record_delays && t >= config_.warmup) delays_.record(p, t);
@@ -211,7 +208,7 @@ class ExperimentEngine {
       PacketSink* entry = &tap_;
       if (profile.regulated) {
         shapers_.push_back(std::make_unique<LeakyBucketShaper>(
-            sim_, tap_, profile.bucket, profile.token_rate, profile.peak_rate));
+            sim, tap_, profile.bucket, profile.token_rate, profile.peak_rate));
         entry = shapers_.back().get();
       }
       auto params = MarkovOnOffSource::params_from_profile(static_cast<FlowId>(f), profile,
@@ -219,53 +216,19 @@ class ExperimentEngine {
       params.on_distribution = config.burst_distribution;
       params.pareto_shape = config.pareto_shape;
       sources_.push_back(
-          std::make_unique<MarkovOnOffSource>(sim_, *entry, params, master_.fork(f)));
+          std::make_unique<MarkovOnOffSource>(sim, *entry, params, master_.fork(f)));
       sources_.back()->start();
     }
-
-    warmup_pending_ = true;
-    const auto snap_warmup = [this] {
-      at_warmup_ = stats_.snapshot();
-      warmup_pending_ = false;
-    };
-    static_assert(InlineAction::stores_inline<decltype(snap_warmup)>,
-                  "warmup snapshot event must not allocate");
-    warmup_seq_ = sim_.at(config.warmup, snap_warmup);
-
-    // Optional metrics time series: a self-rescheduling calendar event
-    // samples the run registry every metrics_sample_period of simulated
-    // time.
-    if (config.metrics_csv != nullptr) {
-      assert(config.metrics_sample_period > Time::zero());
-      series_ =
-          std::make_unique<obs::TimeSeriesCsv>(*config.metrics_csv, run_metrics_.registry());
-      schedule_tick();
-    }
   }
 
-  /// Runs until `trigger` fires (capped at the horizon) without scheduling
-  /// anything — an event-count trigger stops between events, a time
-  /// trigger uses run_until's clock advance, so the event trajectory is
-  /// exactly that of an uninterrupted run.
-  void run_to_trigger(const CheckpointTrigger& trigger) {
-    if (trigger.events > 0) {
-      sim_.run_events_until(trigger.events, horizon_);
-      return;
-    }
-    Time at = trigger.at == Time::zero() ? config_.warmup : trigger.at;
-    if (at > horizon_) at = horizon_;
-    sim_.run_until(at);
+  [[nodiscard]] std::vector<FlowCounters> stats_snapshot() const override {
+    return stats_.snapshot();
   }
+  [[nodiscard]] const DelayRecorder& delays() const override { return delays_; }
 
-  [[nodiscard]] std::uint64_t events_processed() const { return sim_.events_processed(); }
-  [[nodiscard]] Time now() const { return sim_.now(); }
-
-  /// Serializes every component in registry order: simulator, manager,
-  /// discipline, link, stats, delays, shapers, sources, harness state,
-  /// then the metrics registry and (last) the checker tallies.
-  [[nodiscard]] std::vector<std::byte> save() const {
-    CheckpointWriter w;
-    sim_.save_state(w);
+  /// Registry order: manager, discipline, link, stats, delays, shapers,
+  /// sources.
+  void save_state(CheckpointWriter& w) const override {
     pipeline_.manager->save_state(w);
     pipeline_.discipline->save_state(w);
     link_.save_state(w);
@@ -273,46 +236,9 @@ class ExperimentEngine {
     delays_.save_state(w);
     for (std::size_t i = 0; i < shapers_.size(); ++i) shapers_[i]->save_state(w, i);
     for (const auto& source : sources_) source->save_state(w);
-
-    w.begin_section("expt");
-    w.write_u64(at_warmup_.size());
-    for (const auto& c : at_warmup_) {
-      w.write_i64(c.offered_bytes);
-      w.write_i64(c.delivered_bytes);
-      w.write_i64(c.dropped_bytes);
-      w.write_u64(c.offered_packets);
-      w.write_u64(c.delivered_packets);
-      w.write_u64(c.dropped_packets);
-    }
-    w.write_bool(warmup_pending_);
-    w.write_u64(warmup_seq_);
-    w.write_bool(tick_pending_);
-    w.write_time(tick_time_);
-    w.write_u64(tick_seq_);
-    w.end_section();
-
-    w.begin_section("registry");
-    save_registry_snapshot(w, run_metrics_.registry().snapshot());
-    w.end_section();
-
-    w.begin_section("checker");
-    w.write_u64(run_checker_.checker().checks_run());
-    w.write_u64(run_checker_.checker().violation_count());
-    w.end_section();
-
-    return w.finish(experiment_fingerprint(config_));
   }
 
-  /// Mirrors save(): restores the simulator (which empties the calendar),
-  /// lets every component rebuild state and re-arm its events, overwrites
-  /// the metrics registry *after* the rebuilds (so construction-time
-  /// recordings cannot double-count), restores the checker tallies last,
-  /// and verifies the re-armed event count matches the snapshot.
-  void restore(std::span<const std::byte> blob) {
-    CheckpointReader r{blob};
-    r.require_scenario(experiment_fingerprint(config_));
-
-    const std::uint64_t expected_pending = sim_.restore_state(r);
+  void restore_state(CheckpointReader& r) override {
     pipeline_.manager->restore_state(r);
     pipeline_.discipline->restore_state(r);
     link_.restore_state(r);
@@ -320,88 +246,40 @@ class ExperimentEngine {
     delays_.restore_state(r);
     for (std::size_t i = 0; i < shapers_.size(); ++i) shapers_[i]->restore_state(r, i);
     for (const auto& source : sources_) source->restore_state(r);
+  }
 
-    r.begin_section("expt");
-    at_warmup_.assign(static_cast<std::size_t>(r.read_u64()), FlowCounters{});
-    for (auto& c : at_warmup_) {
-      c.offered_bytes = r.read_i64();
-      c.delivered_bytes = r.read_i64();
-      c.dropped_bytes = r.read_i64();
-      c.offered_packets = r.read_u64();
-      c.delivered_packets = r.read_u64();
-      c.dropped_packets = r.read_u64();
-    }
-    warmup_pending_ = r.read_bool();
-    warmup_seq_ = r.read_u64();
+ private:
+  /// The metrics tick event, shared by the first arming and the re-arm
+  /// (defined before its callers: its return type is deduced).
+  auto tick_action() {
+    const auto tick = [this] { metrics_tick(); };
+    static_assert(InlineAction::stores_inline<decltype(tick)>,
+                  "metrics tick event must not allocate");
+    return tick;
+  }
+
+ public:
+  /// The section tail is the optional metrics time series: a
+  /// self-rescheduling calendar event samples the run registry every
+  /// metrics_sample_period of simulated time.
+  void arm_tail() override {
+    if (config_.metrics_csv == nullptr) return;
+    assert(config_.metrics_sample_period > Time::zero());
+    series_ = std::make_unique<obs::TimeSeriesCsv>(*config_.metrics_csv, registry_);
+    schedule_tick();
+  }
+
+  void save_tail(CheckpointWriter& w) const override {
+    w.write_bool(tick_pending_);
+    w.write_time(tick_time_);
+    w.write_u64(tick_seq_);
+  }
+
+  void restore_tail(CheckpointReader& r) override {
     tick_pending_ = r.read_bool();
     tick_time_ = r.read_time();
     tick_seq_ = r.read_u64();
-    r.end_section();
-    if (warmup_pending_) {
-      sim_.rearm(config_.warmup, warmup_seq_, [this] {
-        at_warmup_ = stats_.snapshot();
-        warmup_pending_ = false;
-      });
-    }
-    if (tick_pending_) {
-      sim_.rearm(tick_time_, tick_seq_, [this] { metrics_tick(); });
-    }
-
-    r.begin_section("registry");
-    run_metrics_.registry().restore(load_registry_snapshot(r));
-    r.end_section();
-
-    r.begin_section("checker");
-    const std::uint64_t checks_run = r.read_u64();
-    const std::uint64_t violations = r.read_u64();
-    r.end_section();
-    run_checker_.checker().restore_tallies(checks_run, violations);
-
-    if (!r.exhausted()) {
-      throw CheckpointFormatError("checkpoint has trailing bytes after the last section");
-    }
-    if (sim_.events_pending() != expected_pending) {
-      throw CheckpointError("restore re-armed " + std::to_string(sim_.events_pending()) +
-                            " events, checkpoint recorded " + std::to_string(expected_pending));
-    }
-  }
-
-  /// Runs to the horizon and assembles the result exactly as the original
-  /// run_experiment free function did.
-  [[nodiscard]] ExperimentResult finish() {
-    BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the CSV determinism contract");
-    const auto wall_start = std::chrono::steady_clock::now();
-    sim_.run_until(horizon_);
-    BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the CSV determinism contract");
-    const auto wall_end = std::chrono::steady_clock::now();
-    const auto wall_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(wall_end - wall_start).count();
-    run_metrics_.registry().counter("sim.wall_ns").add(static_cast<std::uint64_t>(wall_ns));
-
-    const auto at_end = stats_.snapshot();
-    ExperimentResult result;
-    result.interval = config_.duration;
-    result.checks_run = run_checker_.checker().checks_run();
-    result.check_violations = run_checker_.checker().violation_count();
-    result.metrics = run_metrics_.registry().snapshot();
-    result.per_flow.reserve(at_end.size());
-    for (std::size_t f = 0; f < at_end.size(); ++f) {
-      result.per_flow.push_back(at_end[f] - at_warmup_[f]);
-    }
-    if (config_.record_delays) {
-      result.delays.reserve(config_.flows.size());
-      for (std::size_t f = 0; f < config_.flows.size(); ++f) {
-        const auto flow = static_cast<FlowId>(f);
-        result.delays.push_back(DelaySummary{
-            .mean_s = delays_.mean_delay(flow).to_seconds(),
-            .max_s = delays_.max_delay(flow).to_seconds(),
-            .p50_s = delays_.quantile(flow, 0.50).to_seconds(),
-            .p99_s = delays_.quantile(flow, 0.99).to_seconds(),
-            .packets = delays_.count(flow),
-        });
-      }
-    }
-    return result;
+    if (tick_pending_) sim_.rearm(tick_time_, tick_seq_, tick_action());
   }
 
  private:
@@ -414,23 +292,12 @@ class ExperimentEngine {
   void schedule_tick() {
     tick_pending_ = true;
     tick_time_ = sim_.now() + config_.metrics_sample_period;
-    const auto tick = [this] { metrics_tick(); };
-    static_assert(InlineAction::stores_inline<decltype(tick)>,
-                  "metrics tick event must not allocate");
-    tick_seq_ = sim_.in(config_.metrics_sample_period, tick);
+    tick_seq_ = sim_.in(config_.metrics_sample_period, tick_action());
   }
 
   const ExperimentConfig& config_;
-  // Confine the invariant audit to this run: BUFQ_CHECK sites report to a
-  // run-private checker (no shared sink between pool workers), whose
-  // tallies are folded back into the enclosing checker on destruction.
-  check::ScopedChecker run_checker_;
-  // Same confinement for metrics: everything below resolves its handles
-  // against this run-private registry (which is why it must precede the
-  // Simulator/pipeline members); tallies fold into the enclosing registry
-  // on destruction.
-  obs::ScopedMetrics run_metrics_;
-  Simulator sim_;
+  Simulator& sim_;
+  obs::MetricsRegistry& registry_;
   Pipeline pipeline_;
   Link link_;
   StatsCollector stats_;
@@ -439,15 +306,24 @@ class ExperimentEngine {
   Rng master_;
   std::vector<std::unique_ptr<LeakyBucketShaper>> shapers_;
   std::vector<std::unique_ptr<MarkovOnOffSource>> sources_;
-  std::vector<FlowCounters> at_warmup_;
-  bool warmup_pending_{false};
-  std::uint64_t warmup_seq_{0};
   Time horizon_;
   std::unique_ptr<obs::TimeSeriesCsv> series_;
   bool tick_pending_{false};
   Time tick_time_{Time::zero()};
   std::uint64_t tick_seq_{0};
 };
+
+RunHarness experiment_harness(const ExperimentConfig& config) {
+  return RunHarness{
+      RunSpec{.warmup = config.warmup,
+              .duration = config.duration,
+              .record_delays = config.record_delays,
+              .section = "expt",
+              .fingerprint = experiment_fingerprint(config)},
+      [&config](Simulator& sim, obs::MetricsRegistry& registry) {
+        return std::make_unique<ExperimentModel>(config, sim, registry);
+      }};
+}
 
 }  // namespace
 
@@ -494,27 +370,17 @@ std::uint64_t experiment_fingerprint(const ExperimentConfig& config) {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  ExperimentEngine engine{config};
-  return engine.finish();
+  return experiment_harness(config).finish();
 }
 
 CheckpointedRun run_experiment_with_checkpoint(const ExperimentConfig& config,
                                                const CheckpointTrigger& trigger) {
-  ExperimentEngine engine{config};
-  engine.run_to_trigger(trigger);
-  CheckpointedRun run;
-  run.checkpoint = engine.save();
-  run.events_at_checkpoint = engine.events_processed();
-  run.time_at_checkpoint = engine.now();
-  run.result = engine.finish();
-  return run;
+  return experiment_harness(config).finish_with_checkpoint(trigger);
 }
 
 ExperimentResult resume_experiment(const ExperimentConfig& config,
                                    std::span<const std::byte> checkpoint) {
-  ExperimentEngine engine{config};
-  engine.restore(checkpoint);
-  return engine.finish();
+  return experiment_harness(config).resume(checkpoint);
 }
 
 }  // namespace bufq

@@ -10,10 +10,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/checkpoint.h"
 #include "stats/replication.h"
 #include "util/annotations.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/task_pool.h"
 
@@ -48,28 +48,32 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// The built-in run_experiment path under a checkpoint policy.
-ExperimentResult run_checkpointed(const ExperimentConfig& config,
-                                  const SweepCheckpointRequest& request) {
-  switch (request.mode) {
-    case SweepCheckpointMode::kOff:
-      return run_experiment(config);
-    case SweepCheckpointMode::kRoundtrip: {
-      const CheckpointedRun run = run_experiment_with_checkpoint(config, request.trigger);
-      return resume_experiment(config, run.checkpoint);
-    }
-    case SweepCheckpointMode::kWrite: {
-      CheckpointedRun run = run_experiment_with_checkpoint(config, request.trigger);
-      write_checkpoint_file(request.path, run.checkpoint);
-      return std::move(run.result);
-    }
-    case SweepCheckpointMode::kRead:
-      return resume_experiment(config, read_checkpoint_file(request.path));
-  }
-  return run_experiment(config);  // unreachable
-}
-
 }  // namespace
+
+SweepCheckpoint parse_sweep_checkpoint(const Flags& flags) {
+  const auto checkpoint_out = flags.get("checkpoint-out");
+  const auto checkpoint_in = flags.get("checkpoint-in");
+  const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
+  if (static_cast<int>(checkpoint_out.has_value()) + static_cast<int>(checkpoint_in.has_value()) +
+          static_cast<int>(roundtrip) >
+      1) {
+    throw std::invalid_argument(
+        "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually exclusive");
+  }
+  SweepCheckpoint checkpoint;
+  if (checkpoint_out) {
+    checkpoint.mode = SweepCheckpointMode::kWrite;
+    checkpoint.dir = *checkpoint_out;
+  } else if (checkpoint_in) {
+    checkpoint.mode = SweepCheckpointMode::kRead;
+    checkpoint.dir = *checkpoint_in;
+  } else if (roundtrip) {
+    checkpoint.mode = SweepCheckpointMode::kRoundtrip;
+  }
+  checkpoint.trigger.events = static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
+  checkpoint.trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
+  return checkpoint;
+}
 
 bool SweepResult::ok() const {
   return std::all_of(rows.begin(), rows.end(),
@@ -135,7 +139,8 @@ SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extra
       } else {
         ExperimentConfig config = item.config;
         config.seed = slot.seed;
-        result = run_checkpointed(config, request);
+        result = run_checkpoint_request(config, request, run_experiment,
+                                        run_experiment_with_checkpoint, resume_experiment);
       }
       slot.metrics = extract(result);
       slot.per_flow = result.per_flow;
@@ -186,16 +191,7 @@ SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extra
       }
       for (const auto& [name, value] : slot.metrics) row.samples[name].push_back(value);
       if (slot.per_flow.size() > row.per_flow.size()) row.per_flow.resize(slot.per_flow.size());
-      for (std::size_t f = 0; f < slot.per_flow.size(); ++f) {
-        const FlowCounters& from = slot.per_flow[f];
-        FlowCounters& to = row.per_flow[f];
-        to.offered_bytes += from.offered_bytes;
-        to.delivered_bytes += from.delivered_bytes;
-        to.dropped_bytes += from.dropped_bytes;
-        to.offered_packets += from.offered_packets;
-        to.delivered_packets += from.delivered_packets;
-        to.dropped_packets += from.dropped_packets;
-      }
+      for (std::size_t f = 0; f < slot.per_flow.size(); ++f) row.per_flow[f] += slot.per_flow[f];
       row.checks_run += slot.checks_run;
       row.check_violations += slot.check_violations;
       row.obs_metrics.merge(slot.obs_metrics);
@@ -258,11 +254,7 @@ void write_sweep_csv(std::ostream& out, const SweepResult& result) {
       }
     }
     FlowCounters totals;
-    for (const FlowCounters& c : row.per_flow) {
-      totals.offered_bytes += c.offered_bytes;
-      totals.delivered_bytes += c.delivered_bytes;
-      totals.dropped_bytes += c.dropped_bytes;
-    }
+    for (const FlowCounters& c : row.per_flow) totals += c;
     cells.push_back(std::to_string(row.seeds.size()));
     cells.push_back(std::to_string(totals.offered_bytes));
     cells.push_back(std::to_string(totals.delivered_bytes));

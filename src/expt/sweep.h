@@ -12,18 +12,23 @@
 // serialization below) are bit-identical at --jobs 1, 2, or 8.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "expt/experiment.h"
+#include "sim/checkpoint.h"
 #include "stats/collector.h"
 
 namespace bufq {
+
+class Flags;
 
 /// How a sweep interacts with checkpoints (SweepOptions::checkpoint).
 enum class SweepCheckpointMode {
@@ -103,6 +108,40 @@ struct SweepCheckpoint {
   /// Directory for kWrite / kRead checkpoint files.
   std::string dir;
 };
+
+/// Reads the checkpoint flags every CLI shares into a SweepCheckpoint:
+///   --checkpoint-out=DIR   kWrite into DIR
+///   --checkpoint-in=DIR    kRead from DIR
+///   --checkpoint-roundtrip kRoundtrip
+///   --checkpoint-events=N / --checkpoint-at=SECS  the trigger
+/// Throws std::invalid_argument when more than one mode flag is given.
+[[nodiscard]] SweepCheckpoint parse_sweep_checkpoint(const Flags& flags);
+
+/// Runs `config` under `request` through one scenario family's entry
+/// points: plain, snapshotting and resuming.  The one place the
+/// kOff/kRoundtrip/kWrite/kRead switch lives, shared by the built-in
+/// run_experiment path and every checkpoint-aware custom runner.
+template <class Config>
+[[nodiscard]] ExperimentResult run_checkpoint_request(
+    const Config& config, const SweepCheckpointRequest& request,
+    ExperimentResult (*run)(const Config&),
+    CheckpointedRun (*run_with_checkpoint)(const Config&, const CheckpointTrigger&),
+    ExperimentResult (*resume)(const Config&, std::span<const std::byte>)) {
+  switch (request.mode) {
+    case SweepCheckpointMode::kOff:
+      break;
+    case SweepCheckpointMode::kRoundtrip:
+      return resume(config, run_with_checkpoint(config, request.trigger).checkpoint);
+    case SweepCheckpointMode::kWrite: {
+      CheckpointedRun checkpointed = run_with_checkpoint(config, request.trigger);
+      write_checkpoint_file(request.path, checkpointed.checkpoint);
+      return std::move(checkpointed.result);
+    }
+    case SweepCheckpointMode::kRead:
+      return resume(config, read_checkpoint_file(request.path));
+  }
+  return run(config);
+}
 
 /// Engine knobs: parallelism, replication count, and the seed policy.
 struct SweepOptions {

@@ -3,20 +3,19 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "check/invariants.h"
+#include "expt/run_harness.h"
 #include "sim/inline_action.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
 #include "traffic/sources.h"
 #include "util/annotations.h"
-#include "util/rng.h"
 #include "util/task_pool.h"
 
 namespace bufq::fabric {
@@ -65,9 +64,9 @@ struct ShardOutcome {
 /// One shard's slice of the scenario: a private Simulator, the scoped
 /// Fabric, and the sources whose ingress node lives here.  Constructed
 /// ON the worker thread so every metric/checker handle resolves against
-/// that thread's scoped registries.  Mirrors FabricEngine's construction
-/// order exactly — the per-shard event trajectory must be the serial
-/// trajectory restricted to this shard.
+/// that thread's scoped registries.  Sources come from the serial run's
+/// builder, so the per-shard event trajectory is the serial trajectory
+/// restricted to this shard.
 class ShardModel {
  public:
   ShardModel(const FabricConfig& config, const FabricScenario& sc, const ShardPlan& plan,
@@ -75,43 +74,12 @@ class ShardModel {
       : senders_{make_senders(sim_, channel, sc, plan, shard)},
         scope_{&plan.node_shard, shard,
                [this](LinkId l) { return senders_[static_cast<std::size_t>(l)].get(); }},
-        fabric_{sim_, sc.topo, sc.routes, sc.plan, sc.bindings, config.scheme, &scope_},
-        master_{config.seed} {
+        fabric_{sim_, sc.topo, sc.routes, sc.plan, sc.bindings, config.scheme, &scope_} {
     fabric_.set_measure_from(config.warmup);
-
-    const auto in_shard = [&](FlowId flow) {
+    sources_ = make_fabric_sources(sim_, fabric_, config, sc, [&](FlowId flow) {
       const NodeId src = sc.bindings[static_cast<std::size_t>(flow)].src;
       return plan.node_shard[static_cast<std::size_t>(src)] == shard;
-    };
-
-    sources_.reserve(sc.bindings.size());
-    if (in_shard(sc.premium)) {
-      sources_.push_back(std::make_unique<CbrSource>(sim_, fabric_.ingress(sc.premium),
-                                                     sc.premium, config.premium_rate,
-                                                     config.packet_bytes));
-    }
-    for (const FlowId flow : sc.cross) {
-      if (!in_shard(flow)) continue;
-      if (config.topology == FabricTopologyKind::kParkingLot) {
-        sources_.push_back(std::make_unique<GreedySource>(sim_, fabric_.ingress(flow), flow,
-                                                          config.link_rate * config.load,
-                                                          config.packet_bytes));
-      } else {
-        MarkovOnOffSource::Params p;
-        p.flow = flow;
-        p.peak_rate = config.link_rate;
-        const double mean_on_s = 50e3 * 8.0 / config.link_rate.bps();
-        const double duty = std::clamp(config.load / 2.0, 0.01, 0.95);
-        p.mean_on = Time::from_seconds(mean_on_s);
-        p.mean_off = Time::from_seconds(mean_on_s * (1.0 - duty) / duty);
-        p.packet_bytes = config.packet_bytes;
-        // Same fork(flow) stream as serial: the source's arrival process
-        // is a pure function of (seed, flow), not of the shard layout.
-        sources_.push_back(std::make_unique<MarkovOnOffSource>(
-            sim_, fabric_.ingress(flow), p, master_.fork(static_cast<std::uint64_t>(flow))));
-      }
-    }
-    for (const auto& source : sources_) source->start();
+    });
 
     if (shard == 0) {
       // Serial runs carry exactly one warmup event (the stats snapshot).
@@ -178,7 +146,6 @@ class ShardModel {
   std::vector<std::unique_ptr<BoundarySender>> senders_;  ///< by LinkId, cut links with tail here
   FabricShardScope scope_;
   Fabric fabric_;
-  Rng master_;
   std::vector<std::unique_ptr<Source>> sources_;
   std::uint64_t boundary_delivered_{0};
   std::uint64_t stall_windows_{0};
@@ -199,14 +166,7 @@ struct Slot {
 
 void accumulate(std::vector<FlowCounters>& into, const std::vector<FlowCounters>& from) {
   if (into.size() < from.size()) into.resize(from.size());
-  for (std::size_t f = 0; f < from.size(); ++f) {
-    into[f].offered_bytes += from[f].offered_bytes;
-    into[f].delivered_bytes += from[f].delivered_bytes;
-    into[f].dropped_bytes += from[f].dropped_bytes;
-    into[f].offered_packets += from[f].offered_packets;
-    into[f].delivered_packets += from[f].delivered_packets;
-    into[f].dropped_packets += from[f].dropped_packets;
-  }
+  for (std::size_t f = 0; f < from.size(); ++f) into[f] += from[f];
 }
 
 }  // namespace
@@ -240,10 +200,7 @@ ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
   // each shard adds its own thread-confined pair on its worker.
   check::ScopedChecker run_checker;
   obs::ScopedMetrics run_metrics;
-  run_metrics.registry()
-      .gauge("fabric.premium_delay_bound_us")
-      .set(std::llround(sc.plan.flows[0].delay_bound_s * 1e6));
-  run_metrics.registry().gauge("fabric.plan_feasible").set(sc.plan.feasible ? 1 : 0);
+  publish_plan_gauges(run_metrics.registry(), sc.plan);
 
   const Time horizon = config.warmup + config.duration;
   const auto shard_count = static_cast<std::size_t>(plan.shards);
@@ -349,25 +306,12 @@ ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
     accumulate(at_end, slot.out.at_end);
     accumulate(at_warmup, slot.at_warmup);
   }
-  result.per_flow.reserve(flow_count);
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    result.per_flow.push_back(at_end[f] - at_warmup[f]);
-  }
+  result.per_flow = per_flow_deltas(at_end, at_warmup);
 
   if (config.record_delays) {
     DelayRecorder delays{flow_count};
     for (const Slot& slot : slots) delays.merge(slot.out.delays);
-    result.delays.reserve(flow_count);
-    for (std::size_t f = 0; f < flow_count; ++f) {
-      const auto flow = static_cast<FlowId>(f);
-      result.delays.push_back(DelaySummary{
-          .mean_s = delays.mean_delay(flow).to_seconds(),
-          .max_s = delays.max_delay(flow).to_seconds(),
-          .p50_s = delays.quantile(flow, 0.50).to_seconds(),
-          .p99_s = delays.quantile(flow, 0.99).to_seconds(),
-          .packets = delays.count(flow),
-      });
-    }
+    result.delays = summarize_delays(delays);
   }
   return result;
 }

@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 
-#include "check/invariants.h"
+#include "expt/run_harness.h"
 #include "fabric/parallel_engine.h"
 #include "fabric/shard_plan.h"
 #include "sim/checkpoint.h"
-#include "sim/inline_action.h"
-#include "traffic/sources.h"
-#include "util/annotations.h"
 #include "util/rng.h"
 
 namespace bufq::fabric {
@@ -135,221 +131,97 @@ FabricScenario build_fabric_scenario(const FabricConfig& config) {
   return sc;
 }
 
+std::vector<std::unique_ptr<Source>> make_fabric_sources(
+    Simulator& sim, Fabric& fabric, const FabricConfig& config, const FabricScenario& sc,
+    const std::function<bool(FlowId)>& lives_here) {
+  const Rng master{config.seed};
+  std::vector<std::unique_ptr<Source>> sources;
+  sources.reserve(sc.bindings.size());
+  if (lives_here(sc.premium)) {
+    sources.push_back(std::make_unique<CbrSource>(sim, fabric.ingress(sc.premium), sc.premium,
+                                                  config.premium_rate, config.packet_bytes));
+  }
+  for (const FlowId flow : sc.cross) {
+    if (!lives_here(flow)) continue;
+    if (config.topology == FabricTopologyKind::kParkingLot) {
+      // The chain analogue of Example 1's greedy flow: full-load arrivals
+      // at every hop, so the premium reservation is what keeps it
+      // lossless.
+      sources.push_back(std::make_unique<GreedySource>(sim, fabric.ingress(flow), flow,
+                                                       config.link_rate * config.load,
+                                                       config.packet_bytes));
+    } else {
+      MarkovOnOffSource::Params p;
+      p.flow = flow;
+      p.peak_rate = config.link_rate;
+      // 50 KB mean bursts at line rate; duty cycle = load / 2 so each
+      // pair averages load * link_rate / 2.
+      const double mean_on_s = 50e3 * 8.0 / config.link_rate.bps();
+      const double duty = std::clamp(config.load / 2.0, 0.01, 0.95);
+      p.mean_on = Time::from_seconds(mean_on_s);
+      p.mean_off = Time::from_seconds(mean_on_s * (1.0 - duty) / duty);
+      p.packet_bytes = config.packet_bytes;
+      sources.push_back(std::make_unique<MarkovOnOffSource>(
+          sim, fabric.ingress(flow), p, master.fork(static_cast<std::uint64_t>(flow))));
+    }
+  }
+  for (const auto& source : sources) source->start();
+  return sources;
+}
+
+void publish_plan_gauges(obs::MetricsRegistry& registry, const ProvisionPlan& plan) {
+  registry.gauge("fabric.premium_delay_bound_us")
+      .set(std::llround(plan.flows[0].delay_bound_s * 1e6));
+  registry.gauge("fabric.plan_feasible").set(plan.feasible ? 1 : 0);
+}
+
 namespace {
 
-/// Fabric analogue of expt's ExperimentEngine: the whole scenario as an
-/// object so checkpoints can walk it in registry order.  Construction
-/// produces the exact event sequence the old free function did.
-class FabricEngine {
+/// The serial fabric as a RunModel: the scenario, its Fabric and every
+/// source.
+class FabricModel final : public RunModel {
  public:
-  explicit FabricEngine(const FabricConfig& config)
-      : config_{config},
-        sc_{build_fabric_scenario(config)},
-        fabric_{sim_, sc_.topo, sc_.routes, sc_.plan, sc_.bindings, config.scheme},
-        master_{config.seed},
-        horizon_{config.warmup + config.duration} {
-    assert(config.duration > Time::zero());
+  FabricModel(const FabricConfig& config, Simulator& sim, obs::MetricsRegistry& registry)
+      : sc_{build_fabric_scenario(config)},
+        fabric_{sim, sc_.topo, sc_.routes, sc_.plan, sc_.bindings, config.scheme} {
     fabric_.set_measure_from(config.warmup);
-
-    // Export the planner's composed bound so sweep extractors (and the
-    // bench JSON) can compare measured p100 against it without
-    // re-planning.
-    run_metrics_.registry()
-        .gauge("fabric.premium_delay_bound_us")
-        .set(std::llround(sc_.plan.flows[0].delay_bound_s * 1e6));
-    run_metrics_.registry().gauge("fabric.plan_feasible").set(sc_.plan.feasible ? 1 : 0);
-
-    sources_.reserve(sc_.bindings.size());
-    sources_.push_back(std::make_unique<CbrSource>(sim_, fabric_.ingress(sc_.premium),
-                                                   sc_.premium, config.premium_rate,
-                                                   config.packet_bytes));
-    for (const FlowId flow : sc_.cross) {
-      if (config.topology == FabricTopologyKind::kParkingLot) {
-        // The chain analogue of Example 1's greedy flow: full-load
-        // arrivals at every hop, so the premium reservation is what keeps
-        // it lossless.
-        sources_.push_back(std::make_unique<GreedySource>(sim_, fabric_.ingress(flow), flow,
-                                                          config.link_rate * config.load,
-                                                          config.packet_bytes));
-      } else {
-        MarkovOnOffSource::Params p;
-        p.flow = flow;
-        p.peak_rate = config.link_rate;
-        // 50 KB mean bursts at line rate; duty cycle = load / 2 so each
-        // pair averages load * link_rate / 2.
-        const double mean_on_s = 50e3 * 8.0 / config.link_rate.bps();
-        const double duty = std::clamp(config.load / 2.0, 0.01, 0.95);
-        p.mean_on = Time::from_seconds(mean_on_s);
-        p.mean_off = Time::from_seconds(mean_on_s * (1.0 - duty) / duty);
-        p.packet_bytes = config.packet_bytes;
-        sources_.push_back(std::make_unique<MarkovOnOffSource>(
-            sim_, fabric_.ingress(flow), p, master_.fork(static_cast<std::uint64_t>(flow))));
-      }
-    }
-    for (const auto& source : sources_) source->start();
-
-    warmup_pending_ = true;
-    const auto snap_warmup = [this] {
-      at_warmup_ = fabric_.stats().snapshot();
-      warmup_pending_ = false;
-    };
-    static_assert(InlineAction::stores_inline<decltype(snap_warmup)>,
-                  "warmup snapshot event must not allocate");
-    warmup_seq_ = sim_.at(config.warmup, snap_warmup);
+    publish_plan_gauges(registry, sc_.plan);
+    sources_ = make_fabric_sources(sim, fabric_, config, sc_, [](FlowId) { return true; });
   }
 
-  /// Marks this run as a parallel request that fell back to serial, so
-  /// sweeps and benches can count (and alert on) silent de-scaling.
-  void note_serial_fallback() {
-    run_metrics_.registry().counter("parallel.serial_fallback").add();
+  [[nodiscard]] std::vector<FlowCounters> stats_snapshot() const override {
+    return fabric_.stats().snapshot();
   }
+  [[nodiscard]] const DelayRecorder& delays() const override { return fabric_.delays(); }
 
-  void run_to_trigger(const CheckpointTrigger& trigger) {
-    if (trigger.events > 0) {
-      sim_.run_events_until(trigger.events, horizon_);
-      return;
-    }
-    Time at = trigger.at == Time::zero() ? config_.warmup : trigger.at;
-    if (at > horizon_) at = horizon_;
-    sim_.run_until(at);
-  }
-
-  [[nodiscard]] std::uint64_t events_processed() const { return sim_.events_processed(); }
-  [[nodiscard]] Time now() const { return sim_.now(); }
-
-  [[nodiscard]] std::vector<std::byte> save() const {
-    CheckpointWriter w;
-    sim_.save_state(w);
+  /// Registry order: the fabric, then the sources.
+  void save_state(CheckpointWriter& w) const override {
     fabric_.save_state(w);
     for (const auto& source : sources_) source->save_state(w);
-
-    w.begin_section("fabric");
-    w.write_u64(at_warmup_.size());
-    for (const auto& c : at_warmup_) {
-      w.write_i64(c.offered_bytes);
-      w.write_i64(c.delivered_bytes);
-      w.write_i64(c.dropped_bytes);
-      w.write_u64(c.offered_packets);
-      w.write_u64(c.delivered_packets);
-      w.write_u64(c.dropped_packets);
-    }
-    w.write_bool(warmup_pending_);
-    w.write_u64(warmup_seq_);
-    w.end_section();
-
-    w.begin_section("registry");
-    save_registry_snapshot(w, run_metrics_.registry().snapshot());
-    w.end_section();
-
-    w.begin_section("checker");
-    w.write_u64(run_checker_.checker().checks_run());
-    w.write_u64(run_checker_.checker().violation_count());
-    w.end_section();
-
-    return w.finish(fabric_fingerprint(config_));
   }
 
-  void restore(std::span<const std::byte> blob) {
-    CheckpointReader r{blob};
-    r.require_scenario(fabric_fingerprint(config_));
-
-    const std::uint64_t expected_pending = sim_.restore_state(r);
+  void restore_state(CheckpointReader& r) override {
     fabric_.restore_state(r);
     for (const auto& source : sources_) source->restore_state(r);
-
-    r.begin_section("fabric");
-    at_warmup_.assign(static_cast<std::size_t>(r.read_u64()), FlowCounters{});
-    for (auto& c : at_warmup_) {
-      c.offered_bytes = r.read_i64();
-      c.delivered_bytes = r.read_i64();
-      c.dropped_bytes = r.read_i64();
-      c.offered_packets = r.read_u64();
-      c.delivered_packets = r.read_u64();
-      c.dropped_packets = r.read_u64();
-    }
-    warmup_pending_ = r.read_bool();
-    warmup_seq_ = r.read_u64();
-    r.end_section();
-    if (warmup_pending_) {
-      sim_.rearm(config_.warmup, warmup_seq_, [this] {
-        at_warmup_ = fabric_.stats().snapshot();
-        warmup_pending_ = false;
-      });
-    }
-
-    r.begin_section("registry");
-    run_metrics_.registry().restore(load_registry_snapshot(r));
-    r.end_section();
-
-    r.begin_section("checker");
-    const std::uint64_t checks_run = r.read_u64();
-    const std::uint64_t violations = r.read_u64();
-    r.end_section();
-    run_checker_.checker().restore_tallies(checks_run, violations);
-
-    if (!r.exhausted()) {
-      throw CheckpointFormatError("checkpoint has trailing bytes after the last section");
-    }
-    if (sim_.events_pending() != expected_pending) {
-      throw CheckpointError("restore re-armed " + std::to_string(sim_.events_pending()) +
-                            " events, checkpoint recorded " + std::to_string(expected_pending));
-    }
-  }
-
-  [[nodiscard]] ExperimentResult finish() {
-    BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the CSV determinism contract");
-    const auto wall_start = std::chrono::steady_clock::now();
-    sim_.run_until(horizon_);
-    BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the CSV determinism contract");
-    const auto wall_end = std::chrono::steady_clock::now();
-    const auto wall_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(wall_end - wall_start).count();
-    run_metrics_.registry().counter("sim.wall_ns").add(static_cast<std::uint64_t>(wall_ns));
-
-    const auto at_end = fabric_.stats().snapshot();
-    ExperimentResult result;
-    result.interval = config_.duration;
-    result.checks_run = run_checker_.checker().checks_run();
-    result.check_violations = run_checker_.checker().violation_count();
-    result.metrics = run_metrics_.registry().snapshot();
-    result.per_flow.reserve(at_end.size());
-    for (std::size_t f = 0; f < at_end.size(); ++f) {
-      result.per_flow.push_back(at_end[f] -
-                                (f < at_warmup_.size() ? at_warmup_[f] : FlowCounters{}));
-    }
-    if (config_.record_delays) {
-      const DelayRecorder& delays = fabric_.delays();
-      result.delays.reserve(sc_.bindings.size());
-      for (std::size_t f = 0; f < sc_.bindings.size(); ++f) {
-        const auto flow = static_cast<FlowId>(f);
-        result.delays.push_back(DelaySummary{
-            .mean_s = delays.mean_delay(flow).to_seconds(),
-            .max_s = delays.max_delay(flow).to_seconds(),
-            .p50_s = delays.quantile(flow, 0.50).to_seconds(),
-            .p99_s = delays.quantile(flow, 0.99).to_seconds(),
-            .packets = delays.count(flow),
-        });
-      }
-    }
-    return result;
   }
 
  private:
-  const FabricConfig& config_;
-  // Same confinement discipline as expt::run_experiment: a run-private
-  // checker and registry, constructed before any instrumented component.
-  check::ScopedChecker run_checker_;
-  obs::ScopedMetrics run_metrics_;
   FabricScenario sc_;
-  Simulator sim_;
   Fabric fabric_;
-  Rng master_;
   std::vector<std::unique_ptr<Source>> sources_;
-  std::vector<FlowCounters> at_warmup_;
-  bool warmup_pending_{false};
-  std::uint64_t warmup_seq_{0};
-  Time horizon_;
 };
+
+RunHarness fabric_harness(const FabricConfig& config) {
+  return RunHarness{
+      RunSpec{.warmup = config.warmup,
+              .duration = config.duration,
+              .record_delays = config.record_delays,
+              .section = "fabric",
+              .fingerprint = fabric_fingerprint(config)},
+      [&config](Simulator& sim, obs::MetricsRegistry& registry) {
+        return std::make_unique<FabricModel>(config, sim, registry);
+      }};
+}
 
 }  // namespace
 
@@ -394,12 +266,12 @@ ExperimentResult run_fabric_experiment(const FabricConfig& config) {
                  "serial engine: %s\n",
                  config.shards, to_string(config.topology), config.size,
                  viability.reason.c_str());
-    FabricEngine engine{config};
-    engine.note_serial_fallback();
-    return engine.finish();
+    RunHarness harness = fabric_harness(config);
+    // Counted so sweeps and benches can alert on silent de-scaling.
+    harness.registry().counter("parallel.serial_fallback").add();
+    return harness.finish();
   }
-  FabricEngine engine{config};
-  return engine.finish();
+  return fabric_harness(config).finish();
 }
 
 CheckpointedRun run_fabric_experiment_with_checkpoint(const FabricConfig& config,
@@ -410,14 +282,7 @@ CheckpointedRun run_fabric_experiment_with_checkpoint(const FabricConfig& config
         ") is not supported: per-shard calendars and boundary-channel state are not "
         "serialized; run serial (shards=1) to checkpoint");
   }
-  FabricEngine engine{config};
-  engine.run_to_trigger(trigger);
-  CheckpointedRun run;
-  run.checkpoint = engine.save();
-  run.events_at_checkpoint = engine.events_processed();
-  run.time_at_checkpoint = engine.now();
-  run.result = engine.finish();
-  return run;
+  return fabric_harness(config).finish_with_checkpoint(trigger);
 }
 
 ExperimentResult resume_fabric_experiment(const FabricConfig& config,
@@ -427,9 +292,7 @@ ExperimentResult resume_fabric_experiment(const FabricConfig& config,
         "resuming into a sharded run (--shards=" + std::to_string(config.shards) +
         ") is not supported; resume serial (shards=1)");
   }
-  FabricEngine engine{config};
-  engine.restore(checkpoint);
-  return engine.finish();
+  return fabric_harness(config).resume(checkpoint);
 }
 
 std::map<std::string, double> fabric_metrics(const ExperimentResult& result) {
@@ -468,22 +331,9 @@ SweepCase fabric_sweep_case(std::string label,
   c.checkpoint_runner = [config](std::uint64_t seed, const SweepCheckpointRequest& request) {
     FabricConfig run = config;
     run.seed = seed;
-    switch (request.mode) {
-      case SweepCheckpointMode::kOff:
-        return run_fabric_experiment(run);
-      case SweepCheckpointMode::kRoundtrip: {
-        const CheckpointedRun ckpt = run_fabric_experiment_with_checkpoint(run, request.trigger);
-        return resume_fabric_experiment(run, ckpt.checkpoint);
-      }
-      case SweepCheckpointMode::kWrite: {
-        CheckpointedRun ckpt = run_fabric_experiment_with_checkpoint(run, request.trigger);
-        write_checkpoint_file(request.path, ckpt.checkpoint);
-        return std::move(ckpt.result);
-      }
-      case SweepCheckpointMode::kRead:
-        return resume_fabric_experiment(run, read_checkpoint_file(request.path));
-    }
-    return run_fabric_experiment(run);  // unreachable
+    return run_checkpoint_request(run, request, run_fabric_experiment,
+                                  run_fabric_experiment_with_checkpoint,
+                                  resume_fabric_experiment);
   };
   return c;
 }

@@ -8,15 +8,18 @@
 // use greedy per-hop cross flows (the chain analogue of Example 1);
 // the datacenter/WAN shapes use Markov ON-OFF host pairs.
 //
-// run_fabric_experiment mirrors expt::run_experiment — ScopedChecker +
-// ScopedMetrics confinement, warmup snapshot, measured interval — and
+// run_fabric_experiment runs the fabric as a model of expt::RunHarness —
+// the same ScopedChecker + ScopedMetrics confinement, warmup snapshot,
+// measured interval and checkpoint framing as expt::run_experiment — and
 // returns the same ExperimentResult, so fabric scenarios ride the sweep
 // engine via SweepCase::runner (see fabric_sweep_case) with the same
 // bit-identical-CSV determinism contract.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +30,9 @@
 #include "fabric/planner.h"
 #include "fabric/routing.h"
 #include "fabric/topology.h"
+#include "obs/metrics.h"
+#include "sim/simulator.h"
+#include "traffic/sources.h"
 
 namespace bufq::fabric {
 
@@ -88,6 +94,22 @@ struct FabricScenario {
 };
 
 [[nodiscard]] FabricScenario build_fabric_scenario(const FabricConfig& config);
+
+/// Builds and starts the sources of the flows `lives_here` accepts, in the
+/// one construction order serial and sharded runs share: the premium CBR
+/// source, then the cross flows in binding order (all built, then all
+/// started).  ON-OFF sources fork the seed's stream by flow id, so a
+/// source's arrival process is a pure function of (seed, flow), never of
+/// the shard layout.
+[[nodiscard]] std::vector<std::unique_ptr<Source>> make_fabric_sources(
+    Simulator& sim, Fabric& fabric, const FabricConfig& config, const FabricScenario& sc,
+    const std::function<bool(FlowId)>& lives_here);
+
+/// Exports the planner's verdict so sweep extractors (and the bench JSON)
+/// can compare measured p100 against it without re-planning: the premium
+/// flow's composed bound as `fabric.premium_delay_bound_us`, and
+/// `fabric.plan_feasible`.
+void publish_plan_gauges(obs::MetricsRegistry& registry, const ProvisionPlan& plan);
 
 /// Runs one fabric scenario to completion and packages the measured
 /// interval as an ExperimentResult.  Extra observability: the

@@ -14,8 +14,8 @@
 // event) into a named section of a tagged stream.  On restore the
 // component rebuilds its fields and re-arms its events through
 // Simulator::rearm with the *original* sequence numbers, which preserves
-// the (time, seq) tie-break order exactly; the engines (expt/experiment,
-// fabric/scenario) restore components in a fixed registry order so the
+// the (time, seq) tie-break order exactly; the run harness
+// (expt/run_harness) restores components in a fixed registry order so the
 // protocol itself is deterministic.
 //
 // File format (little-endian):

@@ -40,36 +40,15 @@ const FlowCounters& StatsCollector::flow(FlowId id) const {
 
 FlowCounters StatsCollector::total() const {
   FlowCounters sum;
-  for (const auto& c : flows_) {
-    sum.offered_bytes += c.offered_bytes;
-    sum.delivered_bytes += c.delivered_bytes;
-    sum.dropped_bytes += c.dropped_bytes;
-    sum.offered_packets += c.offered_packets;
-    sum.delivered_packets += c.delivered_packets;
-    sum.dropped_packets += c.dropped_packets;
-  }
+  for (const auto& c : flows_) sum += c;
   return sum;
 }
 
 FlowCounters StatsCollector::total_delta(const std::vector<FlowCounters>& before,
                                           const std::vector<FlowCounters>& after) {
   FlowCounters sum;
-  for (const auto& c : after) {
-    sum.offered_bytes += c.offered_bytes;
-    sum.delivered_bytes += c.delivered_bytes;
-    sum.dropped_bytes += c.dropped_bytes;
-    sum.offered_packets += c.offered_packets;
-    sum.delivered_packets += c.delivered_packets;
-    sum.dropped_packets += c.dropped_packets;
-  }
-  for (const auto& c : before) {
-    sum.offered_bytes -= c.offered_bytes;
-    sum.delivered_bytes -= c.delivered_bytes;
-    sum.dropped_bytes -= c.dropped_bytes;
-    sum.offered_packets -= c.offered_packets;
-    sum.delivered_packets -= c.delivered_packets;
-    sum.dropped_packets -= c.dropped_packets;
-  }
+  for (const auto& c : after) sum += c;
+  for (const auto& c : before) sum = sum - c;
   return sum;
 }
 
@@ -79,10 +58,9 @@ Rate StatsCollector::throughput(const FlowCounters& delta, Time interval) {
                                interval.to_seconds());
 }
 
-void StatsCollector::save_state(CheckpointWriter& w) const {
-  w.begin_section("stats");
-  w.write_u64(flows_.size());
-  for (const auto& c : flows_) {
+void save_flow_counters(CheckpointWriter& w, const std::vector<FlowCounters>& counters) {
+  w.write_u64(counters.size());
+  for (const auto& c : counters) {
     w.write_i64(c.offered_bytes);
     w.write_i64(c.delivered_bytes);
     w.write_i64(c.dropped_bytes);
@@ -90,14 +68,11 @@ void StatsCollector::save_state(CheckpointWriter& w) const {
     w.write_u64(c.delivered_packets);
     w.write_u64(c.dropped_packets);
   }
-  w.end_section();
 }
 
-void StatsCollector::restore_state(CheckpointReader& r) {
-  r.begin_section("stats");
-  const std::uint64_t count = r.read_u64();
-  flows_.assign(static_cast<std::size_t>(count), FlowCounters{});
-  for (auto& c : flows_) {
+std::vector<FlowCounters> load_flow_counters(CheckpointReader& r) {
+  std::vector<FlowCounters> counters(static_cast<std::size_t>(r.read_u64()));
+  for (auto& c : counters) {
     c.offered_bytes = r.read_i64();
     c.delivered_bytes = r.read_i64();
     c.dropped_bytes = r.read_i64();
@@ -105,6 +80,18 @@ void StatsCollector::restore_state(CheckpointReader& r) {
     c.delivered_packets = r.read_u64();
     c.dropped_packets = r.read_u64();
   }
+  return counters;
+}
+
+void StatsCollector::save_state(CheckpointWriter& w) const {
+  w.begin_section("stats");
+  save_flow_counters(w, flows_);
+  w.end_section();
+}
+
+void StatsCollector::restore_state(CheckpointReader& r) {
+  r.begin_section("stats");
+  flows_ = load_flow_counters(r);
   r.end_section();
 }
 

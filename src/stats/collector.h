@@ -32,6 +32,16 @@ struct FlowCounters {
     };
   }
 
+  FlowCounters& operator+=(const FlowCounters& other) {
+    offered_bytes += other.offered_bytes;
+    delivered_bytes += other.delivered_bytes;
+    dropped_bytes += other.dropped_bytes;
+    offered_packets += other.offered_packets;
+    delivered_packets += other.delivered_packets;
+    dropped_packets += other.dropped_packets;
+    return *this;
+  }
+
   /// Fraction of offered bytes that were dropped; zero when idle.
   [[nodiscard]] double loss_ratio() const {
     return offered_bytes > 0
@@ -39,6 +49,11 @@ struct FlowCounters {
                : 0.0;
   }
 };
+
+/// Checkpoint codec of a counter vector: the count, then six fields per
+/// flow.  Shared by StatsCollector and the run harness's warmup snapshot.
+void save_flow_counters(CheckpointWriter& w, const std::vector<FlowCounters>& counters);
+[[nodiscard]] std::vector<FlowCounters> load_flow_counters(CheckpointReader& r);
 
 class StatsCollector {
  public:

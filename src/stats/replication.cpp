@@ -2,9 +2,8 @@
 
 #include <cassert>
 #include <cmath>
-#include <future>
+#include <iterator>
 #include <numeric>
-#include <stdexcept>
 
 namespace bufq {
 
@@ -36,44 +35,6 @@ Summary summarize(const std::vector<double>& samples) {
   const double stddev = std::sqrt(ss / static_cast<double>(n - 1));
   const double half = t_critical_95(n - 1) * stddev / std::sqrt(static_cast<double>(n));
   return Summary{mean, half, n};
-}
-
-ReplicationRunner::ReplicationRunner(std::vector<std::uint64_t> seeds) : seeds_{std::move(seeds)} {
-  assert(!seeds_.empty());
-}
-
-ReplicationRunner::ReplicationRunner(std::uint64_t base_seed, std::size_t count) {
-  assert(count > 0);
-  seeds_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) seeds_.push_back(base_seed + i);
-}
-
-std::map<std::string, Summary> ReplicationRunner::run(const Trial& trial,
-                                                      bool parallel) const {
-  std::vector<std::map<std::string, double>> per_seed(seeds_.size());
-  if (parallel && seeds_.size() > 1) {
-    std::vector<std::future<std::map<std::string, double>>> futures;
-    futures.reserve(seeds_.size());
-    for (std::uint64_t seed : seeds_) {
-      futures.push_back(std::async(std::launch::async, trial, seed));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) per_seed[i] = futures[i].get();
-  } else {
-    for (std::size_t i = 0; i < seeds_.size(); ++i) per_seed[i] = trial(seeds_[i]);
-  }
-
-  std::map<std::string, std::vector<double>> samples;
-  for (const auto& metrics : per_seed) {
-    for (const auto& [name, value] : metrics) samples[name].push_back(value);
-  }
-  std::map<std::string, Summary> result;
-  for (const auto& [name, values] : samples) {
-    if (values.size() != seeds_.size()) {
-      throw std::runtime_error("metric '" + name + "' missing from some replications");
-    }
-    result[name] = summarize(values);
-  }
-  return result;
 }
 
 }  // namespace bufq

@@ -1,12 +1,10 @@
-// Replication and confidence intervals.  The paper averages 5 independent
-// simulation runs and reports 95% confidence intervals; this module
-// reproduces that methodology with Student-t half-widths.
+// Confidence intervals.  The paper averages 5 independent simulation runs
+// and reports 95% confidence intervals; this module supplies the Student-t
+// half-widths.  The replication itself (seeding, fan-out, folding) is the
+// sweep engine's job: see expt/sweep.h.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <map>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace bufq {
@@ -28,29 +26,5 @@ struct Summary {
 
 /// Sample mean / CI.  n == 1 yields a zero half-width.
 [[nodiscard]] Summary summarize(const std::vector<double>& samples);
-
-/// Runs `trial` once per seed and summarizes each named metric across
-/// seeds.  A trial returns a map from metric name to value; all trials
-/// must return the same metric set.
-class ReplicationRunner {
- public:
-  using Trial = std::function<std::map<std::string, double>(std::uint64_t seed)>;
-
-  explicit ReplicationRunner(std::vector<std::uint64_t> seeds);
-
-  /// Convenience: seeds base, base+1, ..., base+count-1.
-  ReplicationRunner(std::uint64_t base_seed, std::size_t count);
-
-  /// Trials run concurrently (they are independent simulations with no
-  /// shared state); results are summarized in seed order, so the output
-  /// is identical to a serial run.  Set parallel = false to debug.
-  [[nodiscard]] std::map<std::string, Summary> run(const Trial& trial,
-                                                   bool parallel = true) const;
-
-  [[nodiscard]] const std::vector<std::uint64_t>& seeds() const { return seeds_; }
-
- private:
-  std::vector<std::uint64_t> seeds_;
-};
 
 }  // namespace bufq

@@ -130,35 +130,76 @@ TEST(CheckpointReplayTest, CustomRunnerWithoutCheckpointSupportFailsLoudly) {
   EXPECT_NE(result.rows.front().error.find("without checkpoint support"), std::string::npos);
 }
 
-class FabricReplayTest : public testing::TestWithParam<fabric::FabricTopologyKind> {};
+class FabricReplayTest : public testing::TestWithParam<fabric::FabricTopologyKind> {
+ protected:
+  static fabric::FabricConfig config() {
+    fabric::FabricConfig c;
+    c.topology = GetParam();
+    c.size = c.topology == fabric::FabricTopologyKind::kFatTree ? 4 : 3;
+    c.warmup = Time::from_seconds(0.3);
+    c.duration = Time::from_seconds(0.7);
+    c.seed = 11;
+    return c;
+  }
+
+  /// Checkpoints at `trigger`, resumes, and requires the checkpointing
+  /// run, the resumed run and a plain run to agree exactly.  Returns the
+  /// checkpointing run.
+  static CheckpointedRun expect_replay_matches_plain_run(const CheckpointTrigger& trigger) {
+    const fabric::FabricConfig c = config();
+    const ExperimentResult plain = fabric::run_fabric_experiment(c);
+    CheckpointedRun run = fabric::run_fabric_experiment_with_checkpoint(c, trigger);
+    const ExperimentResult resumed = fabric::resume_fabric_experiment(c, run.checkpoint);
+    expect_same_result(plain, run.result);
+    expect_same_result(plain, resumed);
+    return run;
+  }
+
+  static void expect_same_result(const ExperimentResult& a, const ExperimentResult& b) {
+    ASSERT_EQ(a.per_flow.size(), b.per_flow.size());
+    for (std::size_t f = 0; f < a.per_flow.size(); ++f) {
+      EXPECT_EQ(a.per_flow[f].offered_bytes, b.per_flow[f].offered_bytes) << "flow " << f;
+      EXPECT_EQ(a.per_flow[f].delivered_bytes, b.per_flow[f].delivered_bytes) << "flow " << f;
+      EXPECT_EQ(a.per_flow[f].dropped_bytes, b.per_flow[f].dropped_bytes) << "flow " << f;
+      EXPECT_EQ(a.per_flow[f].offered_packets, b.per_flow[f].offered_packets) << "flow " << f;
+      EXPECT_EQ(a.per_flow[f].delivered_packets, b.per_flow[f].delivered_packets)
+          << "flow " << f;
+      EXPECT_EQ(a.per_flow[f].dropped_packets, b.per_flow[f].dropped_packets) << "flow " << f;
+    }
+    ASSERT_EQ(a.delays.size(), b.delays.size());
+    for (std::size_t f = 0; f < a.delays.size(); ++f) {
+      EXPECT_EQ(a.delays[f].mean_s, b.delays[f].mean_s) << "flow " << f;
+      EXPECT_EQ(a.delays[f].max_s, b.delays[f].max_s) << "flow " << f;
+      EXPECT_EQ(a.delays[f].p50_s, b.delays[f].p50_s) << "flow " << f;
+      EXPECT_EQ(a.delays[f].p99_s, b.delays[f].p99_s) << "flow " << f;
+      EXPECT_EQ(a.delays[f].packets, b.delays[f].packets) << "flow " << f;
+    }
+    EXPECT_EQ(a.interval, b.interval);
+    EXPECT_EQ(a.checks_run, b.checks_run);
+    EXPECT_EQ(a.check_violations, b.check_violations);
+    EXPECT_EQ(a.metrics.counters.at("sim.events"), b.metrics.counters.at("sim.events"));
+    EXPECT_EQ(a.metrics.gauges.at("fabric.premium_delay_bound_us").last,
+              b.metrics.gauges.at("fabric.premium_delay_bound_us").last);
+  }
+};
 
 TEST_P(FabricReplayTest, ResumeMatchesUninterruptedRun) {
-  fabric::FabricConfig config;
-  config.topology = GetParam();
-  config.size = config.topology == fabric::FabricTopologyKind::kFatTree ? 4 : 3;
-  config.warmup = Time::from_seconds(0.3);
-  config.duration = Time::from_seconds(0.7);
-  config.seed = 11;
-
   CheckpointTrigger trigger;
   trigger.events =
       1'000 + trigger_rng(200 + static_cast<std::uint64_t>(GetParam())).uniform_u64(30'000);
-  const CheckpointedRun run = fabric::run_fabric_experiment_with_checkpoint(config, trigger);
-  const ExperimentResult resumed = fabric::resume_fabric_experiment(config, run.checkpoint);
+  EXPECT_EQ(expect_replay_matches_plain_run(trigger).events_at_checkpoint, trigger.events);
+}
 
-  ASSERT_EQ(run.result.per_flow.size(), resumed.per_flow.size());
-  for (std::size_t f = 0; f < run.result.per_flow.size(); ++f) {
-    EXPECT_EQ(run.result.per_flow[f].delivered_bytes, resumed.per_flow[f].delivered_bytes);
-    EXPECT_EQ(run.result.per_flow[f].dropped_bytes, resumed.per_flow[f].dropped_bytes);
-    EXPECT_EQ(run.result.per_flow[f].offered_packets, resumed.per_flow[f].offered_packets);
-  }
-  ASSERT_EQ(run.result.delays.size(), resumed.delays.size());
-  for (std::size_t f = 0; f < run.result.delays.size(); ++f) {
-    EXPECT_EQ(run.result.delays[f].max_s, resumed.delays[f].max_s);
-    EXPECT_EQ(run.result.delays[f].packets, resumed.delays[f].packets);
-  }
-  EXPECT_EQ(run.result.checks_run, resumed.checks_run);
-  EXPECT_EQ(run.result.check_violations, resumed.check_violations);
+TEST_P(FabricReplayTest, TimeTriggerResumeMatchesPlainRun) {
+  CheckpointTrigger trigger;
+  trigger.at = Time::from_seconds(0.55);
+  EXPECT_EQ(expect_replay_matches_plain_run(trigger).time_at_checkpoint, trigger.at);
+}
+
+TEST_P(FabricReplayTest, DefaultTriggerSnapshotsAtEndOfWarmup) {
+  const CheckpointedRun run = expect_replay_matches_plain_run(CheckpointTrigger{});
+  EXPECT_EQ(run.time_at_checkpoint, config().warmup);
+  EXPECT_GT(run.events_at_checkpoint, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, FabricReplayTest,

@@ -17,6 +17,7 @@
 #include "admission/flow_table.h"
 #include "expt/experiment.h"
 #include "expt/workloads.h"
+#include "fabric/scenario.h"
 #include "sim/simulator.h"
 #include "traffic/aimd.h"
 #include "util/rng.h"
@@ -382,6 +383,30 @@ TEST(ExperimentCheckpointTest, CorruptedCheckpointNeverRestores) {
     corrupt[i] = static_cast<std::byte>(static_cast<std::uint8_t>(corrupt[i]) ^ 0x10u);
     EXPECT_THROW((void)resume_experiment(config, corrupt), CheckpointError) << "byte " << i;
   }
+}
+
+// --- Cross-family restores ------------------------------------------------
+
+fabric::FabricConfig small_fabric_config() {
+  fabric::FabricConfig config;
+  config.topology = fabric::FabricTopologyKind::kParkingLot;
+  config.size = 3;
+  config.warmup = Time::from_seconds(0.2);
+  config.duration = Time::from_seconds(0.3);
+  config.seed = 7;
+  return config;
+}
+
+TEST(CrossFamilyCheckpointTest, ExperimentCheckpointRejectedByFabricResume) {
+  const CheckpointedRun run = run_experiment_with_checkpoint(small_table1_config());
+  EXPECT_THROW((void)fabric::resume_fabric_experiment(small_fabric_config(), run.checkpoint),
+               CheckpointScenarioError);
+}
+
+TEST(CrossFamilyCheckpointTest, FabricCheckpointRejectedByExperimentResume) {
+  const CheckpointedRun run = fabric::run_fabric_experiment_with_checkpoint(small_fabric_config());
+  EXPECT_THROW((void)resume_experiment(small_table1_config(), run.checkpoint),
+               CheckpointScenarioError);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 #include "stats/collector.h"
 #include "stats/replication.h"
 
-#include "expt/churn_experiment.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -108,104 +106,6 @@ TEST(TCriticalTest, MonotoneDecreasing) {
   for (std::size_t df = 1; df < 30; ++df) {
     EXPECT_GT(t_critical_95(df), t_critical_95(df + 1));
   }
-}
-
-// --------------------------------------------------------- replication
-
-TEST(ReplicationTest, RunsOncePerSeed) {
-  ReplicationRunner runner{100, 5};
-  int calls = 0;
-  // Serial mode so the plain counter is race-free.
-  const auto result = runner.run(
-      [&](std::uint64_t seed) {
-        ++calls;
-        return std::map<std::string, double>{{"seed", static_cast<double>(seed)}};
-      },
-      /*parallel=*/false);
-  EXPECT_EQ(calls, 5);
-  EXPECT_DOUBLE_EQ(result.at("seed").mean, 102.0);  // mean of 100..104
-}
-
-TEST(ReplicationTest, SummarizesEachMetric) {
-  ReplicationRunner runner{std::vector<std::uint64_t>{1, 2, 3}};
-  const auto result = runner.run([](std::uint64_t seed) {
-    return std::map<std::string, double>{
-        {"x", static_cast<double>(seed)},
-        {"y", 10.0 * static_cast<double>(seed)},
-    };
-  });
-  EXPECT_DOUBLE_EQ(result.at("x").mean, 2.0);
-  EXPECT_DOUBLE_EQ(result.at("y").mean, 20.0);
-  EXPECT_EQ(result.at("x").n, 3u);
-}
-
-TEST(ReplicationTest, ThrowsOnInconsistentMetrics) {
-  ReplicationRunner runner{std::vector<std::uint64_t>{1, 2}};
-  EXPECT_THROW(runner.run([](std::uint64_t seed) {
-                 std::map<std::string, double> m{{"always", 1.0}};
-                 if (seed == 2) m["sometimes"] = 1.0;
-                 return m;
-               }),
-               std::runtime_error);
-}
-
-TEST(ReplicationTest, ParallelMatchesSerial) {
-  ReplicationRunner runner{7, 6};
-  const auto trial = [](std::uint64_t seed) {
-    // Deterministic pseudo-work.
-    double x = static_cast<double>(seed);
-    for (int i = 0; i < 1000; ++i) x = x * 1.000001 + 0.5;
-    return std::map<std::string, double>{{"x", x}};
-  };
-  const auto parallel = runner.run(trial, true);
-  const auto serial = runner.run(trial, false);
-  EXPECT_DOUBLE_EQ(parallel.at("x").mean, serial.at("x").mean);
-  EXPECT_DOUBLE_EQ(parallel.at("x").half_width_95, serial.at("x").half_width_95);
-}
-
-TEST(ReplicationTest, ParallelMatchesSerialOnRealSimulations) {
-  // Full churn simulations per seed, not just pseudo-work: this catches
-  // shared mutable state anywhere in the simulation stack (RNG streams,
-  // collectors, allocator-order dependence) that a pure function cannot.
-  ReplicationRunner runner{11, 4};
-  const auto trial = [](std::uint64_t seed) {
-    ChurnConfig config{
-        .link_rate = Rate::megabits_per_second(48.0),
-        .buffer = ByteSize::megabytes(1.0),
-        .scheme = ChurnScheme::kFifoThreshold,
-        .max_flows = 64,
-        .churn = {.arrival_rate_hz = 80.0,
-                  .mean_holding = Time::milliseconds(300),
-                  .mix = {{.profile = {.peak_rate = Rate::megabits_per_second(8.0),
-                                       .avg_rate = Rate::megabits_per_second(1.0),
-                                       .bucket = ByteSize::kilobytes(16.0),
-                                       .token_rate = Rate::megabits_per_second(1.0),
-                                       .mean_burst = ByteSize::kilobytes(16.0),
-                                       .regulated = true},
-                           .weight = 1.0}}},
-        .warmup = Time::milliseconds(500),
-        .duration = Time::seconds(2),
-        .seed = seed,
-    };
-    const ChurnResult r = run_churn_experiment(config);
-    return std::map<std::string, double>{
-        {"blocking", r.blocking_probability},
-        {"utilization", r.utilization},
-        {"admitted", static_cast<double>(r.counters.admitted)},
-    };
-  };
-  const auto parallel = runner.run(trial, true);
-  const auto serial = runner.run(trial, false);
-  for (const char* metric : {"blocking", "utilization", "admitted"}) {
-    EXPECT_DOUBLE_EQ(parallel.at(metric).mean, serial.at(metric).mean) << metric;
-    EXPECT_DOUBLE_EQ(parallel.at(metric).half_width_95, serial.at(metric).half_width_95)
-        << metric;
-  }
-}
-
-TEST(ReplicationTest, SeedsAccessor) {
-  ReplicationRunner runner{7, 3};
-  EXPECT_EQ(runner.seeds(), (std::vector<std::uint64_t>{7, 8, 9}));
 }
 
 }  // namespace

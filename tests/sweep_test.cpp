@@ -13,6 +13,7 @@
 #include "expt/workloads.h"
 #include "stats/replication.h"
 #include "util/csv.h"
+#include "util/flags.h"
 
 namespace bufq {
 namespace {
@@ -186,6 +187,53 @@ TEST(SweepEngineTest, ExceptionInOneRunIsContainedAndPoolDrains) {
   write_sweep_csv(out, result);
   EXPECT_NE(out.str().find("bad-hybrid"), std::string::npos);
   EXPECT_NE(out.str().find("grouping"), std::string::npos);
+}
+
+TEST(SweepEngineTest, InconsistentMetricSetIsARowError) {
+  // Every replication of a case must report the same metric names; a
+  // metric only some replications produce cannot be summarized honestly.
+  SweepCase c;
+  c.label = "ragged";
+  c.runner = [](std::uint64_t) { return ExperimentResult{}; };
+  SweepOptions options;
+  options.jobs = 1;  // serial, so the call counter below is race-free
+  options.replications = 3;
+  int calls = 0;
+  const SweepResult result = run_sweep(
+      {std::move(c)},
+      [&calls](const ExperimentResult&) {
+        std::map<std::string, double> m{{"always", 1.0}};
+        if (calls++ == 0) m["sometimes"] = 1.0;
+        return m;
+      },
+      options);
+  EXPECT_EQ(calls, 3);
+  EXPECT_FALSE(result.ok());
+  EXPECT_NE(result.rows.front().error.find("metric 'sometimes' missing from some replications"),
+            std::string::npos)
+      << result.rows.front().error;
+}
+
+TEST(SweepEngineTest, CheckpointFlagsParseIntoOnePolicy) {
+  const char* plain[] = {"prog"};
+  EXPECT_EQ(parse_sweep_checkpoint(Flags{1, plain}).mode, SweepCheckpointMode::kOff);
+
+  const char* write[] = {"prog", "--checkpoint-out=dir", "--checkpoint-events=99"};
+  const SweepCheckpoint w = parse_sweep_checkpoint(Flags{3, write});
+  EXPECT_EQ(w.mode, SweepCheckpointMode::kWrite);
+  EXPECT_EQ(w.dir, "dir");
+  EXPECT_EQ(w.trigger.events, 99u);
+
+  const char* read[] = {"prog", "--checkpoint-in=dir", "--checkpoint-at=0.5"};
+  const SweepCheckpoint r = parse_sweep_checkpoint(Flags{3, read});
+  EXPECT_EQ(r.mode, SweepCheckpointMode::kRead);
+  EXPECT_EQ(r.trigger.at, Time::from_seconds(0.5));
+
+  const char* roundtrip[] = {"prog", "--checkpoint-roundtrip"};
+  EXPECT_EQ(parse_sweep_checkpoint(Flags{2, roundtrip}).mode, SweepCheckpointMode::kRoundtrip);
+
+  const char* both[] = {"prog", "--checkpoint-out=a", "--checkpoint-roundtrip"};
+  EXPECT_THROW((void)parse_sweep_checkpoint(Flags{3, both}), std::invalid_argument);
 }
 
 TEST(SweepEngineTest, RowsComeBackInInputOrderWithParamEcho) {

@@ -83,6 +83,41 @@ TEST(FlagsTest, MalformedNumberThrows) {
   EXPECT_THROW((void)flags.get_double("n", 0), std::invalid_argument);
 }
 
+TEST(FlagsTest, IntegerRejectsTrailingGarbage) {
+  // std::stoll("5x") is 5; a flag must not silently run seed 5.
+  const char* argv[] = {"prog", "--seed=5x", "--jobs=2.5"};
+  Flags flags{3, argv};
+  EXPECT_THROW((void)flags.get_int("seed", 1), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("jobs", 1), std::invalid_argument);
+}
+
+TEST(FlagsTest, DoubleRejectsTrailingGarbage) {
+  const char* argv[] = {"prog", "--buffer_mb=1.5MB", "--warmup=2 "};
+  Flags flags{3, argv};
+  EXPECT_THROW((void)flags.get_double("buffer_mb", 1.0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_double("warmup", 1.0), std::invalid_argument);
+}
+
+TEST(FlagsTest, ListParsesEveryItem) {
+  const char* argv[] = {"prog", "--buffers=0.5,1,2.25", "--shards=2,4,8", "--one=3"};
+  Flags flags{4, argv};
+  EXPECT_EQ(flags.get_list<double>("buffers", {}), (std::vector<double>{0.5, 1.0, 2.25}));
+  EXPECT_EQ(flags.get_list<std::int64_t>("shards", {}), (std::vector<std::int64_t>{2, 4, 8}));
+  EXPECT_EQ(flags.get_list<std::int64_t>("one", {}), (std::vector<std::int64_t>{3}));
+  EXPECT_EQ(flags.get_list<double>("absent", {0.6, 1.0}), (std::vector<double>{0.6, 1.0}));
+  EXPECT_TRUE(flags.unused().empty());
+}
+
+TEST(FlagsTest, ListRejectsMalformedItems) {
+  const char* argv[] = {"prog", "--a=2,x,8", "--b=2,,8", "--c=2,4.5", "--d=1,2,", "--e="};
+  Flags flags{6, argv};
+  EXPECT_THROW((void)flags.get_list<std::int64_t>("a", {}), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_list<double>("b", {}), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_list<std::int64_t>("c", {}), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_list<double>("d", {}), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_list<double>("e", {}), std::invalid_argument);
+}
+
 TEST(FlagsTest, MalformedBoolThrows) {
   const char* argv[] = {"prog", "--b=maybe"};
   Flags flags{2, argv};
