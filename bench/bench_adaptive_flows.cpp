@@ -17,7 +17,6 @@
 #include "common.h"
 #include "core/dynamic_threshold.h"
 #include "core/red.h"
-#include "core/selective_sharing.h"
 #include "core/sharing.h"
 #include "core/threshold.h"
 #include "sched/fifo.h"
@@ -67,8 +66,8 @@ std::unique_ptr<BufferManager> make_manager(const std::string& name, ByteSize bu
   // selective: adaptive flows may borrow, blasters may not.
   std::vector<SharingClass> classes(kFlows, SharingClass::kAdaptive);
   classes[4] = classes[5] = SharingClass::kBlocked;
-  return std::make_unique<SelectiveSharingManager>(buffer, link, specs, std::move(classes),
-                                                   ByteSize::kilobytes(100.0));
+  return std::make_unique<BufferSharingManager>(buffer, link, specs, ByteSize::kilobytes(100.0),
+                                                ThresholdScaling::kExact, std::move(classes));
 }
 
 /// One replication, packaged for the sweep: per_flow carries each flow's

@@ -1,7 +1,6 @@
 #include "admission/dynamic_manager.h"
 
 
-#include <algorithm>
 #include <cassert>
 
 #include "check/invariants.h"
@@ -14,12 +13,9 @@ DynamicBufferManager::DynamicBufferManager(ByteSize capacity, FlowTable& table, 
     : capacity_{capacity},
       table_{table},
       policy_{policy},
-      max_headroom_{std::min(max_headroom.count(), capacity.count())} {
+      max_headroom_{max_headroom.count()} {
   assert(capacity.count() >= 0);
   assert(max_headroom.count() >= 0);
-  // The buffer starts empty: headroom at its cap, the rest is holes.
-  headroom_ = max_headroom_;
-  holes_ = capacity_.count() - headroom_;
 }
 
 bool DynamicBufferManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
@@ -30,41 +26,20 @@ bool DynamicBufferManager::try_admit(FlowId flow, std::int64_t bytes, Time now) 
   // reap ordering; refuse rather than corrupt a recycled slot's counters.
   if (!table_.active(slot)) return false;
 
-  const std::int64_t q = table_.occupancy(slot);
   const std::int64_t t = table_.threshold(slot);
-
-  if (policy_ == Policy::kThreshold) {
-    if (q + bytes > t) return false;
-    if (total_ + bytes > capacity_.count()) return false;
-    table_.add_occupancy(slot, bytes);
-    total_ += bytes;
-    BUFQ_CHECK(table_.occupancy(slot) <= t, check::Invariant::kFlowBound, flow, now,
-               static_cast<double>(table_.occupancy(slot)), static_cast<double>(t),
-               "churn-table admit left flow above its threshold");
-    BUFQ_CHECK(total_ <= capacity_.count(), check::Invariant::kCapacity, flow, now,
-               static_cast<double>(total_), static_cast<double>(capacity_.count()),
-               "churn-table admit overflowed the buffer");
-    return true;
-  }
-
-  // kSharing, the S3.3 pool algorithm (see BufferSharingManager).
-  if (q + bytes <= t) {
-    // Below threshold: entitled to space.  Holes first, headroom second.
-    const std::int64_t from_holes = std::min(holes_, bytes);
-    const std::int64_t from_headroom = bytes - from_holes;
-    if (from_headroom > headroom_) return false;
-    holes_ -= from_holes;
-    headroom_ -= from_headroom;
-  } else {
-    // Above threshold: holes only, and the flow's excess after admission
-    // may not exceed the holes that remain.
-    if (bytes > holes_) return false;
-    if (q + bytes - t > holes_ - bytes) return false;
-    holes_ -= bytes;
+  const bool may_borrow = policy_ == Policy::kSharing;
+  if (!admits(table_.occupancy(slot), t, bytes, capacity_.count() - total_, max_headroom_,
+              may_borrow)) {
+    return false;
   }
   table_.add_occupancy(slot, bytes);
   total_ += bytes;
-  check_pools(flow, now);
+  BUFQ_CHECK(may_borrow || table_.occupancy(slot) <= t, check::Invariant::kFlowBound, flow, now,
+             static_cast<double>(table_.occupancy(slot)), static_cast<double>(t),
+             "churn-table admit left flow above its threshold");
+  BUFQ_CHECK(total_ <= capacity_.count(), check::Invariant::kCapacity, flow, now,
+             static_cast<double>(total_), static_cast<double>(capacity_.count()),
+             "churn-table admit overflowed the buffer");
   return true;
 }
 
@@ -80,31 +55,6 @@ void DynamicBufferManager::release(FlowId flow, std::int64_t bytes, Time now) {
              "release drove churn-table occupancy negative");
   BUFQ_CHECK(total_ >= 0, check::Invariant::kConservation, flow, now,
              static_cast<double>(total_), 0.0, "release drove total occupancy negative");
-  if (policy_ == Policy::kSharing) {
-    // Freed space replenishes the headroom first (up to its cap); only the
-    // overflow becomes holes again — the paper's departure pseudocode.
-    headroom_ += bytes;
-    holes_ += std::max<std::int64_t>(headroom_ - max_headroom_, 0);
-    headroom_ = std::min(headroom_, max_headroom_);
-    check_pools(flow, now);
-  }
-}
-
-/// Section 3.3 pool discipline under churn: pools within bounds and, with
-/// the live occupancy, exactly tiling the buffer.
-void DynamicBufferManager::check_pools(FlowId flow, Time now) const {
-  BUFQ_CHECK(holes_ >= 0, check::Invariant::kSharingPools, flow, now,
-             static_cast<double>(holes_), 0.0, "sharing holes went negative");
-  BUFQ_CHECK(headroom_ >= 0 && headroom_ <= max_headroom_, check::Invariant::kSharingPools,
-             flow, now, static_cast<double>(headroom_), static_cast<double>(max_headroom_),
-             "sharing headroom outside [0, H]");
-  BUFQ_CHECK(holes_ + headroom_ + total_ == capacity_.count(),
-             check::Invariant::kSharingPools, flow, now,
-             static_cast<double>(holes_ + headroom_ + total_),
-             static_cast<double>(capacity_.count()),
-             "holes + headroom + occupancy no longer tile the buffer");
-  static_cast<void>(flow);
-  static_cast<void>(now);
 }
 
 std::int64_t DynamicBufferManager::occupancy(FlowId flow) const {
@@ -115,19 +65,24 @@ std::int64_t DynamicBufferManager::occupancy(FlowId flow) const {
 
 
 void DynamicBufferManager::save_state(CheckpointWriter& w) const {
+  const SharingPools p = pools();
   w.begin_section("bm.dynamic");
   w.write_i64(total_);
-  w.write_i64(holes_);
-  w.write_i64(headroom_);
+  w.write_i64(p.holes);
+  w.write_i64(p.headroom);
   w.end_section();
 }
 
 void DynamicBufferManager::restore_state(CheckpointReader& r) {
   r.begin_section("bm.dynamic");
   total_ = r.read_i64();
-  holes_ = r.read_i64();
-  headroom_ = r.read_i64();
+  const std::int64_t holes = r.read_i64();
+  const std::int64_t headroom = r.read_i64();
   r.end_section();
+  const SharingPools p = pools();
+  if (holes != p.holes || headroom != p.headroom) {
+    throw CheckpointFormatError("dynamic-manager holes/headroom disagree with the restored total");
+  }
 }
 
 }  // namespace bufq::admission

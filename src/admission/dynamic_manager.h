@@ -12,15 +12,19 @@
 //     buffer and keeps the flow at or below its threshold.  Because a
 //     flow's Prop-2 threshold depends only on its own envelope and (B, R),
 //     thresholds never need recomputation when other flows churn.
-//   * kSharing — holes/headroom sharing (S3.3), the same pool algorithm
-//     as BufferSharingManager.  Flow churn leaves the pools untouched
-//     since flows are admitted empty and recycled only after draining.
+//   * kSharing — holes/headroom sharing (S3.3), every flow adaptive.
+//     Flow churn leaves the pools untouched since flows are admitted
+//     empty and recycled only after draining.
+// Both policies decide with admits() from core/threshold.h, the test
+// ThresholdManager and BufferSharingManager use; they differ only in
+// whether a flow may borrow beyond its threshold.
 #pragma once
 
 #include <cstdint>
 
 #include "admission/flow_table.h"
 #include "core/buffer_manager.h"
+#include "core/threshold.h"
 #include "util/units.h"
 
 namespace bufq::admission {
@@ -41,25 +45,26 @@ class DynamicBufferManager final : public BufferManager {
   [[nodiscard]] std::int64_t total_occupancy() const override { return total_; }
   [[nodiscard]] ByteSize capacity() const override { return capacity_; }
 
-  [[nodiscard]] std::int64_t holes() const { return holes_; }
-  [[nodiscard]] std::int64_t headroom() const { return headroom_; }
+  /// The Section 3.3 pools, derived from the total occupancy.
+  [[nodiscard]] std::int64_t holes() const { return pools().holes; }
+  [[nodiscard]] std::int64_t headroom() const { return pools().headroom; }
 
-  /// Checkpointable: totals and pool state — per-flow occupancy lives in
-  /// the FlowTable, which checkpoints itself.
+  /// Checkpointable: the total and the derived pools, which restore checks
+  /// against the total — per-flow occupancy lives in the FlowTable, which
+  /// checkpoints itself.
   void save_state(CheckpointWriter& w) const override;
   void restore_state(CheckpointReader& r) override;
 
  private:
-  void check_pools(FlowId flow, Time now) const;
+  [[nodiscard]] SharingPools pools() const {
+    return sharing_pools(capacity_.count() - total_, max_headroom_);
+  }
 
   ByteSize capacity_;
   FlowTable& table_;
   Policy policy_;
   std::int64_t max_headroom_{0};
   std::int64_t total_{0};
-  // kSharing pool state; invariant: holes + headroom + total == capacity.
-  std::int64_t holes_{0};
-  std::int64_t headroom_{0};
 };
 
 }  // namespace bufq::admission

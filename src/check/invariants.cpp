@@ -15,8 +15,6 @@ const char* to_string(Invariant invariant) {
       return "capacity";
     case Invariant::kFlowBound:
       return "flow-bound";
-    case Invariant::kSharingPools:
-      return "sharing-pools";
     case Invariant::kVirtualTime:
       return "virtual-time";
     case Invariant::kEventClock:

@@ -6,8 +6,7 @@
 //   kConservation   Σ_i q_i(t) == Q(t) and every counter is non-negative
 //   kCapacity       Q(t) <= B at all times
 //   kFlowBound      q_i(t) <= T_i for flows under a Prop. 1/2 threshold
-//   kSharingPools   holes >= 0, 0 <= headroom <= H,
-//                   holes + headroom + Q == B          (Section 3.3)
+//                   that may not borrow beyond it
 //   kVirtualTime    WFQ virtual time is monotone, active weight >= 0
 //   kEventClock     the event calendar never runs backwards
 //   kDelayBound     measured end-to-end delay <= the fabric planner's
@@ -39,7 +38,6 @@ enum class Invariant {
   kConservation,
   kCapacity,
   kFlowBound,
-  kSharingPools,
   kVirtualTime,
   kEventClock,
   kDelayBound,

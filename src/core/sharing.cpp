@@ -1,7 +1,5 @@
 #include "core/sharing.h"
 
-
-#include <algorithm>
 #include <cassert>
 
 #include "check/invariants.h"
@@ -11,27 +9,20 @@ namespace bufq {
 
 BufferSharingManager::BufferSharingManager(ByteSize capacity, Rate link_rate,
                                            const std::vector<FlowSpec>& flows,
-                                           ByteSize max_headroom, ThresholdScaling scaling)
-    : AccountingBufferManager{capacity, flows.size()},
-      thresholds_{compute_thresholds(flows, capacity, link_rate, scaling)},
-      max_headroom_{max_headroom} {
-  init_pools();
-}
+                                           ByteSize max_headroom, ThresholdScaling scaling,
+                                           std::vector<SharingClass> classes)
+    : BufferSharingManager{capacity, compute_thresholds(flows, capacity, link_rate, scaling),
+                           max_headroom, std::move(classes)} {}
 
 BufferSharingManager::BufferSharingManager(ByteSize capacity, std::vector<std::int64_t> thresholds,
-                                           ByteSize max_headroom)
+                                           ByteSize max_headroom,
+                                           std::vector<SharingClass> classes)
     : AccountingBufferManager{capacity, thresholds.size()},
       thresholds_{std::move(thresholds)},
+      classes_{std::move(classes)},
       max_headroom_{max_headroom} {
-  init_pools();
-}
-
-void BufferSharingManager::init_pools() {
   assert(max_headroom_.count() >= 0);
-  // The buffer starts empty: the headroom is at its cap and everything
-  // else is holes.
-  headroom_ = std::min(max_headroom_.count(), capacity().count());
-  holes_ = capacity().count() - headroom_;
+  assert(classes_.empty() || classes_.size() == thresholds_.size());
 }
 
 std::int64_t BufferSharingManager::threshold(FlowId flow) const {
@@ -39,73 +30,50 @@ std::int64_t BufferSharingManager::threshold(FlowId flow) const {
   return thresholds_[static_cast<std::size_t>(flow)];
 }
 
+SharingClass BufferSharingManager::sharing_class(FlowId flow) const {
+  assert(flow >= 0 && static_cast<std::size_t>(flow) < thresholds_.size());
+  return classes_.empty() ? SharingClass::kAdaptive : classes_[static_cast<std::size_t>(flow)];
+}
+
 bool BufferSharingManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
-  const std::int64_t q = occupancy(flow);
-  const std::int64_t t = threshold(flow);
-  if (q + bytes <= t) {
-    // Below threshold: entitled to space.  Holes first, headroom second.
-    const std::int64_t from_holes = std::min(holes_, bytes);
-    const std::int64_t from_headroom = bytes - from_holes;
-    if (from_headroom > headroom_) return false;
-    holes_ -= from_holes;
-    headroom_ -= from_headroom;
-    account_admit(flow, bytes, now);
-    check_pools(flow, now);
-    return true;
+  const bool may_borrow = sharing_class(flow) == SharingClass::kAdaptive;
+  if (!admits(occupancy(flow), threshold(flow), bytes, capacity().count() - total_occupancy(),
+              max_headroom_.count(), may_borrow)) {
+    return false;
   }
-  // Above threshold: holes only, and the flow's excess occupancy after
-  // admission may not exceed the holes that remain.
-  if (bytes > holes_) return false;
-  const std::int64_t excess_after = q + bytes - t;
-  const std::int64_t holes_after = holes_ - bytes;
-  if (excess_after > holes_after) return false;
-  holes_ -= bytes;
   account_admit(flow, bytes, now);
-  check_pools(flow, now);
+  BUFQ_CHECK(may_borrow || occupancy(flow) <= threshold(flow), check::Invariant::kFlowBound,
+             flow, now, static_cast<double>(occupancy(flow)),
+             static_cast<double>(threshold(flow)),
+             "non-adaptive flow admitted above its threshold");
+  publish_pools();
   return true;
 }
 
 void BufferSharingManager::release(FlowId flow, std::int64_t bytes, Time now) {
   account_release(flow, bytes, now);
-  // Freed space replenishes the headroom first (up to its cap), and only
-  // the overflow becomes holes again — the paper's departure pseudocode.
-  headroom_ += bytes;
-  const std::int64_t cap = std::min(max_headroom_.count(), capacity().count());
-  holes_ += std::max(headroom_ - cap, static_cast<std::int64_t>(0));
-  headroom_ = std::min(headroom_, cap);
-  check_pools(flow, now);
+  publish_pools();
 }
 
-/// Section 3.3 pool discipline: both pools stay within bounds and, with
-/// the current occupancy, exactly tile the buffer.  Doubles as the
-/// post-update point where the pool gauges are published.
-void BufferSharingManager::check_pools(FlowId flow, Time now) const {
-  holes_metric_.set(holes_);
-  headroom_metric_.set(headroom_);
-  BUFQ_CHECK(holes_ >= 0, check::Invariant::kSharingPools, flow, now,
-             static_cast<double>(holes_), 0.0, "sharing holes went negative");
-  BUFQ_CHECK(headroom_ >= 0 && headroom_ <= max_headroom_.count(),
-             check::Invariant::kSharingPools, flow, now, static_cast<double>(headroom_),
-             static_cast<double>(max_headroom_.count()),
-             "sharing headroom outside [0, H]");
-  BUFQ_CHECK(holes_ + headroom_ + total_occupancy() == capacity().count(),
-             check::Invariant::kSharingPools, flow, now,
-             static_cast<double>(holes_ + headroom_ + total_occupancy()),
-             static_cast<double>(capacity().count()),
-             "holes + headroom + occupancy no longer tile the buffer");
-  static_cast<void>(flow);
-  static_cast<void>(now);
+void BufferSharingManager::publish_pools() const {
+  const SharingPools p = pools();
+  holes_metric_.set(p.holes);
+  headroom_metric_.set(p.headroom);
 }
-
 
 void BufferSharingManager::save_extra(CheckpointWriter& w) const {
-  w.write_i64(holes_);
-  w.write_i64(headroom_);
+  const SharingPools p = pools();
+  w.write_i64(p.holes);
+  w.write_i64(p.headroom);
 }
 
 void BufferSharingManager::restore_extra(CheckpointReader& r) {
-  holes_ = r.read_i64();
-  headroom_ = r.read_i64();
+  const std::int64_t holes = r.read_i64();
+  const std::int64_t headroom = r.read_i64();
+  const SharingPools p = pools();
+  if (holes != p.holes || headroom != p.headroom) {
+    throw CheckpointFormatError("sharing holes/headroom disagree with the restored occupancy");
+  }
 }
 
 }  // namespace bufq

@@ -47,8 +47,10 @@ std::int64_t ThresholdManager::threshold(FlowId flow) const {
 }
 
 BUFQ_HOT bool ThresholdManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
-  if (total_occupancy() + bytes > capacity().count()) return false;
-  if (occupancy(flow) + bytes > threshold(flow)) return false;
+  if (!admits(occupancy(flow), threshold(flow), bytes, capacity().count() - total_occupancy(), 0,
+              false)) {
+    return false;
+  }
   account_admit(flow, bytes, now);
   BUFQ_CHECK(occupancy(flow) <= threshold(flow), check::Invariant::kFlowBound, flow, now,
              static_cast<double>(occupancy(flow)), static_cast<double>(threshold(flow)),

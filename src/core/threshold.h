@@ -9,8 +9,13 @@
 // are scaled up by B / sum so the buffer is fully partitioned (footnote 5
 // of the paper); the scale-up is optional here so its effect can be
 // ablated.
+//
+// admits() below is the per-packet test of Sections 3.2 and 3.3 for every
+// manager that uses thresholds: ThresholdManager, BufferSharingManager and
+// admission::DynamicBufferManager.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +37,38 @@ enum class ThresholdScaling {
 [[nodiscard]] std::vector<std::int64_t> compute_thresholds(
     const std::vector<FlowSpec>& flows, ByteSize buffer, Rate link_rate,
     ThresholdScaling scaling = ThresholdScaling::kScaleToFill);
+
+/// The Section 3.3 pools, derived from the free space B - Q and the
+/// headroom cap H.  The paper's pseudocode stores them, but holes are
+/// always spent before headroom and freed bytes always refill the headroom
+/// first, so at every step the headroom is min(H, B - Q) and the holes are
+/// the rest of the free space.
+struct SharingPools {
+  std::int64_t holes;
+  std::int64_t headroom;
+};
+
+[[nodiscard]] constexpr SharingPools sharing_pools(std::int64_t free_bytes,
+                                                   std::int64_t max_headroom) {
+  const std::int64_t headroom = std::min(max_headroom, free_bytes);
+  return {free_bytes - headroom, headroom};
+}
+
+/// Admits a packet of `bytes` for a flow holding `occupancy` under
+/// `threshold`, with `free_bytes` = B - Q of the buffer free:
+///   - at or below threshold after admission: iff the packet fits;
+///   - above it: only a flow that `may_borrow`, only from the holes, and
+///     only while its excess q + L - T does not exceed the holes left.
+/// A flow that may not borrow is held to the fixed partition of Section
+/// 3.2, whatever the headroom.
+[[nodiscard]] constexpr bool admits(std::int64_t occupancy, std::int64_t threshold,
+                                    std::int64_t bytes, std::int64_t free_bytes,
+                                    std::int64_t max_headroom, bool may_borrow) {
+  if (occupancy + bytes <= threshold) return bytes <= free_bytes;
+  if (!may_borrow) return false;
+  const std::int64_t holes = sharing_pools(free_bytes, max_headroom).holes;
+  return bytes <= holes && occupancy + bytes - threshold <= holes - bytes;
+}
 
 class ThresholdManager final : public AccountingBufferManager {
  public:

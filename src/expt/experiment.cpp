@@ -122,8 +122,10 @@ Pipeline build_pipeline(const ExperimentConfig& config) {
           classes.push_back(f.regulated ? SharingClass::kAdaptive : SharingClass::kBlocked);
         }
       }
-      p.manager = std::make_unique<SelectiveSharingManager>(
-          config.buffer, config.link_rate, specs, std::move(classes), config.scheme.headroom);
+      p.manager = std::make_unique<BufferSharingManager>(config.buffer, config.link_rate, specs,
+                                                         config.scheme.headroom,
+                                                         ThresholdScaling::kExact,
+                                                         std::move(classes));
       break;
     }
     case ManagerKind::kDynamicThreshold:

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/flow_spec.h"
-#include "core/selective_sharing.h"
+#include "core/sharing.h"
 #include "obs/metrics.h"
 #include "sim/packet.h"
 #include "traffic/sources.h"

@@ -52,15 +52,17 @@ HybridBuilder::HybridBuilder(Rate link_rate, ByteSize total_buffer, std::vector<
 }
 
 std::vector<std::int64_t> HybridBuilder::queue_thresholds(std::size_t queue) const {
-  // Thresholds indexed by *global* FlowId; flows of other queues get zero
-  // (they are never offered to this queue's manager).
+  // Prop 2 applied to the queue, whose "link" is its WFQ rate, scattered
+  // into a vector indexed by *global* FlowId; flows of other queues get
+  // zero (they are never offered to this queue's manager).
+  std::vector<FlowSpec> group_specs;
+  group_specs.reserve(groups_[queue].size());
+  for (FlowId f : groups_[queue]) group_specs.push_back(specs_[static_cast<std::size_t>(f)]);
+  const std::vector<std::int64_t> group_thresholds = compute_thresholds(
+      group_specs, queue_buffers_[queue], queue_rates_[queue], ThresholdScaling::kExact);
   std::vector<std::int64_t> thresholds(specs_.size(), 0);
-  const double bi = static_cast<double>(queue_buffers_[queue].count());
-  const Rate ri = queue_rates_[queue];
-  for (FlowId f : groups_[queue]) {
-    const auto& spec = specs_[static_cast<std::size_t>(f)];
-    const double t = static_cast<double>(spec.sigma.count()) + (spec.rho / ri) * bi;
-    thresholds[static_cast<std::size_t>(f)] = static_cast<std::int64_t>(std::llround(t));
+  for (std::size_t i = 0; i < groups_[queue].size(); ++i) {
+    thresholds[static_cast<std::size_t>(groups_[queue][i])] = group_thresholds[i];
   }
   return thresholds;
 }

@@ -11,10 +11,13 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "admission/admission_controller.h"
+#include "admission/dynamic_manager.h"
 #include "admission/flow_table.h"
+#include "core/sharing.h"
 #include "expt/experiment.h"
 #include "expt/workloads.h"
 #include "fabric/scenario.h"
@@ -234,6 +237,104 @@ TEST(AdmissionControllerCheckpointTest, StateRoundTripsThroughFreshController) {
   admission::AdmissionController fresh{config};
   expect_state_round_trips(controller, fresh);
   EXPECT_EQ(fresh.required_buffer_bytes(), controller.required_buffer_bytes());
+}
+
+/// A `bm` section as BufferSharingManager lays it out, with the holes and
+/// headroom given explicitly.
+std::vector<std::byte> sharing_section(const std::vector<std::int64_t>& per_flow,
+                                       std::int64_t total, std::int64_t holes,
+                                       std::int64_t headroom) {
+  CheckpointWriter w;
+  w.begin_section("bm");
+  w.write_i64_vector(per_flow);
+  w.write_i64(total);
+  w.write_u64(0);  // admit count
+  w.write_i64(holes);
+  w.write_i64(headroom);
+  w.end_section();
+  return w.finish(kFingerprint);
+}
+
+/// A `bm.dynamic` section with the holes and headroom given explicitly.
+std::vector<std::byte> dynamic_section(std::int64_t total, std::int64_t holes,
+                                       std::int64_t headroom) {
+  CheckpointWriter w;
+  w.begin_section("bm.dynamic");
+  w.write_i64(total);
+  w.write_i64(holes);
+  w.write_i64(headroom);
+  w.end_section();
+  return w.finish(kFingerprint);
+}
+
+BufferSharingManager sharing_manager() {
+  return BufferSharingManager{ByteSize::bytes(10'000), std::vector<std::int64_t>{2'000, 8'000},
+                              ByteSize::bytes(3'000)};
+}
+
+TEST(SharingCheckpointTest, DerivedPoolsRoundTrip) {
+  BufferSharingManager mgr = sharing_manager();
+  ASSERT_TRUE(mgr.try_admit(0, 2'000, Time::zero()));
+  ASSERT_TRUE(mgr.try_admit(1, 5'500, Time::zero()));
+  BufferSharingManager fresh = sharing_manager();
+  expect_state_round_trips(mgr, fresh);
+  EXPECT_EQ(fresh.holes(), mgr.holes());
+  EXPECT_EQ(fresh.headroom(), mgr.headroom());
+}
+
+TEST(SharingCheckpointTest, PoolsDisagreeingWithTotalAreRejected) {
+  // 7.5 KB held of 10 KB with H = 3 KB: the pools must be 0 holes and
+  // 2.5 KB headroom.
+  {
+    BufferSharingManager mgr = sharing_manager();
+    const auto blob = sharing_section({2'000, 5'500}, 7'500, 0, 2'500);
+    CheckpointReader r{blob};
+    EXPECT_NO_THROW(mgr.restore_state(r));
+    EXPECT_EQ(mgr.headroom(), 2'500);
+  }
+  for (const auto& [holes, headroom] :
+       std::vector<std::pair<std::int64_t, std::int64_t>>{{500, 2'000}, {0, 3'000}, {1, 2'500}}) {
+    BufferSharingManager mgr = sharing_manager();
+    const auto blob = sharing_section({2'000, 5'500}, 7'500, holes, headroom);
+    CheckpointReader r{blob};
+    EXPECT_THROW(mgr.restore_state(r), CheckpointFormatError)
+        << "holes " << holes << " headroom " << headroom;
+  }
+}
+
+TEST(DynamicManagerCheckpointTest, DerivedPoolsRoundTrip) {
+  admission::FlowTable table{4};
+  const FlowSpec spec{.rho = Rate::megabits_per_second(2.0), .sigma = ByteSize::kilobytes(1.0)};
+  const auto h = table.admit(spec, 8'000);
+  admission::DynamicBufferManager mgr{ByteSize::bytes(10'000), table,
+                                      admission::DynamicBufferManager::Policy::kSharing,
+                                      ByteSize::bytes(3'000)};
+  ASSERT_TRUE(mgr.try_admit(static_cast<FlowId>(h.slot), 7'500, Time::zero()));
+  admission::DynamicBufferManager fresh{ByteSize::bytes(10'000), table,
+                                        admission::DynamicBufferManager::Policy::kSharing,
+                                        ByteSize::bytes(3'000)};
+  expect_state_round_trips(mgr, fresh);
+  EXPECT_EQ(fresh.total_occupancy(), 7'500);
+  EXPECT_EQ(fresh.holes(), 0);
+  EXPECT_EQ(fresh.headroom(), 2'500);
+}
+
+TEST(DynamicManagerCheckpointTest, PoolsDisagreeingWithTotalAreRejected) {
+  admission::FlowTable table{4};
+  for (const auto policy : {admission::DynamicBufferManager::Policy::kThreshold,
+                            admission::DynamicBufferManager::Policy::kSharing}) {
+    admission::DynamicBufferManager mgr{ByteSize::bytes(10'000), table, policy,
+                                        ByteSize::bytes(3'000)};
+    {
+      const auto blob = dynamic_section(4'000, 3'000, 3'000);
+      CheckpointReader r{blob};
+      EXPECT_NO_THROW(mgr.restore_state(r));
+    }
+    // The pools of an empty buffer next to a non-empty total.
+    const auto blob = dynamic_section(4'000, 7'000, 3'000);
+    CheckpointReader r{blob};
+    EXPECT_THROW(mgr.restore_state(r), CheckpointFormatError);
+  }
 }
 
 /// Discards everything: the AIMD unit test only compares source counters.

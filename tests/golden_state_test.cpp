@@ -5,7 +5,12 @@
 // any unintended change to a component's trajectory *or* its serialized
 // layout is caught and attributed to the section that moved.
 //
-// To regenerate after an intentional change:
+// The `checker` section records how many invariant checks ran, which is
+// zero unless checks are compiled in, so builds with BUFQ_CHECKS_ENABLED
+// compare against their own corpus, <name>.checks.digest; every section
+// is compared in both build flavours.
+//
+// To regenerate after an intentional change, in each build flavour:
 //   BUFQ_UPDATE_GOLDEN=1 ctest -R GoldenState
 #include <gtest/gtest.h>
 
@@ -16,6 +21,7 @@
 #include <sstream>
 #include <string>
 
+#include "check/invariants.h"
 #include "expt/experiment.h"
 #include "expt/workloads.h"
 #include "fabric/scenario.h"
@@ -31,7 +37,8 @@ constexpr std::uint64_t kGoldenEvents = 30'000;
 using Digests = std::map<std::string, std::uint32_t>;
 
 std::string golden_path(const std::string& name) {
-  return std::string{BUFQ_GOLDEN_DIR} + "/" + name + ".digest";
+  constexpr const char* kSuffix = BUFQ_CHECKS_ENABLED ? ".checks.digest" : ".digest";
+  return std::string{BUFQ_GOLDEN_DIR} + "/" + name + kSuffix;
 }
 
 std::string render(const Digests& digests) {

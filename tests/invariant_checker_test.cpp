@@ -40,8 +40,8 @@ TEST(InvariantCheckerTest, ViolationFormatsAllFields) {
 TEST(InvariantCheckerTest, EveryInvariantHasAName) {
   for (const auto inv :
        {check::Invariant::kConservation, check::Invariant::kCapacity,
-        check::Invariant::kFlowBound, check::Invariant::kSharingPools,
-        check::Invariant::kVirtualTime, check::Invariant::kEventClock}) {
+        check::Invariant::kFlowBound, check::Invariant::kVirtualTime,
+        check::Invariant::kEventClock, check::Invariant::kDelayBound}) {
     EXPECT_STRNE(check::to_string(inv), "");
   }
 }
@@ -51,10 +51,10 @@ TEST(InvariantCheckerTest, CaptureRedirectsAwayFromGlobalStore) {
   const auto before = checker.violation_count();
   {
     check::ScopedViolationCapture capture;
-    checker.report(check::Violation{check::Invariant::kSharingPools, 2, kNow, -1.0, 0.0,
-                                    "holes negative (synthetic)"});
+    checker.report(check::Violation{check::Invariant::kConservation, 2, kNow, -1.0, 0.0,
+                                    "occupancy negative (synthetic)"});
     ASSERT_EQ(capture.count(), 1u);
-    EXPECT_EQ(capture.violations()[0].invariant, check::Invariant::kSharingPools);
+    EXPECT_EQ(capture.violations()[0].invariant, check::Invariant::kConservation);
     EXPECT_EQ(capture.violations()[0].flow, 2);
   }
   // The capture absorbed the violation: the suite-wide audit stays clean.
