@@ -253,8 +253,8 @@ void BM_PhaseBarrierRound(benchmark::State& state) {
 BENCHMARK(BM_PhaseBarrierRound)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 /// Explicit steady_clock timing of the FIFO+thresholds and WFQ dequeue
-/// paths into registry histograms (works in default builds, unlike the
-/// compiled-out BUFQ_TRACE timers).
+/// paths into registry histograms; the library itself records no
+/// wall-clock timings.
 void measure_dequeue_latency(QueueDiscipline& queue, const std::vector<FlowId>& arrivals,
                              obs::Histogram& latency_ns) {
   std::size_t i = 0;

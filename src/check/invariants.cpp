@@ -1,7 +1,5 @@
 #include "check/invariants.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -67,20 +65,12 @@ void InvariantChecker::absorb(const InvariantChecker& child) {
 }
 
 void InvariantChecker::report(Violation violation) {
-  bool do_abort = false;
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    if (handler_) {
-      handler_(violation);
-    } else {
-      ++violation_count_;
-      if (stored_.size() < kMaxStored) stored_.push_back(violation);
-    }
-    do_abort = abort_on_violation_;
-  }
-  if (do_abort) {
-    std::fprintf(stderr, "bufq invariant violation: %s\n", violation.to_string().c_str());
-    std::abort();
+  const std::lock_guard<std::mutex> lock{mu_};
+  if (handler_) {
+    handler_(violation);
+  } else {
+    ++violation_count_;
+    if (stored_.size() < kMaxStored) stored_.push_back(std::move(violation));
   }
 }
 
@@ -135,22 +125,7 @@ InvariantChecker::Handler InvariantChecker::exchange_handler(Handler handler) {
   return handler;
 }
 
-void InvariantChecker::set_abort_on_violation(bool abort_on_violation) {
-  const std::lock_guard<std::mutex> lock{mu_};
-  abort_on_violation_ = abort_on_violation;
-}
-
-bool InvariantChecker::abort_on_violation() const {
-  const std::lock_guard<std::mutex> lock{mu_};
-  return abort_on_violation_;
-}
-
-ScopedChecker::ScopedChecker() : previous_{tl_current_checker} {
-  // Debug runs that abort on first violation keep doing so inside the
-  // confined scope.
-  checker_.set_abort_on_violation(InvariantChecker::current().abort_on_violation());
-  tl_current_checker = &checker_;
-}
+ScopedChecker::ScopedChecker() : previous_{tl_current_checker} { tl_current_checker = &checker_; }
 
 ScopedChecker::~ScopedChecker() {
   tl_current_checker = previous_;

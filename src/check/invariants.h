@@ -66,8 +66,7 @@ struct Violation {
 ///
 /// By default violations are counted and the first kMaxStored are kept for
 /// the end-of-run report; install a handler to redirect them (tests use
-/// ScopedViolationCapture below).  Optionally aborts on first violation for
-/// debugger-friendly runs.
+/// ScopedViolationCapture below).
 class InvariantChecker {
  public:
   using Handler = std::function<void(const Violation&)>;
@@ -96,8 +95,7 @@ class InvariantChecker {
 
   /// Records a violation.  With no handler installed it is counted and
   /// stored (up to kMaxStored); an installed handler *redirects* the
-  /// violation instead, leaving the default store untouched.  Aborts
-  /// afterwards if so configured.
+  /// violation instead, leaving the default store untouched.
   void report(Violation violation);
 
   /// Bumps the checks-run counter (called by BUFQ_CHECK before testing its
@@ -130,10 +128,6 @@ class InvariantChecker {
   /// redirections can restore their predecessor on exit.
   [[nodiscard]] Handler exchange_handler(Handler handler);
 
-  /// When set, report() aborts after delivering the violation.
-  void set_abort_on_violation(bool abort_on_violation);
-  [[nodiscard]] bool abort_on_violation() const;
-
   static constexpr std::size_t kMaxStored = 64;
 
  private:
@@ -142,7 +136,6 @@ class InvariantChecker {
   std::uint64_t violation_count_{0};
   std::vector<Violation> stored_;
   Handler handler_;
-  bool abort_on_violation_{false};
 };
 
 /// RAII per-run audit confinement.  While alive, BUFQ_CHECK call sites on

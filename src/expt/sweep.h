@@ -190,8 +190,8 @@ struct SweepRow {
   std::uint64_t check_violations{0};
   /// Observability registry folded (RegistrySnapshot::merge) over the
   /// replications — see ExperimentResult::metrics.  Deliberately NOT
-  /// serialized by write_sweep_csv: its wall-clock components (sim.wall_ns,
-  /// time.*) would break the bit-identical CSV contract.
+  /// serialized by write_sweep_csv: its wall-clock component (sim.wall_ns)
+  /// would break the bit-identical CSV contract.
   obs::RegistrySnapshot obs_metrics;
   /// First exception message if any replication threw; such a row keeps
   /// the metrics of its surviving replications.

@@ -3,45 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace bufq::obs {
 namespace {
 
 thread_local MetricsRegistry* t_current = nullptr;
-std::atomic<bool> g_global_enabled{false};
-
-/// fetch_max over a relaxed atomic (no std::atomic::fetch_max pre-C++26).
-void atomic_max(std::atomic<std::int64_t>& target, std::int64_t value) {
-  std::int64_t seen = target.load(std::memory_order_relaxed);
-  while (seen < value &&
-         !target.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<std::int64_t>& target, std::int64_t value) {
-  std::int64_t seen = target.load(std::memory_order_relaxed);
-  while (seen > value &&
-         !target.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
 
 }  // namespace
-
-void Gauge::note(std::int64_t v) {
-  atomic_max(max_, v);
-  updates_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Gauge::set(std::int64_t v) {
-  value_.store(v, std::memory_order_relaxed);
-  note(v);
-}
-
-void Gauge::add(std::int64_t delta) {
-  const std::int64_t v = value_.fetch_add(delta, std::memory_order_relaxed) + delta;
-  note(v);
-}
 
 std::size_t Histogram::bucket_index(std::int64_t value) {
   const auto v = static_cast<std::uint64_t>(std::max<std::int64_t>(value, 0));
@@ -69,48 +39,29 @@ double Histogram::bucket_midpoint(std::size_t index) {
 
 void Histogram::record(std::int64_t value) {
   const std::int64_t v = std::max<std::int64_t>(value, 0);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(static_cast<std::uint64_t>(v), std::memory_order_relaxed);
-  atomic_min(min_, v);
-  atomic_max(max_, v);
-  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+  min_ = count_ > 0 ? std::min(min_, v) : v;
+  max_ = std::max(max_, v);
+  ++count_;
+  sum_ += static_cast<std::uint64_t>(v);
+  ++buckets_[bucket_index(v)];
 }
 
 HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  snap.min = snap.count > 0 ? min_.load(std::memory_order_relaxed) : 0;
-  snap.max = max_.load(std::memory_order_relaxed);
-  snap.buckets.resize(kBucketCount);
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
-void Histogram::merge(const HistogramSnapshot& other) {
-  if (other.count == 0) return;
-  count_.fetch_add(other.count, std::memory_order_relaxed);
-  sum_.fetch_add(other.sum, std::memory_order_relaxed);
-  atomic_min(min_, other.min);
-  atomic_max(max_, other.max);
-  const std::size_t n = std::min<std::size_t>(other.buckets.size(), kBucketCount);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (other.buckets[i] != 0) buckets_[i].fetch_add(other.buckets[i], std::memory_order_relaxed);
-  }
+  return HistogramSnapshot{
+      .count = count_,
+      .sum = sum_,
+      .min = min_,
+      .max = max_,
+      .buckets = std::vector<std::uint64_t>(std::begin(buckets_), std::end(buckets_))};
 }
 
 void Histogram::restore(const HistogramSnapshot& snap) {
-  count_.store(snap.count, std::memory_order_relaxed);
-  sum_.store(snap.sum, std::memory_order_relaxed);
-  // snapshot() reports min=0 while empty; the live empty state is
-  // INT64_MAX so the first CAS-min still lands after restore.
-  min_.store(snap.count > 0 ? snap.min : INT64_MAX, std::memory_order_relaxed);
-  max_.store(snap.max, std::memory_order_relaxed);
+  count_ = snap.count;
+  sum_ = snap.sum;
+  min_ = snap.min;
+  max_ = snap.max;
   for (std::size_t i = 0; i < kBucketCount; ++i) {
-    buckets_[i].store(i < snap.buckets.size() ? snap.buckets[i] : 0,
-                      std::memory_order_relaxed);
+    buckets_[i] = i < snap.buckets.size() ? snap.buckets[i] : 0;
   }
 }
 
@@ -179,22 +130,18 @@ T& find_or_create(MetricsRegistry::MetricMap<T>& own, const MapA& other_a,
 }  // namespace
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  const std::lock_guard<std::mutex> lock{mu_};
   return find_or_create(counters_, gauges_, histograms_, name);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> lock{mu_};
   return find_or_create(gauges_, counters_, histograms_, name);
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  const std::lock_guard<std::mutex> lock{mu_};
   return find_or_create(histograms_, counters_, gauges_, name);
 }
 
 RegistrySnapshot MetricsRegistry::snapshot() const {
-  const std::lock_guard<std::mutex> lock{mu_};
   RegistrySnapshot snap;
   for (const auto& [name, counter] : counters_) snap.counters[name] = counter->value();
   for (const auto& [name, gauge] : gauges_) {
@@ -207,21 +154,6 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::absorb(const RegistrySnapshot& other) {
-  for (const auto& [name, value] : other.counters) {
-    if (value != 0) counter(name).add(value);
-  }
-  for (const auto& [name, snap] : other.gauges) {
-    if (snap.updates == 0) continue;
-    Gauge& mine = gauge(name);
-    mine.set(snap.max);   // fold the child's high-water mark in
-    mine.set(snap.last);  // then leave its final level as ours
-  }
-  for (const auto& [name, snap] : other.histograms) {
-    if (snap.count != 0) histogram(name).merge(snap);
-  }
-}
-
 void MetricsRegistry::restore(const RegistrySnapshot& snap) {
   for (const auto& [name, value] : snap.counters) counter(name).restore(value);
   for (const auto& [name, gs] : snap.gauges) {
@@ -230,31 +162,16 @@ void MetricsRegistry::restore(const RegistrySnapshot& snap) {
   for (const auto& [name, hs] : snap.histograms) histogram(name).restore(hs);
 }
 
-MetricsRegistry* MetricsRegistry::current() {
-  if (t_current != nullptr) return t_current;
-  return g_global_enabled.load(std::memory_order_relaxed) ? &global() : nullptr;
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-void MetricsRegistry::set_global_enabled(bool enabled) {
-  g_global_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool MetricsRegistry::global_enabled() {
-  return g_global_enabled.load(std::memory_order_relaxed);
-}
+MetricsRegistry* MetricsRegistry::current() { return t_current; }
 
 ScopedMetrics::ScopedMetrics() : previous_{t_current} { t_current = &registry_; }
 
 ScopedMetrics::~ScopedMetrics() {
   t_current = previous_;
-  if (MetricsRegistry* enclosing = MetricsRegistry::current()) {
-    enclosing->absorb(registry_.snapshot());
-  }
+  if (previous_ == nullptr) return;
+  RegistrySnapshot folded = previous_->snapshot();
+  folded.merge(registry_.snapshot());
+  previous_->restore(folded);
 }
 
 CounterHandle CounterHandle::lookup(std::string_view name) {

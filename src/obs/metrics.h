@@ -1,28 +1,29 @@
 // Observability: low-overhead metrics for the hot paths.
 //
 // A `MetricsRegistry` owns named counters, gauges, and fixed-bucket
-// log2-linear (HDR-style) histograms.  Recording is O(1), lock-free
-// (relaxed atomics), and allocation-free; the registry mutex is taken only
-// on the cold registration path.  Instrumented components capture null-safe
-// *handles* at construction time from `MetricsRegistry::current()`: when no
-// registry is installed every record is a single predictable branch, so
-// un-observed runs pay essentially nothing and no build flag is needed for
-// the always-on counters (wall-clock scope timers are separate — see
-// trace.h, compiled out unless BUFQ_TRACE=ON, mirroring BUFQ_CHECK).
+// log2-linear (HDR-style) histograms.  Every metric is a plain integer
+// cell: recording is an O(1), allocation-free add with no atomics and no
+// locks.  That is safe because a registry is thread-confined — it belongs
+// to the thread that installed its `ScopedMetrics` and is only ever
+// recorded into, snapshotted and restored from that thread.  Instrumented
+// components capture null-safe *handles* at construction time from
+// `MetricsRegistry::current()`: when no registry is installed every record
+// is a single predictable branch, so un-observed runs pay essentially
+// nothing and no build flag is needed.
 //
-// Confinement mirrors `check::ScopedChecker` (PR 3): `ScopedMetrics`
-// installs a thread-local run-private registry, so parallel sweep workers
-// never share a mutable sink; on scope exit the tallies are absorbed into
-// the enclosing registry (an outer scope, or the process-global registry
-// when enabled for --metrics-out style aggregation).
+// Confinement mirrors `check::ScopedChecker`: `ScopedMetrics` installs a
+// thread-local run-private registry, so parallel sweep and shard workers
+// never share a mutable sink.  Cross-thread aggregation goes through
+// value-type `RegistrySnapshot`s folded with `RegistrySnapshot::merge` —
+// the same rule a closing scope uses to fold its tallies into an enclosing
+// scope on its own thread.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,59 +31,66 @@
 
 namespace bufq::obs {
 
-/// Monotonic event count.  Thread safe; relaxed atomics.
+/// Monotonic event count.  A plain cell: confined to its registry's thread.
 class Counter {
  public:
   /// Adds `n` (default 1) to the count.
-  void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) { value_ += n; }
 
   /// Current count.
-  [[nodiscard]] std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
-  /// Overwrites the count — checkpoint restore only.  Overwrite (not add)
-  /// because restore happens after components were rebuilt, and rebuilding
-  /// may itself have recorded; the checkpointed value is authoritative.
-  void restore(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
+  /// Overwrites the count — checkpoint restore and scope folding.
+  /// Overwrite (not add) because restore happens after components were
+  /// rebuilt, and rebuilding may itself have recorded; the restored value
+  /// is authoritative.
+  void restore(std::uint64_t v) { value_ = v; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_{0};
 };
 
 /// Instantaneous level (e.g. holes/headroom bytes) with a high-water mark.
 class Gauge {
  public:
   /// Sets the level and folds it into the high-water mark.
-  void set(std::int64_t v);
+  void set(std::int64_t v) {
+    value_ = v;
+    note();
+  }
 
   /// Adjusts the level by `delta` (negative allowed).
-  void add(std::int64_t delta);
+  void add(std::int64_t delta) {
+    value_ += delta;
+    note();
+  }
 
   /// Last value set (0 before any update).
-  [[nodiscard]] std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::int64_t value() const { return value_; }
 
   /// Largest value ever set (0 before any update).
-  [[nodiscard]] std::int64_t max() const { return max_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::int64_t max() const { return max_; }
 
   /// How many times set()/add() ran; lets a merge tell "never touched"
   /// from "set to zero".
-  [[nodiscard]] std::uint64_t updates() const {
-    return updates_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t updates() const { return updates_; }
 
-  /// Overwrites all three fields — checkpoint restore only (see
-  /// Counter::restore for why overwrite, not merge).
+  /// Overwrites all three fields (see Counter::restore for why overwrite).
   void restore(std::int64_t last, std::int64_t max, std::uint64_t updates) {
-    value_.store(last, std::memory_order_relaxed);
-    max_.store(max, std::memory_order_relaxed);
-    updates_.store(updates, std::memory_order_relaxed);
+    value_ = last;
+    max_ = max;
+    updates_ = updates;
   }
 
  private:
-  void note(std::int64_t v);
+  void note() {
+    max_ = std::max(max_, value_);
+    ++updates_;
+  }
 
-  std::atomic<std::int64_t> value_{0};
-  std::atomic<std::int64_t> max_{0};
-  std::atomic<std::uint64_t> updates_{0};
+  std::int64_t value_{0};
+  std::int64_t max_{0};
+  std::uint64_t updates_{0};
 };
 
 /// Point-in-time copy of one histogram, with the percentile math.
@@ -107,7 +115,7 @@ struct HistogramSnapshot {
 /// Fixed-bucket log2-linear histogram (HDR style): values < 16 get exact
 /// unit buckets, larger values land in one of 16 linear sub-buckets of
 /// their power-of-two octave, bounding relative error by 1/16.  record()
-/// is a couple of relaxed atomic adds — O(1), lock-free, allocation-free.
+/// is a few plain integer updates — O(1) and allocation-free.
 class Histogram {
  public:
   /// Linear sub-buckets per octave (a power of two).
@@ -119,20 +127,14 @@ class Histogram {
   /// Records one value; negatives are clamped to 0.
   void record(std::int64_t value);
 
-  [[nodiscard]] std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] std::uint64_t sum() const { return sum_; }
 
-  /// Consistent-enough copy for reporting (buckets are read relaxed; exact
-  /// if no concurrent writers, which is the single-threaded-run case).
+  /// Exact copy of the recordings, for reporting and folding.
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
-  /// Adds a snapshot's recordings into this histogram (used by absorb()).
-  void merge(const HistogramSnapshot& other);
-
-  /// Overwrites the histogram with a snapshot's exact state — checkpoint
-  /// restore only.  An empty snapshot reports min=0 but the live empty
-  /// histogram holds INT64_MAX (so the first CAS-min lands); restore
-  /// inverts that mapping.
+  /// Overwrites the histogram with a snapshot's exact state (see
+  /// Counter::restore for why overwrite).
   void restore(const HistogramSnapshot& snap);
 
   /// Index of the bucket a value lands in.
@@ -143,13 +145,12 @@ class Histogram {
   [[nodiscard]] static double bucket_midpoint(std::size_t index);
 
  private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  /// Starts at int64 max so the first record's CAS-min always lands;
-  /// snapshot() reports 0 while the histogram is empty.
-  std::atomic<std::int64_t> min_{INT64_MAX};
-  std::atomic<std::int64_t> max_{0};
-  std::atomic<std::uint64_t> buckets_[kBucketCount]{};
+  std::uint64_t count_{0};
+  std::uint64_t sum_{0};
+  /// Meaningful once count_ > 0; 0 while empty, as snapshot() reports.
+  std::int64_t min_{0};
+  std::int64_t max_{0};
+  std::uint64_t buckets_[kBucketCount]{};
 };
 
 /// Gauge state as captured in a RegistrySnapshot.
@@ -177,10 +178,11 @@ struct RegistrySnapshot {
   void merge(const RegistrySnapshot& other);
 };
 
-/// Owner of named metrics.  Registration (counter()/gauge()/histogram())
-/// takes a mutex and is meant for construction time; the returned
-/// references are stable for the registry's lifetime and lock-free to
-/// record into.
+/// Owner of named metrics.  Thread-confined: one thread registers,
+/// records, snapshots and restores; other threads see only the
+/// RegistrySnapshot values it hands out.  Registration
+/// (counter()/gauge()/histogram()) is meant for construction time; the
+/// returned references are stable for the registry's lifetime.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -196,29 +198,18 @@ class MetricsRegistry {
   /// Copies every metric for export / folding.
   [[nodiscard]] RegistrySnapshot snapshot() const;
 
-  /// Adds a snapshot's tallies into this registry's live metrics (creating
-  /// them as needed) — the fold-back step of ScopedMetrics.
-  void absorb(const RegistrySnapshot& other);
-
-  /// Overwrites every metric named in the snapshot with its exact
-  /// checkpointed state (creating metrics as needed).  Used by checkpoint
-  /// restore *after* components rebuild, so construction-time recordings
-  /// (e.g. pool-init gauge sets) cannot double-count.  Metrics present in
-  /// the registry but absent from the snapshot are left alone — they were
-  /// never recorded before the checkpoint and their rebuilt state is zero.
+  /// Overwrites every metric named in the snapshot with its exact state
+  /// (creating metrics as needed).  Used by checkpoint restore *after*
+  /// components rebuild, so construction-time recordings (e.g. pool-init
+  /// gauge sets) cannot double-count, and by ScopedMetrics to fold a
+  /// closing scope in.  Metrics present in the registry but absent from
+  /// the snapshot are left alone.
   void restore(const RegistrySnapshot& snap);
 
   /// The registry instrumented call sites record into on this thread: the
-  /// innermost live ScopedMetrics, else the process-global registry when
-  /// enabled, else nullptr (recording disabled; handles become no-ops).
+  /// innermost live ScopedMetrics, else nullptr (recording disabled;
+  /// handles become no-ops).
   [[nodiscard]] static MetricsRegistry* current();
-
-  /// Process-global registry, used to aggregate across pool workers when
-  /// no thread-local scope is alive.  Collection into it is off unless
-  /// set_global_enabled(true) (the --metrics-out path) was called.
-  [[nodiscard]] static MetricsRegistry& global();
-  static void set_global_enabled(bool enabled);
-  [[nodiscard]] static bool global_enabled();
 
  public:
   /// Transparent hasher so handle lookups probe with the string_view name
@@ -234,7 +225,6 @@ class MetricsRegistry {
       std::unordered_map<std::string, std::unique_ptr<T>, StringHash, std::equal_to<>>;
 
  private:
-  mutable std::mutex mu_;
   // Hash maps (iteration order irrelevant: snapshot() re-sorts into
   // std::map for export); unique_ptr keeps metric addresses stable across
   // rehashes so handles outlive later registrations.
@@ -246,10 +236,11 @@ class MetricsRegistry {
 /// RAII per-run metrics confinement, mirroring check::ScopedChecker: while
 /// alive, MetricsRegistry::current() on the constructing thread is this
 /// scope's private registry, so concurrent runs never contend on a shared
-/// sink.  On destruction the tallies are absorbed into the enclosing
-/// registry (outer scope, or the global registry when enabled); callers
-/// that want the run's own numbers snapshot() before the scope ends.
-/// Thread-confined: construct and destroy on the same thread.
+/// sink.  On destruction the tallies fold into the enclosing scope's
+/// registry, if any, through RegistrySnapshot::merge (without one they are
+/// discarded); callers that want the run's own numbers snapshot() before
+/// the scope ends.  Thread-confined: construct and destroy on the same
+/// thread.
 class ScopedMetrics {
  public:
   ScopedMetrics();

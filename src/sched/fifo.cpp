@@ -1,7 +1,6 @@
 #include "sched/fifo.h"
 
 #include "check/invariants.h"
-#include "obs/trace.h"
 #include "sim/checkpoint.h"
 #include "util/annotations.h"
 
@@ -24,7 +23,6 @@ BUFQ_HOT bool FifoScheduler::enqueue(const Packet& packet, Time now) {
 
 BUFQ_HOT std::optional<Packet> FifoScheduler::dequeue(Time now) {
   if (queue_.empty()) return std::nullopt;
-  BUFQ_TRACE("sched.dequeue");
   Packet packet = queue_.front();
   queue_.pop_front();
   backlog_bytes_ -= packet.size_bytes;

@@ -1,6 +1,6 @@
 // Metrics-registry unit tests: counter/gauge/histogram semantics, the
 // log2-linear bucket math and its error bound, percentile math against
-// known distributions, ScopedMetrics confinement/absorption, and
+// known distributions, ScopedMetrics confinement and scope folding, and
 // snapshot determinism when runs are spread across a TaskPool.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/task_pool.h"
 
 namespace bufq::obs {
@@ -227,11 +226,61 @@ TEST(ScopedMetricsTest, HandlesResolveAgainstInnermostScope) {
   EXPECT_EQ(scope.registry().counter("hits").value(), 3u);
 }
 
+TEST(ScopedMetricsTest, InnerGaugeUpdatesFoldExactly) {
+  // The fold is RegistrySnapshot::merge, the rule sweeps use for rows:
+  // every update of the inner scope counts, and its zero-valued metrics
+  // reach the outer scope too.
+  ScopedMetrics outer;
+  {
+    ScopedMetrics inner;
+    Gauge& level = inner.registry().gauge("level");
+    level.set(4);
+    level.set(9);
+    level.set(2);
+    (void)inner.registry().counter("untouched");
+  }
+  const RegistrySnapshot snap = outer.registry().snapshot();
+  EXPECT_EQ(snap.gauges.at("level").updates, 3u);
+  EXPECT_EQ(snap.gauges.at("level").last, 2);
+  EXPECT_EQ(snap.gauges.at("level").max, 9);
+  EXPECT_EQ(snap.counters.at("untouched"), 0u);
+}
+
 TEST(ScopedMetricsTest, TallyDiscardedWhenNoEnclosingRegistry) {
-  ASSERT_FALSE(MetricsRegistry::global_enabled());
+  ASSERT_EQ(MetricsRegistry::current(), nullptr);
   { ScopedMetrics scope; scope.registry().counter("orphan").add(5); }
-  // Nothing leaked into the (disabled) global registry under this name.
-  EXPECT_EQ(MetricsRegistry::global().snapshot().counters.count("orphan"), 0u);
+  // The tally went nowhere: no registry is left installed, and a fresh
+  // scope starts empty rather than inheriting it.
+  EXPECT_EQ(MetricsRegistry::current(), nullptr);
+  const ScopedMetrics fresh;
+  EXPECT_TRUE(fresh.registry().snapshot().empty());
+}
+
+TEST(ScopedMetricsTest, PoolWorkerSeesNoSubmittingThreadsRegistry) {
+  // A registry is confined to the thread that installed it: a task on a
+  // pool worker must not resolve handles into the submitter's scope, or
+  // two threads would write one plain cell.
+  ScopedMetrics scope;
+  bool worker_current_null = false;
+  bool worker_handles_inactive = false;
+  {
+    TaskPool pool{2};
+    pool.submit([&] {
+      worker_current_null = MetricsRegistry::current() == nullptr;
+      const CounterHandle counter = CounterHandle::lookup("worker.hits");
+      const GaugeHandle gauge = GaugeHandle::lookup("worker.level");
+      const HistogramHandle histogram = HistogramHandle::lookup("worker.lat");
+      counter.add();
+      gauge.set(1);
+      histogram.record(1);
+      worker_handles_inactive = !counter.active() && !gauge.active() && !histogram.active();
+    });
+    pool.wait_idle();
+  }
+  EXPECT_TRUE(worker_current_null);
+  EXPECT_TRUE(worker_handles_inactive);
+  EXPECT_EQ(MetricsRegistry::current(), &scope.registry());
+  EXPECT_TRUE(scope.registry().snapshot().empty());
 }
 
 // The sweep determinism contract, in miniature: each "run" records into
@@ -275,26 +324,6 @@ TEST(ScopedMetricsTest, FoldedSnapshotsIndependentOfWorkerCount) {
     EXPECT_EQ(parallel.gauges.at("level").last, serial.gauges.at("level").last);
     EXPECT_EQ(parallel.gauges.at("level").max, serial.gauges.at("level").max);
   }
-}
-
-TEST(TraceTest, ScopeTimerRecordsIntoCurrentRegistry) {
-  ScopedMetrics scope;
-  { const ScopeTimer timer{"unit"}; }
-  const RegistrySnapshot snap = scope.registry().snapshot();
-  ASSERT_EQ(snap.histograms.count("time.unit"), 1u);
-  EXPECT_EQ(snap.histograms.at("time.unit").count, 1u);
-}
-
-TEST(TraceTest, ScopeTimerIsInertWithoutRegistry) {
-  ASSERT_EQ(MetricsRegistry::current(), nullptr);
-  { const ScopeTimer timer{"unit"}; }  // must not crash or allocate a registry
-  EXPECT_EQ(MetricsRegistry::current(), nullptr);
-}
-
-TEST(TraceTest, MacroCompiles) {
-  // Expands to a timer or to void depending on BUFQ_TRACE; both must parse.
-  BUFQ_TRACE("macro_site");
-  EXPECT_TRUE(BUFQ_TRACE_ENABLED == 0 || BUFQ_TRACE_ENABLED == 1);
 }
 
 }  // namespace
