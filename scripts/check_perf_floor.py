@@ -50,22 +50,28 @@ FLOORS = {
     # bench_parallel_engine compares the sharded engine against serial on
     # a dense leaf-spine.  The unconditional floors are sanity tripwires:
     # the engine must still move events, and 8-way sharding must never be
-    # slower than serial (even one core gains ~1.5-2x from the smaller
-    # per-shard calendars).  The real 2.5x speedup target is hardware-
-    # gated below.
+    # slower than serial (more shards than cores interleave on the cores
+    # there are, and the per-window barrier costs far less than a
+    # serial run's work).  The real speedup targets are hardware-gated
+    # below.
     "bench_parallel_engine": {
         "events_per_sec": 1.0e5,
         "speedup_shards8": 1.0,
     },
 }
 
-# Hardware-gated floors: bench -> (gate metric, gate minimum, floors).
-# Applied only when the artifact's derived[gate metric] >= gate minimum,
-# so a single-core container is not asked to demonstrate parallel
-# speedup it physically cannot express.  bench_parallel_engine's target:
-# >= 2.5x at 8 shards on any machine with 8 hardware threads.
+# Hardware-gated floors: bench -> list of (gate metric, gate minimum,
+# floors).  Each gate applies only when the artifact's
+# derived[gate metric] >= its minimum, so a single-core container is not
+# asked to demonstrate parallel speedup it physically cannot express.
+# bench_parallel_engine's targets: >= 1.5x at 4 shards on any machine
+# with 4 hardware threads (the common CI runner size), and >= 2.5x at
+# 8 shards with 8.
 HARDWARE_FLOORS = {
-    "bench_parallel_engine": ("hardware_threads", 8, {"speedup_shards8": 2.5}),
+    "bench_parallel_engine": [
+        ("hardware_threads", 4, {"speedup_shards4": 1.5}),
+        ("hardware_threads", 8, {"speedup_shards8": 2.5}),
+    ],
 }
 
 
@@ -90,9 +96,9 @@ def main(argv: list[str]) -> int:
             floors = FLOORS.get(report.get("bench", ""), DEFAULT_FLOORS)
         derived = report.get("derived", {})
         if override is None:
-            gate = HARDWARE_FLOORS.get(report.get("bench", ""))
-            if gate is not None:
-                gate_metric, gate_min, extra = gate
+            for gate_metric, gate_min, extra in HARDWARE_FLOORS.get(
+                report.get("bench", ""), []
+            ):
                 if derived.get(gate_metric, 0) >= gate_min:
                     floors = {**floors, **extra}
                 else:
@@ -108,12 +114,12 @@ def main(argv: list[str]) -> int:
                 failures += 1
             elif rate < floor:
                 print(
-                    f"{path}: {metric} {rate:.0f} below floor {floor:.0f}",
+                    f"{path}: {metric} {rate:g} below floor {floor:g}",
                     file=sys.stderr,
                 )
                 failures += 1
             else:
-                print(f"{path}: {metric} {rate:.0f} >= floor {floor:.0f}")
+                print(f"{path}: {metric} {rate:g} >= floor {floor:g}")
     return 1 if failures else 0
 
 

@@ -6,7 +6,7 @@ Reads a fresh BENCH_scalability JSON (written by
 baseline event rate and the resulting speedup, and writes the combined
 report as a schema-v1 BENCH_event_kernel.json.  The committed copy at
 results/BENCH_event_kernel.json is the before/after record of the event
-kernel rework (InlineAction + bucketed calendar queue; DESIGN.md
+kernel rework (InlineAction + calendar queue; DESIGN.md
 section 11).
 
 Usage:

@@ -1,57 +1,17 @@
-// Two-tier bucketed calendar queue: the simulator's event calendar.
+// The simulator's event calendar: a keyed 4-ary min-heap.
 //
-// The classic DES answer (Brown's calendar queue) to a priority queue
-// whose keys are near-monotone timestamps.  Simulated time is integer
-// nanoseconds, so bucketing is a shift: bucket widths are powers of two
-// of the Time base and an event's window is time.ns() >> width_shift.
+// pop_min() returns the pending event with the smallest (time, seq), so
+// the pop order is a total order fixed by the event sequence alone and
+// runs are bit-identical however the events were filed.
 //
-//   near tier   a ring of `bucket_count` consecutive aligned windows
-//               starting at the cursor window; each bucket is a small
-//               UNSORTED vector.  Push appends; pop scans the bucket's
-//               (time, seq) keys for the exact minimum and swap-removes
-//               it.  With the lazy resize keeping buckets a handful of
-//               events deep, the scan is a few key compares while every
-//               event is moved O(1) times — cheaper than heap sifts,
-//               which move the full event record O(log k) times.  A
-//               64-bit occupancy bitmap skips empty buckets without
-//               touching their cache lines.
-//   far tier    one flat min-heap holding everything beyond the ring's
-//               horizon; events migrate into the ring lazily as the
-//               cursor approaches their window.
-//
-// Determinism: pop_min() always returns the pending event with the
-// smallest (time, seq) — exactly the order the previous binary-heap
-// calendar produced — so runs are bit-identical to the seed
-// implementation.  The contract that makes the ring cheap is the
-// simulator's own: pushed times never precede the last popped time
-// (Simulator::at rejects scheduling in the past).  Pushes below the
-// cursor window (possible after run_until() advanced the clock past
-// every pending event) take a rare rebuild path instead of corrupting
-// the ring.
-//
-// Lazy resize, two levers: when ring occupancy outgrows kMaxAvgPerBucket
-// the bucket count doubles (up to kMaxBucketCountLog2), and when a push
-// lands in a bucket deeper than kMaxBucketDepth the window width narrows
-// (distinct times then hash to distinct windows), each re-filing the
-// ring.  Both are deterministic functions of the event sequence, so
-// identical runs resize identically; neither changes pop order.
-//
-// Batched same-bucket dispatch: popping from a bucket of depth k used to
-// re-scan the bucket's keys (and the occupancy bitmap) on every pop —
-// O(k) per event, O(k^2) to empty the bucket.  Instead, the first pop
-// from a multi-event bucket drains the WHOLE bucket into a reusable
-// scratch vector, sorts a compact (time, seq, index) key array once, and
-// subsequent pops hand out events in key order at O(1) each.  Pushes
-// that land inside the drained window while the batch is live (an event
-// at `now` scheduling another a few ns out) are spliced into the key
-// array at their sorted position, so pop order remains exactly the
-// global (time, seq) minimum — bit-identical to the unbatched calendar.
-// Shallow buckets (< kBatchMinDepth) bypass the batch and keep the
-// direct pop path: for a couple of events the min scan is cheaper than
-// moving them all into the scratch.
+// The heap orders 24-byte keys (time, seq, slot); each event's action
+// (an InlineAction, most of the event record) sits still in a slab at
+// `slot`, so a sift moves keys and never actions.  Freed slots go on a
+// LIFO free list and are reused before the slab grows.  Heap, slab and
+// free list keep their capacity, so once the calendar has reached its
+// high-water depth push and pop allocate nothing.
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -73,302 +33,73 @@ class CalendarQueue {
     InlineAction action;
   };
 
-  /// Default bucket width 2^13 ns (~8.2 us) x 256 buckets: a ~2.1 ms
-  /// near horizon, a few packet times wide per bucket at the paper's
-  /// link rates.  The lazy resize handles denser calendars.
-  static constexpr int kDefaultWidthShift = 13;
-  static constexpr std::size_t kDefaultBucketCountLog2 = 8;
-  static constexpr std::size_t kMaxBucketCountLog2 = 16;
-  /// Ring occupancy (events per bucket, on average) that triggers a
-  /// bucket-count doubling.
-  static constexpr std::size_t kMaxAvgPerBucket = 8;
-  /// Single-bucket depth that triggers a width narrowing: beyond this
-  /// the pop-side min scan costs more than re-filing amortizes to.
-  static constexpr std::size_t kMaxBucketDepth = 12;
-  /// How much one narrowing divides the window width by (2^2 = 4x).
-  static constexpr int kWidthShrinkStep = 2;
-  /// Buckets at least this deep drain into the sorted batch; shallower
-  /// ones pop directly (the min scan is a couple of compares, cheaper
-  /// than moving every event into the scratch and sorting).
-  static constexpr std::size_t kBatchMinDepth = 5;
+  [[nodiscard]] bool empty() const { return keys_.empty(); }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
 
-  explicit CalendarQueue(int width_shift = kDefaultWidthShift,
-                         std::size_t bucket_count_log2 = kDefaultBucketCountLog2);
-
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  /// Files an event.  `time` must not precede the last popped event's
-  /// time (the simulator's no-scheduling-in-the-past contract); later
-  /// than-cursor times are always fine, including far-future ones.
-  /// Defined inline below: one push runs per simulated event, and the
-  /// ring append is a handful of instructions once visible to the caller.
-  void push(Event event);
+  /// Files an event.  Any time is accepted; the simulator itself never
+  /// files one before the last popped event's time.
+  BUFQ_HOT void push(Event event) {
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(actions_.size());
+      BUFQ_LINT_SUPPRESS("hot-path-container-growth", "the slab keeps its capacity; steady state reuses freed slots");
+      actions_.push_back(std::move(event.action));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      actions_[slot] = std::move(event.action);
+    }
+    keys_.push(Key{event.time, event.seq, slot});
+  }
 
   /// Timestamp of the pending event with the smallest (time, seq).
-  /// Requires a non-empty calendar.  Does not mutate cursor state.
-  [[nodiscard]] Time min_time() const;
+  /// Requires a non-empty calendar.
+  [[nodiscard]] Time min_time() const { return keys_.top().time; }
+
+  /// Pops the pending event with the smallest (time, seq) into `out`
+  /// when its time is <= `limit`; otherwise returns false and leaves the
+  /// calendar untouched.
+  BUFQ_HOT bool pop_min_at_or_before(Time limit, Event& out) {
+    if (keys_.empty() || keys_.top().time > limit) return false;
+    const Key key = keys_.pop();
+    out.time = key.time;
+    out.seq = key.seq;
+    out.action = std::move(actions_[key.slot]);
+    BUFQ_LINT_SUPPRESS("hot-path-container-growth", "the free list keeps its capacity; it never outgrows the slab");
+    free_slots_.push_back(key.slot);
+    return true;
+  }
 
   /// Removes and returns the pending event with the smallest
   /// (time, seq).  Requires a non-empty calendar.
-  Event pop_min();
-
-  /// pop_min() fused with the time test: pops only when the minimum's
-  /// timestamp is <= `limit` (else leaves the calendar unchanged and
-  /// returns false).  Saves run-until loops a second scan per event.
-  bool pop_min_at_or_before(Time limit, Event& out);
-
-  /// Current bucket count (tests observe the lazy resize).
-  [[nodiscard]] std::size_t bucket_count() const {
-    return std::size_t{1} << bucket_count_log2_;
+  BUFQ_HOT Event pop_min() {
+    assert(!empty());
+    Event out;
+    pop_min_at_or_before(Time::max(), out);
+    return out;
   }
 
-  /// Current window width as a shift (tests observe the narrowing).
-  [[nodiscard]] int width_shift() const { return width_shift_; }
+  /// A heap has no bucket geometry: these constants exist only because
+  /// perfbench's calendar probe reads them.
+  [[nodiscard]] int width_shift() const { return 0; }
+  [[nodiscard]] std::size_t bucket_count() const { return 1; }
 
  private:
-  struct EarlierEvent {
-    bool operator()(const Event& a, const Event& b) const {
+  struct Key {
+    Time time;
+    std::uint64_t seq;
+    std::uint32_t slot;  ///< Index of the event's action in actions_.
+  };
+  struct EarlierKey {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time < b.time;
       return a.seq < b.seq;
     }
   };
-  using Bucket = std::vector<Event>;
 
-  /// Index of the event with the smallest (time, seq) in a non-empty
-  /// unsorted bucket.
-  BUFQ_HOT [[nodiscard]] static std::size_t min_index(const Bucket& bucket) {
-    assert(!bucket.empty());
-    const EarlierEvent earlier{};
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < bucket.size(); ++i) {
-      if (earlier(bucket[i], bucket[best])) best = i;
-    }
-    return best;
-  }
-
-  [[nodiscard]] std::int64_t window_of(Time t) const { return t.ns() >> width_shift_; }
-  [[nodiscard]] std::size_t index_of(std::int64_t window) const {
-    return static_cast<std::size_t>(window) & (bucket_count() - 1);
-  }
-  [[nodiscard]] std::int64_t horizon() const {
-    return cursor_window_ + static_cast<std::int64_t>(bucket_count());
-  }
-
-  BUFQ_HOT void file_into_ring(Event event, std::int64_t window) {
-    assert(window >= cursor_window_ && window < horizon());
-    const std::size_t idx = index_of(window);
-    BUFQ_LINT_SUPPRESS("hot-path-container-growth", "buckets keep their capacity across pops; steady-state appends reuse it");
-    buckets_[idx].push_back(std::move(event));
-    occupancy_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    ++ring_size_;
-  }
-  /// Moves far-tier events whose window entered the ring's horizon into
-  /// their buckets.
-  BUFQ_HOT void drain_overflow() {
-    while (!overflow_.empty()) {
-      const std::int64_t w = window_of(overflow_.top().time);
-      if (w >= horizon()) break;
-      file_into_ring(overflow_.pop(), w);
-    }
-  }
-  /// First non-empty ring window at or after `cursor_window_`, found by
-  /// scanning the occupancy bitmap; requires ring_size_ > 0.
-  BUFQ_HOT [[nodiscard]] std::int64_t first_occupied_window() const {
-    assert(ring_size_ > 0);
-    const std::size_t n = bucket_count();
-    const std::size_t start = index_of(cursor_window_);
-    const std::size_t words = occupancy_.size();
-    std::size_t word = start >> 6;
-    // First word masked to bits at or after the cursor; the wrap-around
-    // revisit of this word at the end of the scan sees the full word.
-    std::uint64_t bits = occupancy_[word] & (~std::uint64_t{0} << (start & 63));
-    for (std::size_t i = 0; i <= words; ++i) {
-      if (bits != 0) {
-        const std::size_t idx =
-            (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        const std::size_t dist = (idx - start) & (n - 1);
-        return cursor_window_ + static_cast<std::int64_t>(dist);
-      }
-      word = word + 1 == words ? 0 : word + 1;
-      bits = occupancy_[word];
-    }
-    assert(false && "occupancy bitmap disagrees with ring_size_");
-    return cursor_window_;
-  }
-  /// Sorted-batch bookkeeping: a live batch is the drained contents of
-  /// the cursor bucket, handed out through `batch_keys_` in (time, seq)
-  /// order.  A batch is live iff batch_end_ns_ >= 0.
-  struct BatchKey {
-    Time time;
-    std::uint64_t seq;
-    std::uint32_t slot;  ///< Index of the event in batch_.
-  };
-
-  /// batch_end_ns_ doubles as the liveness flag (-1 when no batch), so
-  /// the per-event checks in push()/pop are one register compare.
-  [[nodiscard]] bool batch_live() const { return batch_end_ns_ >= 0; }
-
-  /// Drains the bucket at ring index `idx` (window `w`) into the batch
-  /// scratch and sorts the key array — but only after confirming the
-  /// bucket's minimum is <= `limit`, so a false return leaves the
-  /// calendar untouched (the pop_min_at_or_before contract).  The
-  /// limit pre-check also guarantees the caller pops the batch head
-  /// immediately, which pins `now` at or past the batch window: no
-  /// later push can land below the cursor while the batch is live, so
-  /// rebuild_at() can never run under a live batch.
-  bool begin_batch(std::size_t idx, std::int64_t w, Time limit);
-
-  /// Files a push that lands inside the live batch's window at its
-  /// sorted position in the key array.  The new event carries the
-  /// largest seq yet issued, so it sorts after every equal-time key:
-  /// scan from the back comparing times only (almost always an append).
-  BUFQ_HOT void splice_into_batch(Event event) {
-    const auto slot = static_cast<std::uint32_t>(batch_.size());
-    const BatchKey key{event.time, event.seq, slot};
-    BUFQ_LINT_SUPPRESS("hot-path-container-growth", "batch scratch keeps its capacity across batches; steady-state appends reuse it");
-    batch_.push_back(std::move(event));
-    std::size_t at = batch_keys_.size();
-    while (at > batch_pos_ && key.time < batch_keys_[at - 1].time) --at;
-    BUFQ_LINT_SUPPRESS("hot-path-container-growth", "key splice reuses batch scratch capacity; insertion point is almost always the back");
-    batch_keys_.insert(batch_keys_.begin() + static_cast<std::ptrdiff_t>(at), key);
-  }
-
-  /// Re-files every ring event with the cursor moved to `window`
-  /// (rare: only pushes below the cursor window and width changes need
-  /// it).
-  void rebuild_at(std::int64_t window);
-  /// Doubles the bucket count and re-files the ring.
-  void grow();
-  /// Divides the window width by 2^kWidthShrinkStep and re-files the
-  /// ring, splitting clustered buckets whose events have distinct times.
-  void narrow();
-
-  std::vector<Bucket> buckets_;
-  /// One bit per bucket, indexed like buckets_.
-  std::vector<std::uint64_t> occupancy_;
-  DaryMinHeap<Event, 4, EarlierEvent> overflow_;
-  int width_shift_;
-  std::size_t bucket_count_log2_;
-  /// Window of the last popped event (or of the ring's base after a
-  /// rebuild); every pending event's window is >= this.
-  std::int64_t cursor_window_{0};
-  std::size_t ring_size_{0};
-  std::size_t size_{0};
-  /// Batch scratch (drained cursor bucket).  Events stay put; the key
-  /// array is what stays sorted.  Both vectors keep their capacity
-  /// across batches so steady state allocates nothing.
-  std::vector<Event> batch_;
-  std::vector<BatchKey> batch_keys_;
-  std::size_t batch_pos_{0};
-  /// Last nanosecond covered by the live batch's window (absolute, so
-  /// a later narrow()'s shift change cannot skew it), or -1 when no
-  /// batch is live — the batch_live() flag itself.
-  std::int64_t batch_end_ns_{-1};
+  DaryMinHeap<Key, 4, EarlierKey> keys_;
+  std::vector<InlineAction> actions_;
+  std::vector<std::uint32_t> free_slots_;
 };
-
-// The per-event operations are defined here, out of line but in the
-// header: the event loop calls each exactly once per simulated event,
-// and having the ring append / bitmap scan visible at the call site is
-// worth measurably more than a compact translation unit.  The rare
-// paths (rebuild_at, narrow, grow) stay in calendar_queue.cpp.
-
-BUFQ_HOT inline void CalendarQueue::push(Event event) {
-  // batch_end_ns_ is -1 with no live batch and times are non-negative,
-  // so this one compare is also the liveness check.
-  if (event.time.ns() <= batch_end_ns_) {
-    // The event lands inside the drained window: every other pending
-    // event is strictly later, so it belongs in the live batch.
-    splice_into_batch(std::move(event));
-    ++size_;
-    return;
-  }
-  const std::int64_t w = window_of(event.time);
-  if (size_ == 0) {
-    // Empty calendar: re-anchor the ring at the new event so the first
-    // pop never scans a stale cursor position.
-    cursor_window_ = w;
-  } else if (w < cursor_window_) {
-    // Below the cursor window.  Legal only when the clock itself is
-    // below the cursor (run_until() advanced `now` past every pending
-    // event, then something scheduled close to `now`); rare, so re-file
-    // the ring at the earlier anchor rather than complicating the ring
-    // indexing for it.
-    rebuild_at(w);
-  }
-  ++size_;
-  if (w >= horizon()) {
-    overflow_.push(std::move(event));
-    return;
-  }
-  const std::size_t depth = buckets_[index_of(w)].size();
-  file_into_ring(std::move(event), w);
-  if (depth >= kMaxBucketDepth && width_shift_ > 0) {
-    // One bucket is hogging events: distinct times split apart under a
-    // narrower window, and a bucket of same-time events stops re-firing
-    // this once width_shift_ bottoms out.
-    narrow();
-  } else if (ring_size_ > (kMaxAvgPerBucket << bucket_count_log2_) &&
-             bucket_count_log2_ < kMaxBucketCountLog2) {
-    grow();
-  }
-}
-
-BUFQ_HOT inline bool CalendarQueue::pop_min_at_or_before(Time limit, Event& out) {
-  if (!batch_live()) {
-    if (size_ == 0) return false;
-    if (!overflow_.empty()) {
-      drain_overflow();
-      if (ring_size_ == 0) {
-        // Ring exhausted: jump the cursor to the far tier's earliest
-        // window and pull its near future in.
-        cursor_window_ = window_of(overflow_.top().time);
-        drain_overflow();
-      }
-    }
-    // After the drain every far-tier window is >= the horizon, so the
-    // ring's minimum is the global one (equal times share a window).
-    const std::int64_t w = first_occupied_window();
-    const std::size_t idx = index_of(w);
-    Bucket& bucket = buckets_[idx];
-    if (bucket.size() < kBatchMinDepth) {
-      // Shallow bucket (the sparse-calendar common case): pop directly,
-      // no batch bookkeeping.
-      const std::size_t at = min_index(bucket);
-      if (bucket[at].time > limit) return false;
-      cursor_window_ = w;
-      out = std::move(bucket[at]);
-      if (at + 1 != bucket.size()) bucket[at] = std::move(bucket.back());
-      bucket.pop_back();
-      if (bucket.empty()) occupancy_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-      --ring_size_;
-      --size_;
-      return true;
-    }
-    if (!begin_batch(idx, w, limit)) return false;
-  }
-  // Live batch: its head is the global (time, seq) minimum — every
-  // non-batch pending event is beyond batch_end_ns_.
-  const BatchKey& key = batch_keys_[batch_pos_];
-  if (key.time > limit) return false;
-  out = std::move(batch_[key.slot]);
-  if (++batch_pos_ == batch_keys_.size()) {
-    // clear() keeps capacity: steady state reuses the scratch.
-    batch_.clear();
-    batch_keys_.clear();
-    batch_pos_ = 0;
-    batch_end_ns_ = -1;
-  }
-  --size_;
-  return true;
-}
-
-BUFQ_HOT inline CalendarQueue::Event CalendarQueue::pop_min() {
-  assert(size_ > 0);
-  Event out;
-  [[maybe_unused]] const bool popped = pop_min_at_or_before(Time::max(), out);
-  assert(popped);
-  return out;
-}
 
 }  // namespace bufq

@@ -13,7 +13,7 @@
 //
 // Trivially-copyable callables (the common [this]-capture case) are
 // relocated with memcpy and need no destructor call, which keeps moves
-// inside the calendar's buckets branch-cheap.
+// inside the calendar's slab branch-cheap.
 #pragma once
 
 #include <cassert>

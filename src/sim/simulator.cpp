@@ -1,7 +1,5 @@
 #include "sim/simulator.h"
 
-#include <bit>
-
 #include "sim/checkpoint.h"
 
 namespace bufq {
@@ -18,8 +16,6 @@ void Simulator::save_state(CheckpointWriter& w) const {
   w.write_u64(next_seq_);
   w.write_u64(processed_);
   w.write_bool(stopped_);
-  w.write_u32(static_cast<std::uint32_t>(calendar_.width_shift()));
-  w.write_u32(static_cast<std::uint32_t>(std::countr_zero(calendar_.bucket_count())));
   w.write_u64(calendar_.size());
   w.end_section();
 }
@@ -30,14 +26,9 @@ std::uint64_t Simulator::restore_state(CheckpointReader& r) {
   const std::uint64_t next_seq = r.read_u64();
   const std::uint64_t processed = r.read_u64();
   const bool stopped = r.read_bool();
-  const auto width_shift = static_cast<int>(r.read_u32());
-  const auto bucket_count_log2 = static_cast<std::size_t>(r.read_u32());
   const std::uint64_t pending = r.read_u64();
   r.end_section();
-  // Rebuilding the calendar with the checkpointed geometry matters for
-  // exactness of later *state digests* (grow/narrow points), not pop
-  // order — pop order is geometry-independent by contract.
-  calendar_ = CalendarQueue{width_shift, bucket_count_log2};
+  calendar_ = CalendarQueue{};
   now_ = now;
   next_seq_ = next_seq;
   processed_ = processed;

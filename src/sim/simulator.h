@@ -8,12 +8,12 @@
 //
 // The hot path is allocation-free: actions are InlineActions (captures
 // up to 48 bytes live inside the event record, see inline_action.h) and
-// the calendar is a two-tier bucketed calendar queue (calendar_queue.h)
-// that pops the exact (time, seq) minimum without heap churn, so the
-// steady-state event loop performs zero heap allocations.  Schedule and
-// dispatch are defined inline below — each runs once per simulated
-// event, and fusing them with the calendar's inline fast paths removes
-// a cross-TU call and an event-record move per hop.
+// the calendar is a keyed 4-ary heap (calendar_queue.h) that pops the
+// exact (time, seq) minimum and reuses its storage, so the steady-state
+// event loop performs zero heap allocations.  Schedule and dispatch are
+// defined inline below — each runs once per simulated event, and
+// inlining them with the calendar's push and pop removes a cross-TU
+// call per hop.
 #pragma once
 
 #include <cassert>
@@ -94,8 +94,6 @@ class Simulator {
   BUFQ_HOT void run_until(Time t) {
     assert(t >= now_);
     CalendarQueue::Event ev;
-    // The fused pop avoids scanning the calendar once for min_time() and
-    // again for the pop on every iteration.
     while (!stopped_ && calendar_.pop_min_at_or_before(t, ev)) {
       dispatch(ev);
     }
@@ -150,11 +148,11 @@ class Simulator {
   [[nodiscard]] std::size_t events_pending() const { return calendar_.size(); }
 
   /// Checkpointable: serializes clock, sequence counter, lifetime event
-  /// count and calendar geometry plus the pending-event count.  The
-  /// calendar's *contents* are not serialized — InlineActions cannot be;
-  /// each component re-arms its own events via rearm() — so restore_state
-  /// returns the expected pending count for the engine to verify once
-  /// every component has restored.
+  /// count and the pending-event count.  The calendar's *contents* are
+  /// not serialized — InlineActions cannot be; each component re-arms its
+  /// own events via rearm() — so restore_state returns the expected
+  /// pending count for the engine to verify once every component has
+  /// restored.
   void save_state(CheckpointWriter& w) const;
   [[nodiscard]] std::uint64_t restore_state(CheckpointReader& r);
 

@@ -20,26 +20,24 @@ CalendarQueue::Event make_event(std::int64_t ns, std::uint64_t seq) {
   return CalendarQueue::Event{Time::nanoseconds(ns), seq, InlineAction{}};
 }
 
-// Equal timestamps must pop in push (sequence) order even when the
-// burst of ties straddles every structural boundary the queue has:
-// bucket-edge timestamps, neighbouring windows, and the resize rebuilds
-// a deep same-time bucket triggers.
+// Equal timestamps must pop in push (sequence) order, however the ties
+// are interleaved with neighbouring times, and a deep same-time pile
+// must come out in push order too.
 TEST(CalendarQueueTest, EqualTimestampFifoAcrossBucketBoundaries) {
-  CalendarQueue q{/*width_shift=*/4, /*bucket_count_log2=*/3};  // 16ns x 8 buckets
+  CalendarQueue q;
   std::uint64_t seq = 0;
   std::vector<std::pair<std::int64_t, std::uint64_t>> expected;
-  // Ties exactly on a bucket edge (32 = 2 * 16ns), just before it, and
-  // in the next window, interleaved so the per-bucket vectors are
-  // unsorted.
-  for (const std::int64_t ns : {32, 31, 32, 33, 31, 32, 48, 33, 32, 31, 48, 32}) {
+  // Ties on 8192 ns (the old calendar's first bucket edge), just before
+  // it and just after it, interleaved so no push order matches the pop
+  // order.
+  for (const std::int64_t ns : {8192, 8191, 8192, 8193, 8191, 8192, 8208, 8193, 8192, 8191,
+                                8208, 8192}) {
     expected.emplace_back(ns, seq);
     q.push(make_event(ns, seq++));
   }
-  // A same-time pile deep enough to trigger the width narrowing (the
-  // rebuild must not reorder the ties).
   for (int i = 0; i < 20; ++i) {
-    expected.emplace_back(64, seq);
-    q.push(make_event(64, seq++));
+    expected.emplace_back(16384, seq);
+    q.push(make_event(16384, seq++));
   }
   std::sort(expected.begin(), expected.end());
   for (const auto& [ns, s] : expected) {
@@ -50,37 +48,13 @@ TEST(CalendarQueueTest, EqualTimestampFifoAcrossBucketBoundaries) {
   EXPECT_TRUE(q.empty());
 }
 
-// The two lazy-resize levers are observable: pushing past the average
-// depth doubles the bucket count, and piling events into one window
-// narrows the width.
-TEST(CalendarQueueTest, LazyResizeGrowsBucketCountAndNarrowsWidth) {
-  {
-    CalendarQueue q{/*width_shift=*/0, /*bucket_count_log2=*/3};
-    const std::size_t before = q.bucket_count();
-    // All times inside the initial 8-window horizon (beyond-horizon
-    // events would sit in the far tier and never pressure the ring);
-    // width 0 cannot narrow, so occupancy must double the bucket count.
-    for (std::int64_t i = 0; i < 200; ++i) {
-      q.push(make_event(i % 8, static_cast<std::uint64_t>(i)));
-    }
-    EXPECT_GT(q.bucket_count(), before);
-    EXPECT_EQ(q.width_shift(), 0);
-  }
-  {
-    CalendarQueue q{/*width_shift=*/10, /*bucket_count_log2=*/3};
-    // Distinct times, one 1024ns window: depth alone must narrow the width.
-    for (std::int64_t i = 0; i < 20; ++i) q.push(make_event(i, static_cast<std::uint64_t>(i)));
-    EXPECT_LT(q.width_shift(), 10);
-  }
-}
-
 // run_until() landing exactly on a bucket-edge timestamp processes that
 // timestamp (<= horizon), leaves strictly later events pending, and
 // parks the clock on the horizon.
 TEST(CalendarQueueTest, RunUntilExactlyOnBucketEdge) {
   Simulator sim;
-  // Default width is 2^13 ns, so 8192 is the first bucket edge.
-  const std::int64_t edge = std::int64_t{1} << CalendarQueue::kDefaultWidthShift;
+  // 8192 ns was the first bucket edge of the old bucketed calendar.
+  const std::int64_t edge = 8192;
   std::vector<std::int64_t> fired;
   for (const std::int64_t ns : {edge - 1, edge, edge + 1}) {
     sim.at(Time::nanoseconds(ns), [&fired, ns] { fired.push_back(ns); });
@@ -93,12 +67,12 @@ TEST(CalendarQueueTest, RunUntilExactlyOnBucketEdge) {
   EXPECT_EQ(fired.size(), 3u);
 }
 
-// stop() inside an event ends the run with the rest of the bucket still
+// stop() inside an event ends the run with the later events still
 // pending; a later run() resumes from exactly where it left off.
 TEST(CalendarQueueTest, StopAndResumeMidBucket) {
   Simulator sim;
   std::vector<int> fired;
-  // All three land in the same default-width bucket (window 0).
+  // All three within 300 ns of each other.
   sim.at(Time::nanoseconds(100), [&fired] { fired.push_back(1); });
   sim.at(Time::nanoseconds(200), [&] {
     fired.push_back(2);
@@ -115,7 +89,7 @@ TEST(CalendarQueueTest, StopAndResumeMidBucket) {
 }
 
 // The same holds for run_until: a stop mid-horizon must not advance the
-// clock to the horizon, and the next run_until picks the bucket back up.
+// clock to the horizon, and the next run_until picks the rest back up.
 TEST(CalendarQueueTest, StopDoesNotAdvanceRunUntilHorizon) {
   Simulator sim;
   int fired = 0;
@@ -132,56 +106,98 @@ TEST(CalendarQueueTest, StopDoesNotAdvanceRunUntilHorizon) {
   EXPECT_EQ(sim.now().ns(), 1000);
 }
 
-// Differential check against a reference heap ordered by (time, seq):
-// one million operations of near-monotone pushes (never before the last
-// popped time, matching the simulator's contract) interleaved with
-// pops, across configurations that exercise the default geometry, a
-// tiny ring that forces constant far-tier traffic, and a zero-width
-// ring where every distinct time is its own window.
+// Differential fuzz against a reference heap ordered by (time, seq):
+// one million operations of pushes (never before the last popped time,
+// the simulator's contract) interleaved with pops, across four gap
+// mixes.  Every pushed action records its own seq when run, so a pop
+// that returned the right key with another event's action fails too.
+// Some pops go through pop_min_at_or_before, first with a limit just
+// below the minimum (it must refuse and leave the calendar as it was).
 TEST(CalendarQueueTest, MatchesReferenceHeapOverRandomizedWorkload) {
-  struct Config {
-    int width_shift;
-    std::size_t bucket_count_log2;
+  enum class Gaps {
+    kMixedHorizon,  // mostly near ties, a tail out to 5 ms
+    kBimodal,       // ~1 us transmissions and 1 ms wires, the fabric shape
+    kTiePiles,      // piles of 10^3 events on one timestamp
+    kFarFuture,     // most events up to a simulated second out
+  };
+  struct Mix {
+    Gaps gaps;
     std::uint64_t seed;
   };
-  const Config configs[] = {
-      {CalendarQueue::kDefaultWidthShift, CalendarQueue::kDefaultBucketCountLog2, 1},
-      {2, 3, 2},   // 4ns x 8 buckets: 32ns horizon, heavy overflow churn
-      {0, 4, 3},   // width 1ns: rebase + drain dominate
-      {20, 6, 4},  // ~1ms windows: everything piles into few buckets
+  const Mix mixes[] = {
+      {Gaps::kMixedHorizon, 1},
+      {Gaps::kBimodal, 2},
+      {Gaps::kTiePiles, 3},
+      {Gaps::kFarFuture, 4},
   };
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
-  for (const Config& config : configs) {
-    CalendarQueue q{config.width_shift, config.bucket_count_log2};
+  for (const Mix& mix : mixes) {
+    SCOPED_TRACE(static_cast<int>(mix.gaps));
+    CalendarQueue q;
     std::priority_queue<Key, std::vector<Key>, std::greater<>> reference;
-    Rng rng{config.seed};
+    std::vector<std::uint64_t> ran;  // seqs of the actions run, in order
+    Rng rng{mix.seed};
     std::uint64_t seq = 0;
     std::int64_t last_popped = 0;
-    constexpr std::size_t kOps = 250'000;  // x4 configs = 1M operations
+    std::int64_t pile_time = 0;
+    std::size_t pile_left = 0;
+    const auto next_time = [&]() -> std::int64_t {
+      const auto uniform = [&rng](std::int64_t n) {
+        return static_cast<std::int64_t>(rng.uniform_u64(static_cast<std::uint64_t>(n)));
+      };
+      switch (mix.gaps) {
+        case Gaps::kMixedHorizon: {
+          const std::uint64_t kind = rng.uniform_u64(100);
+          if (kind < 60) return last_popped + uniform(64);  // incl. ties
+          if (kind < 95) return last_popped + uniform(10'000);
+          return last_popped + uniform(5'000'000);
+        }
+        case Gaps::kBimodal:
+          return last_popped + 1 + uniform(2'000) + (rng.bernoulli(0.5) ? 1'000'000 : 0);
+        case Gaps::kTiePiles:
+          if (pile_left == 0) {
+            pile_time = last_popped + uniform(10'000);
+            pile_left = 1'000;
+          }
+          --pile_left;
+          // Pops may have moved past a pile that is still filling.
+          return std::max(pile_time, last_popped);
+        case Gaps::kFarFuture:
+          return last_popped + (rng.uniform_u64(100) < 80 ? uniform(1'000'000'000) : uniform(64));
+      }
+      return last_popped;
+    };
+    const auto check_pop = [&](CalendarQueue::Event& ev, const Key& expected) {
+      ASSERT_EQ(ev.time.ns(), expected.first);
+      ASSERT_EQ(ev.seq, expected.second);
+      const std::size_t before = ran.size();
+      ev.action();
+      ASSERT_EQ(ran.size(), before + 1);
+      ASSERT_EQ(ran.back(), expected.second);
+    };
+    constexpr std::size_t kOps = 250'000;  // x4 mixes = 1M operations
     for (std::size_t op = 0; op < kOps; ++op) {
       const bool push = reference.empty() || rng.uniform_u64(100) < 55;
       if (push) {
-        // Mixed horizons: mostly near-future, a tail of far-future times
-        // that must detour through the overflow tier.
-        const std::uint64_t kind = rng.uniform_u64(100);
-        std::int64_t delta;
-        if (kind < 60) {
-          delta = static_cast<std::int64_t>(rng.uniform_u64(64));  // incl. ties
-        } else if (kind < 95) {
-          delta = static_cast<std::int64_t>(rng.uniform_u64(10'000));
-        } else {
-          delta = static_cast<std::int64_t>(rng.uniform_u64(5'000'000));
-        }
-        q.push(make_event(last_popped + delta, seq));
-        reference.emplace(last_popped + delta, seq);
-        ++seq;
+        const std::int64_t t = next_time();
+        const std::uint64_t s = seq++;
+        q.push(CalendarQueue::Event{Time::nanoseconds(t), s,
+                                    InlineAction{[&ran, s] { ran.push_back(s); }}});
+        reference.emplace(t, s);
       } else {
         const Key expected = reference.top();
         reference.pop();
         ASSERT_EQ(q.min_time().ns(), expected.first);
-        const CalendarQueue::Event ev = q.pop_min();
-        ASSERT_EQ(ev.time.ns(), expected.first);
-        ASSERT_EQ(ev.seq, expected.second);
+        CalendarQueue::Event ev;
+        if (rng.uniform_u64(4) == 0) {
+          ASSERT_FALSE(q.pop_min_at_or_before(Time::nanoseconds(expected.first - 1), ev));
+          ASSERT_EQ(q.size(), reference.size() + 1);
+          ASSERT_EQ(q.min_time().ns(), expected.first);
+          ASSERT_TRUE(q.pop_min_at_or_before(Time::nanoseconds(expected.first), ev));
+        } else {
+          ev = q.pop_min();
+        }
+        ASSERT_NO_FATAL_FAILURE(check_pop(ev, expected));
         last_popped = expected.first;
       }
       ASSERT_EQ(q.size(), reference.size());
@@ -189,11 +205,11 @@ TEST(CalendarQueueTest, MatchesReferenceHeapOverRandomizedWorkload) {
     while (!reference.empty()) {
       const Key expected = reference.top();
       reference.pop();
-      const CalendarQueue::Event ev = q.pop_min();
-      ASSERT_EQ(ev.time.ns(), expected.first);
-      ASSERT_EQ(ev.seq, expected.second);
+      CalendarQueue::Event ev = q.pop_min();
+      ASSERT_NO_FATAL_FAILURE(check_pop(ev, expected));
     }
     EXPECT_TRUE(q.empty());
+    EXPECT_EQ(ran.size(), seq);
   }
 }
 

@@ -1,6 +1,6 @@
 // Proves the event loop's zero-allocation contract (DESIGN.md section
-// 11): once a fixed event population has warmed the calendar up —
-// bucket vectors at their high-water capacity, lazy resizes settled —
+// 11): once a fixed event population has warmed the calendar up — key
+// heap, action slab and free-slot list at their high-water capacity —
 // scheduling and dispatching events touches the heap exactly never.
 //
 // Every form of the global allocation functions is replaced with a
@@ -59,14 +59,10 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace bufq {
 namespace {
 
-/// A periodic self-rescheduling event population.  The gaps are chosen
-/// so the workload is exactly periodic in calendar coordinates: every
-/// gap is a multiple of 1024 ns, so once the width adaptation bottoms
-/// out, tick times always map to the same buckets and every structure
-/// (bucket vectors, far-tier heap) reaches its high-water capacity
-/// during warmup.  A drifting (co-prime-gap) population would keep
-/// discovering new worst-case bucket alignments long after warmup and
-/// report those one-off capacity growths as steady-state allocations.
+/// A periodic self-rescheduling event population: every ticker keeps
+/// exactly one event pending, so the calendar's depth never exceeds the
+/// ticker count and its storage reaches its high-water capacity on the
+/// first round of ticks.
 struct Ticker {
   Simulator* sim{nullptr};
   Time gap{Time::zero()};
@@ -87,9 +83,8 @@ TEST(SimAllocTest, SteadyStateEventLoopIsAllocationFree) {
     tickers[i].arm();
   }
 
-  // Warmup: long enough for the calendar's lazy resizes to settle and
-  // every bucket vector to reach its high-water capacity (capacities
-  // survive pop_back, so steady state re-uses them).
+  // Warmup: every calendar vector reaches its high-water capacity
+  // (capacities survive pops, so steady state re-uses them).
   sim.run_until(Time::microseconds(2000));
   const std::uint64_t warmup_events = sim.events_processed();
   ASSERT_GT(warmup_events, 10'000u);
