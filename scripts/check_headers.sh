@@ -6,6 +6,11 @@
 # lands, with no list to update.  Run from anywhere; exits non-zero and
 # lists the offending headers if any are not self-sufficient.
 #
+# The same loop also fails any src/ header that nothing outside tests/
+# and its own .cpp includes: library code no shipped path reaches
+# belongs in tests/support/ (a test-only oracle) or nowhere.  Includers
+# are searched in src/, bench/, examples/, perfbench/ and tools/.
+#
 # Usage: scripts/check_headers.sh [compiler]   (default: c++)
 set -u
 
@@ -14,6 +19,7 @@ cxx="${1:-c++}"
 std="-std=c++20"
 
 failed=()
+unreached=()
 checked=0
 shim="$(mktemp --suffix=.cpp)"
 errlog="$(mktemp)"
@@ -34,10 +40,28 @@ while IFS= read -r header; do
     echo "FAIL: ${header#"$repo_root"/}"
     sed 's/^/    /' "$errlog"
   fi
+  case "$header" in
+    "$repo_root"/src/*)
+      own_cpp="${header%.h}.cpp"
+      if ! grep -rlF --include='*.h' --include='*.cpp' "#include \"$rel\"" \
+           "$repo_root/src" "$repo_root/bench" "$repo_root/examples" \
+           "$repo_root/perfbench" "$repo_root/tools" 2>/dev/null |
+           grep -qvxF "$own_cpp"; then
+        unreached+=("$header")
+        echo "UNREACHED: ${header#"$repo_root"/} has no includer outside tests/ and its own .cpp"
+      fi
+      ;;
+  esac
 done < <(find "$repo_root/src" "$repo_root/tools" -name '*.h' | sort)
 
+status=0
 if [ "${#failed[@]}" -ne 0 ]; then
   echo "${#failed[@]} of $checked headers are not self-sufficient."
-  exit 1
+  status=1
 fi
-echo "All $checked headers compile standalone."
+if [ "${#unreached[@]}" -ne 0 ]; then
+  echo "${#unreached[@]} src/ headers are reached only from tests/ or their own .cpp."
+  status=1
+fi
+[ "$status" -eq 0 ] || exit 1
+echo "All $checked headers compile standalone; every src/ header has a shipped includer."

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "check/invariants.h"
 #include "core/dynamic_threshold.h"
@@ -104,7 +105,8 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
   // scope's boundary sink, so transmission end hands the packet straight
   // to the channel with no calendar event — the receiving shard's
   // dispatch_external() supplies the arrival event instead.
-  link_port_.assign(topo.link_count(), {-1, 0});
+  // LinkId -> (node, port index) of the OutputPort serving it.
+  std::vector<std::pair<NodeId, std::size_t>> link_port(topo.link_count(), {-1, 0});
   for (std::size_t n = 0; n < topo.node_count(); ++n) {
     const auto id = static_cast<NodeId>(n);
     if (!in_scope(id)) continue;
@@ -130,7 +132,7 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
       // is end to end, not per multiplexer.
       port->set_drop_tap([this](const Packet& p, Time t) { stats_.on_dropped(p, t); });
       const std::size_t index = nodes_[n]->add_port(std::move(port));
-      link_port_[static_cast<std::size_t>(l)] = {id, index};
+      link_port[static_cast<std::size_t>(l)] = {id, index};
     }
   }
 
@@ -138,7 +140,7 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
   // whose tail node exists in this scope).
   for (const FlowPlan& fp : plan.flows) {
     for (const LinkId l : fp.path) {
-      const auto& [node, port] = link_port_[static_cast<std::size_t>(l)];
+      const auto& [node, port] = link_port[static_cast<std::size_t>(l)];
       if (node < 0) continue;
       nodes_[static_cast<std::size_t>(node)]->route(fp.flow, port);
     }
@@ -159,13 +161,6 @@ PacketSink& Fabric::ingress(FlowId flow) {
 Node& Fabric::node(NodeId id) {
   assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
   return *nodes_[static_cast<std::size_t>(id)];
-}
-
-OutputPort& Fabric::port_for_link(LinkId link) {
-  assert(link >= 0 && static_cast<std::size_t>(link) < link_port_.size());
-  const auto& [node, port] = link_port_[static_cast<std::size_t>(link)];
-  assert(node >= 0);
-  return nodes_[static_cast<std::size_t>(node)]->port(port);
 }
 
 PacketSink& Fabric::arrival_sink(LinkId link) {

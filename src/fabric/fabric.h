@@ -80,7 +80,7 @@ class Fabric {
   /// installed routes).  Construct any ScopedMetrics/ScopedChecker before
   /// the fabric so metric handles resolve.  All references must outlive
   /// the fabric.  With a `scope`, only that shard's slice is built (see
-  /// FabricShardScope); node()/port_for_link()/ingress() may then only be
+  /// FabricShardScope); node()/ingress() may then only be
   /// called for in-shard ids.
   Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
          const ProvisionPlan& plan, const std::vector<FlowBinding>& bindings,
@@ -103,8 +103,6 @@ class Fabric {
   [[nodiscard]] const DelayRecorder& delays() const { return delays_; }
 
   [[nodiscard]] Node& node(NodeId id);
-  /// The port serving directed link `link` and the node index it lives on.
-  [[nodiscard]] OutputPort& port_for_link(LinkId link);
   /// Where a packet arriving over `link` is delivered: the head host's
   /// egress sink, or the head node.  This is the receiving end of the
   /// boundary seam — the parallel engine dispatches cross-shard packets
@@ -146,8 +144,6 @@ class Fabric {
   std::vector<std::unique_ptr<Node>> nodes_;              ///< by NodeId
   std::vector<std::unique_ptr<EgressSink>> sinks_;        ///< by NodeId, hosts only
   std::vector<std::unique_ptr<OfferedTrafficTap>> taps_;  ///< by NodeId, src nodes only
-  /// LinkId -> (node, port index) of the OutputPort serving it.
-  std::vector<std::pair<NodeId, std::size_t>> link_port_;
   bool enforce_delay_bound_{false};
   obs::HistogramHandle e2e_delay_metric_{obs::HistogramHandle::lookup("fabric.e2e_delay_us")};
   obs::CounterHandle misrouted_metric_{obs::CounterHandle::lookup("fabric.misrouted")};

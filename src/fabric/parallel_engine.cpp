@@ -241,19 +241,18 @@ ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
         } catch (const std::exception& e) {
           slot.error = e.what();
         }
-        // Even a failed shard must keep the barrier protocol — arriving
-        // each round, doing nothing — or every other shard deadlocks.
+        // A failed shard still arrives at the next barrier, flagging its
+        // failure, which ends the run there for every shard; so the loop
+        // body only ever runs while this shard's model is healthy.
         ParallelCoordinator::Window window;
-        while (coord.next_window(shard, window)) {
-          if (slot.model != nullptr && slot.error.empty()) {
-            try {
-              slot.model->run_window(window);
-            } catch (const std::exception& e) {
-              slot.error = e.what();
-            }
+        while (coord.next_window(shard, window, !slot.error.empty())) {
+          try {
+            slot.model->run_window(window);
+          } catch (const std::exception& e) {
+            slot.error = e.what();
           }
         }
-        if (slot.model != nullptr && slot.error.empty()) slot.out = slot.model->collect();
+        if (slot.error.empty()) slot.out = slot.model->collect();
         slot.model.reset();  // tear down on the owning thread, scopes still live
         slot.metrics = shard_metrics.registry().snapshot();
       }

@@ -63,13 +63,6 @@ double FluidFifoSim::total_occupancy() const {
   return sum;
 }
 
-double FluidFifoSim::delivered_since(std::size_t flow, double& marker) const {
-  assert(flow < delivered_.size());
-  const double delta = delivered_[flow] - marker;
-  marker = delivered_[flow];
-  return delta;
-}
-
 void FluidFifoSim::admit(std::size_t flow, double bytes, Slug& tail) {
   if (bytes <= 0.0) return;
   const double room = thresholds_[flow] - occupancy_[flow];

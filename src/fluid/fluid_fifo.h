@@ -54,9 +54,6 @@ class FluidFifoSim {
   [[nodiscard]] double dropped(std::size_t flow) const;
   [[nodiscard]] double total_occupancy() const;
 
-  /// Delivered bytes of `flow` between two calls (simple rate probe).
-  [[nodiscard]] double delivered_since(std::size_t flow, double& marker) const;
-
  private:
   struct Slug {
     std::vector<double> per_flow;

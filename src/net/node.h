@@ -120,7 +120,6 @@ class Node final : public PacketSink {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] OutputPort& port(std::size_t index);
-  [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
   [[nodiscard]] std::uint64_t unrouted_packets() const { return unrouted_packets_; }
 
   /// Checkpointable: own counters, then every port in index order.

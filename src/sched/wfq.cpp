@@ -52,11 +52,6 @@ void WfqScheduler::set_class_weight(std::size_t cls, double weight) {
   last_finish_[cls] = 0.0;
 }
 
-std::size_t WfqScheduler::class_queue_length(std::size_t cls) const {
-  assert(cls < depth_.size());
-  return depth_[cls];
-}
-
 BUFQ_HOT void WfqScheduler::advance_virtual_time(Time now) {
   BUFQ_CHECK(now >= vt_updated_, check::Invariant::kVirtualTime, -1, now, now.to_seconds(),
              vt_updated_.to_seconds(), "WFQ clock asked to advance backwards");

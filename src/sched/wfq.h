@@ -65,8 +65,6 @@ class WfqScheduler final : public QueueDiscipline {
   void set_class_weight(std::size_t cls, double weight);
 
   [[nodiscard]] std::size_t class_count() const { return weight_.size(); }
-  [[nodiscard]] std::size_t class_queue_length(std::size_t cls) const;
-  [[nodiscard]] double virtual_time() const { return virtual_time_; }
 
   /// Checkpointable: virtual-time state, per-class finish stamps and
   /// queues.  The hol_ heap is not serialized; restore rebuilds it from

@@ -362,8 +362,6 @@ void save_packet(CheckpointWriter& w, const Packet& packet) {
   w.write_i64(packet.size_bytes);
   w.write_u64(packet.seq);
   w.write_time(packet.created);
-  w.write_i64(packet.frame);
-  w.write_bool(packet.frame_end);
 }
 
 Packet load_packet(CheckpointReader& r) {
@@ -372,8 +370,6 @@ Packet load_packet(CheckpointReader& r) {
   p.size_bytes = r.read_i64();
   p.seq = r.read_u64();
   p.created = r.read_time();
-  p.frame = r.read_i64();
-  p.frame_end = r.read_bool();
   return p;
 }
 

@@ -9,7 +9,8 @@
 // event record and is move-only, so the calendar never allocates or
 // copies: larger callables still work (they fall back to a single heap
 // cell) but the hot-path lambdas are all static_assert'ed inline at
-// their call sites (link, sources, shaper, frames, aimd, trace, node).
+// their call sites (link, sources, shaper, aimd, node, churn driver, the
+// run harness and experiment pipelines, the parallel engine).
 //
 // Trivially-copyable callables (the common [this]-capture case) are
 // relocated with memcpy and need no destructor call, which keeps moves
@@ -31,8 +32,11 @@ class InlineAction {
  public:
   /// Bytes of capture that stay inside the event record.  Sized so every
   /// kernel/source/shaper/link lambda fits (the largest captures `this`
-  /// plus a handful of words); a whole Packet-by-value capture does not,
-  /// on purpose — restructure the call site instead (see Link).
+  /// plus a handful of words).  A `[this, Packet]` capture (40 B) would
+  /// fit too, but the call sites keep packets in component state and
+  /// capture only `this` (see Link): a packet hidden in a pending
+  /// event's capture is invisible to save_state, so it could not be
+  /// checkpointed and re-armed.
   static constexpr std::size_t kInlineBytes = 48;
 
   /// True when callable F is stored inline (no heap): it must fit the

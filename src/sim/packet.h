@@ -21,12 +21,6 @@ struct Packet {
   std::uint64_t seq{0};
   /// Time the source emitted the packet (after any shaping).
   Time created{Time::zero()};
-  /// Frame (message) this packet is a segment of, for AAL5-style traffic
-  /// where a partial frame is useless (EPD/PPD, the paper's refs [7][9]).
-  /// -1 = not part of a frame; frame ids are per-flow and increasing.
-  std::int64_t frame{-1};
-  /// True on the last segment of a frame.
-  bool frame_end{false};
 };
 
 /// Anything that consumes packets: a shaper, a link ingress, a stats tap.

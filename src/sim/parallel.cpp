@@ -26,9 +26,11 @@ ParallelCoordinator::ParallelCoordinator(Config config, SyncHook on_sync)
   }
   pending_.resize(n);
   next_.resize(n);
+  failed_.resize(n, 0);
 }
 
-bool ParallelCoordinator::next_window(std::int32_t shard, Window& out) {
+bool ParallelCoordinator::next_window(std::int32_t shard, Window& out, bool failed) {
+  if (failed) failed_[static_cast<std::size_t>(shard)] = 1;
   barrier_.arrive_and_wait();
   // done_ and next_ were written by the completion callback under the
   // barrier mutex; the wakeup carries the happens-before edge.
@@ -38,6 +40,13 @@ bool ParallelCoordinator::next_window(std::int32_t shard, Window& out) {
 }
 
 void ParallelCoordinator::advance() {
+  // A failed shard cannot finish the run, so no other shard should
+  // simulate on to the horizon: end every shard at this barrier.
+  if (std::find(failed_.begin(), failed_.end(), 1) != failed_.end()) {
+    done_ = true;
+    return;
+  }
+
   // Drain every channel's outboxes.  Emission order within a channel is
   // already (time-monotonic per sender, seq-ordered overall); the sort at
   // delivery planning below imposes the global (time, src_shard, seq)

@@ -82,9 +82,11 @@ class ParallelCoordinator {
 
   /// Blocks at the barrier until all shards arrive, then receives the
   /// next window into `out`.  Returns false when the run is complete
-  /// (after the drain round).  Each shard must keep calling this until
-  /// it returns false — even a failed shard — or the barrier deadlocks.
-  [[nodiscard]] bool next_window(std::int32_t shard, Window& out);
+  /// (after the drain round) or when any shard arrived with `failed`
+  /// set: a failed shard ends the run for every shard at that barrier.
+  /// Each shard must keep calling this until it returns false — a failed
+  /// shard included, passing `failed` — or the barrier deadlocks.
+  [[nodiscard]] bool next_window(std::int32_t shard, Window& out, bool failed = false);
 
   /// Post-run accounting; read only after every worker has seen
   /// next_window() == false.
@@ -103,6 +105,10 @@ class ParallelCoordinator {
   std::vector<std::vector<BoundaryEvent>> pending_;
   /// Per shard: the window planned by the latest advance().
   std::vector<Window> next_;
+  /// Per shard: set by next_window(failed = true).  Each shard writes only
+  /// its own byte (not vector<bool>, whose bits share words) before it
+  /// arrives; advance() reads them all under the barrier.
+  std::vector<std::uint8_t> failed_;
   Time cur_{Time::zero()};
   std::size_t next_sync_{0};
   bool drain_issued_{false};

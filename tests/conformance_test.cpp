@@ -1,4 +1,4 @@
-#include "traffic/conformance.h"
+#include "support/conformance.h"
 
 #include <gtest/gtest.h>
 

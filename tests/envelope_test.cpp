@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
-#include "traffic/conformance.h"
+#include "support/conformance.h"
 #include "traffic/shaper.h"
 #include "traffic/sources.h"
 

@@ -11,13 +11,13 @@
 #include <string>
 #include <vector>
 
-#include "check/audit.h"
 #include "core/buffer_manager.h"
 #include "core/sharing.h"
 #include "core/threshold.h"
 #include "invariant_audit.h"
 #include "sched/wfq.h"
 #include "sim/simulator.h"
+#include "support/audit.h"
 #include "util/rng.h"
 
 namespace bufq {

@@ -16,6 +16,7 @@
 #include "sim/checkpoint.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
+#include "util/task_pool.h"
 #include "util/units.h"
 
 namespace bufq::fabric {
@@ -185,6 +186,35 @@ TEST(ParallelCoordinator, DeliversEqualTimestampsInSrcShardSeqOrder) {
   EXPECT_EQ(seen_by_2[0].src_shard, 0);
   EXPECT_EQ(seen_by_2[0].seq, 0u);
   EXPECT_EQ(seen_by_2[3].src_shard, 1);
+}
+
+// A shard that fails on its first call must end the run for its peer at
+// that barrier rather than leave it simulating 10^5 windows to the
+// horizon.  Counts, not wall time: each worker tallies its calls.
+TEST(ParallelCoordinator, FailedShardEndsEveryShardAtTheNextBarrier) {
+  ParallelCoordinator::Config cfg;
+  cfg.shards = 2;
+  cfg.lookahead = Time::milliseconds(1);
+  cfg.horizon = Time::seconds(100);
+  ParallelCoordinator coord{cfg};
+
+  std::vector<int> calls(2, 0);
+  TaskPool pool{2};
+  for (std::int32_t shard = 0; shard < 2; ++shard) {
+    pool.submit([&coord, &calls, shard] {
+      ParallelCoordinator::Window w;
+      int& mine = calls[static_cast<std::size_t>(shard)];
+      while (true) {
+        ++mine;
+        if (!coord.next_window(shard, w, /*failed=*/shard == 0)) break;
+      }
+    });
+  }
+  pool.wait_idle();
+
+  EXPECT_LE(calls[0], 2);
+  EXPECT_LE(calls[1], 2);
+  EXPECT_LE(coord.windows(), 2u);
 }
 
 // --- viability + fallback ------------------------------------------------

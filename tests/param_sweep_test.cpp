@@ -7,7 +7,7 @@
 #include "expt/experiment.h"
 #include "expt/workloads.h"
 #include "sim/simulator.h"
-#include "traffic/conformance.h"
+#include "support/conformance.h"
 #include "traffic/shaper.h"
 #include "traffic/sources.h"
 

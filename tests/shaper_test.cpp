@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "sim/simulator.h"
-#include "traffic/conformance.h"
+#include "support/conformance.h"
 #include "traffic/sources.h"
 
 namespace bufq {
