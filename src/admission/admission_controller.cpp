@@ -1,7 +1,6 @@
 #include "admission/admission_controller.h"
 
 #include <cassert>
-#include <cmath>
 #include <limits>
 
 #include "sim/checkpoint.h"
@@ -15,75 +14,36 @@ AdmissionController::AdmissionController(Config config) : config_{config} {
     assert(config_.headroom.count() >= 0);
     assert(config_.headroom < config_.buffer && "headroom must leave room for thresholds");
   }
-  if (config_.scheme == Scheme::kHybrid) {
-    assert(config_.hybrid_queues > 0 && "hybrid admission needs at least one queue");
-    groups_.resize(config_.hybrid_queues);
-  }
 }
 
-double AdmissionController::partition_bytes() const {
-  const double buffer = static_cast<double>(config_.buffer.count());
-  if (config_.scheme == Scheme::kFifoSharing) {
-    return buffer - static_cast<double>(config_.headroom.count());
-  }
-  return buffer;
+ByteSize AdmissionController::partition() const {
+  return config_.scheme == Scheme::kFifoSharing ? config_.buffer - config_.headroom
+                                                : config_.buffer;
 }
 
-AdmissionVerdict AdmissionController::try_admit(const FlowSpec& flow, std::size_t group) {
+AdmissionVerdict AdmissionController::try_admit(const FlowSpec& flow) {
   decisions_metric_.add();
   const auto reject = [this](AdmissionVerdict verdict) {
     rejects_metric_.add();
     return verdict;
   };
-  const double link_bps = config_.link_rate.bps();
   const double new_rate = reserved_rate_bps_ + flow.rho.bps();
   const double new_sigma = reserved_sigma_ + static_cast<double>(flow.sigma.count());
 
-  if (new_rate > link_bps) return reject(AdmissionVerdict::kBandwidthLimited);
+  if (new_rate > config_.link_rate.bps()) return reject(AdmissionVerdict::kBandwidthLimited);
 
-  switch (config_.scheme) {
-    case Scheme::kWfq:
-      // Eq. 6: every flow gets a private sigma-sized allocation.
-      if (new_sigma > static_cast<double>(config_.buffer.count())) {
-        return reject(AdmissionVerdict::kBufferLimited);
-      }
-      break;
-
-    case Scheme::kFifoThreshold:
-    case Scheme::kFifoSharing: {
-      // Eq. 10: sum(sigma) / (1 - u) <= B_eff.  As u -> 1 the requirement
-      // diverges, so a fully reserved link admits only zero-burst flows.
-      const double b = partition_bytes();
-      if (new_rate == link_bps) {
-        if (new_sigma > 0.0) return reject(AdmissionVerdict::kBufferLimited);
-      } else if (new_sigma * link_bps / (link_bps - new_rate) > b) {
-        return reject(AdmissionVerdict::kBufferLimited);
-      }
-      break;
+  if (config_.scheme == Scheme::kWfq) {
+    // Eq. 6: every flow gets a private sigma-sized allocation.
+    if (new_sigma > static_cast<double>(config_.buffer.count())) {
+      return reject(AdmissionVerdict::kBufferLimited);
     }
-
-    case Scheme::kHybrid: {
-      assert(group < groups_.size());
-      const GroupAggregate& g = groups_[group];
-      // Re-evaluate the Prop-3 split with this group's term of S updated
-      // in place: only one sqrt per decision.
-      const double sigma_b = g.sigma_bytes + static_cast<double>(flow.sigma.count());
-      const double rho_Bs = g.rho_bytes_per_s + flow.rho.bytes_per_second();
-      const double new_term = std::sqrt(sigma_b * rho_Bs);
-      const double new_s = s_value_ - g.term + new_term;
-      // Eq. 19 under the optimal alphas: B >= sum(sigma) + S^2 / (R - rho).
-      const double excess_Bs = (link_bps - new_rate) / 8.0;
-      if (excess_Bs <= 0.0) {
-        if (new_sigma > 0.0) return reject(AdmissionVerdict::kBufferLimited);
-      } else if (new_sigma + new_s * new_s / excess_Bs >
-                 static_cast<double>(config_.buffer.count())) {
-        return reject(AdmissionVerdict::kBufferLimited);
-      }
-      groups_[group] = GroupAggregate{.sigma_bytes = sigma_b,
-                                      .rho_bytes_per_s = rho_Bs,
-                                      .term = new_term};
-      s_value_ = new_s;
-      break;
+  } else {
+    // Eq. 10 against the partition.  As u -> 1 the requirement diverges,
+    // so a fully reserved link admits only zero-burst flows.
+    const auto need =
+        fifo_min_buffer_bytes(new_sigma, Rate::bits_per_second(new_rate), config_.link_rate);
+    if (need ? *need > static_cast<double>(partition().count()) : new_sigma > 0.0) {
+      return reject(AdmissionVerdict::kBufferLimited);
     }
   }
 
@@ -94,7 +54,7 @@ AdmissionVerdict AdmissionController::try_admit(const FlowSpec& flow, std::size_
   return AdmissionVerdict::kAccepted;
 }
 
-void AdmissionController::release(const FlowSpec& flow, std::size_t group) {
+void AdmissionController::release(const FlowSpec& flow) {
   assert(admitted_ > 0);
   reserved_rate_bps_ -= flow.rho.bps();
   reserved_sigma_ -= static_cast<double>(flow.sigma.count());
@@ -103,25 +63,9 @@ void AdmissionController::release(const FlowSpec& flow, std::size_t group) {
   if (reserved_rate_bps_ < 0.0) reserved_rate_bps_ = 0.0;
   if (reserved_sigma_ < 0.0) reserved_sigma_ = 0.0;
   --admitted_;
-
-  if (config_.scheme == Scheme::kHybrid) {
-    assert(group < groups_.size());
-    GroupAggregate& g = groups_[group];
-    g.sigma_bytes -= static_cast<double>(flow.sigma.count());
-    g.rho_bytes_per_s -= flow.rho.bytes_per_second();
-    if (g.sigma_bytes < 0.0) g.sigma_bytes = 0.0;
-    if (g.rho_bytes_per_s < 0.0) g.rho_bytes_per_s = 0.0;
-    const double new_term = std::sqrt(g.sigma_bytes * g.rho_bytes_per_s);
-    s_value_ += new_term - g.term;
-    g.term = new_term;
-    if (admitted_ == 0) {
-      // Pin the accumulators back to exactly zero between busy periods so
-      // float dust cannot build up over millions of churn events.
-      s_value_ = 0.0;
-      for (auto& gg : groups_) gg = GroupAggregate{};
-    }
-  }
   if (admitted_ == 0) {
+    // Pin the accumulators back to exactly zero between busy periods so
+    // float dust cannot build up over millions of churn events.
     reserved_rate_bps_ = 0.0;
     reserved_sigma_ = 0.0;
   }
@@ -131,45 +75,15 @@ std::int64_t AdmissionController::threshold_bytes(const FlowSpec& flow) const {
   if (config_.scheme == Scheme::kWfq) return flow.sigma.count();
   // Prop 2 against the partitioned (headroom-excluded) buffer.  Round
   // down so the sum of thresholds never exceeds the partition.
-  const double t = static_cast<double>(flow.sigma.count()) +
-                   partition_bytes() * (flow.rho.bps() / config_.link_rate.bps());
-  return static_cast<std::int64_t>(t);
+  return static_cast<std::int64_t>(prop2_threshold_bytes(partition(), flow, config_.link_rate));
 }
 
 double AdmissionController::required_buffer_bytes() const {
-  const double link_bps = config_.link_rate.bps();
-  switch (config_.scheme) {
-    case Scheme::kWfq:
-      return reserved_sigma_;
-    case Scheme::kFifoThreshold:
-    case Scheme::kFifoSharing: {
-      if (reserved_sigma_ == 0.0) return 0.0;
-      if (reserved_rate_bps_ >= link_bps) return std::numeric_limits<double>::infinity();
-      double b = reserved_sigma_ * link_bps / (link_bps - reserved_rate_bps_);
-      if (config_.scheme == Scheme::kFifoSharing) {
-        b += static_cast<double>(config_.headroom.count());
-      }
-      return b;
-    }
-    case Scheme::kHybrid: {
-      if (reserved_rate_bps_ >= link_bps) {
-        return reserved_sigma_ == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-      }
-      const double excess_Bs = (link_bps - reserved_rate_bps_) / 8.0;
-      return reserved_sigma_ + s_value_ * s_value_ / excess_Bs;
-    }
-  }
-  return 0.0;
-}
-
-std::vector<double> AdmissionController::hybrid_alphas() const {
-  assert(config_.scheme == Scheme::kHybrid);
-  std::vector<double> alphas(groups_.size(), 0.0);
-  if (s_value_ <= 0.0) return alphas;
-  for (std::size_t q = 0; q < groups_.size(); ++q) {
-    alphas[q] = groups_[q].term / s_value_;
-  }
-  return alphas;
+  if (config_.scheme == Scheme::kWfq || reserved_sigma_ == 0.0) return reserved_sigma_;
+  const auto need = fifo_min_buffer_bytes(reserved_sigma_, reserved_rate(), config_.link_rate);
+  if (!need) return std::numeric_limits<double>::infinity();
+  // Eq. 10 covers the partition; the sharing headroom sits on top of it.
+  return *need + static_cast<double>((config_.buffer - partition()).count());
 }
 
 void AdmissionController::save_state(CheckpointWriter& w) const {
@@ -177,13 +91,6 @@ void AdmissionController::save_state(CheckpointWriter& w) const {
   w.write_f64(reserved_rate_bps_);
   w.write_f64(reserved_sigma_);
   w.write_u64(admitted_);
-  w.write_u64(groups_.size());
-  for (const GroupAggregate& g : groups_) {
-    w.write_f64(g.sigma_bytes);
-    w.write_f64(g.rho_bytes_per_s);
-    w.write_f64(g.term);
-  }
-  w.write_f64(s_value_);
   w.end_section();
 }
 
@@ -192,13 +99,6 @@ void AdmissionController::restore_state(CheckpointReader& r) {
   reserved_rate_bps_ = r.read_f64();
   reserved_sigma_ = r.read_f64();
   admitted_ = static_cast<std::size_t>(r.read_u64());
-  groups_.assign(static_cast<std::size_t>(r.read_u64()), GroupAggregate{});
-  for (GroupAggregate& g : groups_) {
-    g.sigma_bytes = r.read_f64();
-    g.rho_bytes_per_s = r.read_f64();
-    g.term = r.read_f64();
-  }
-  s_value_ = r.read_f64();
   r.end_section();
 }
 

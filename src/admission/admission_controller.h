@@ -8,19 +8,12 @@
 //   * FIFO + sharing (S3.3):     eq. 10 against B - H, so the headroom H
 //                                reserved for below-threshold flows is
 //                                never promised away as thresholds
-//   * Hybrid (S4.1):             sum(sigma) + S^2 / (R - sum(rho)) <= B
-//                                (eq. 19) where S = sum_q sqrt(sigma_q
-//                                rho_q); the Prop-3 optimal split alpha_q
-//                                = sqrt(sigma_q rho_q) / S (eq. 14) is
-//                                re-evaluated incrementally on every
-//                                admit/release by updating only the
-//                                affected group's term of S.
 //
 // All schemes also enforce the rate constraint sum(rho) <= R (eqs. 5/7).
+// The closed forms themselves live in core/analysis.h.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/analysis.h"
 #include "core/flow_spec.h"
@@ -38,7 +31,6 @@ enum class Scheme {
   kWfq,            ///< per-flow WFQ baseline: B >= sum(sigma)
   kFifoThreshold,  ///< FIFO + Prop-2 thresholds: eq. 10
   kFifoSharing,    ///< FIFO + buffer sharing: eq. 10 with B - H
-  kHybrid,         ///< k FIFO queues under WFQ: eq. 19 with Prop-3 split
 };
 
 class AdmissionController {
@@ -50,21 +42,18 @@ class AdmissionController {
     /// Headroom reserved out of the buffer for kFifoSharing; ignored by
     /// the other schemes.  Must be smaller than the buffer.
     ByteSize headroom{ByteSize::zero()};
-    /// Queue count for kHybrid; ignored by the other schemes.
-    std::size_t hybrid_queues{0};
   };
 
   explicit AdmissionController(Config config);
 
   /// Tests `flow` against the scheme's buffer and bandwidth constraints
   /// including the already-admitted set; reserves and returns kAccepted on
-  /// success, leaves the state untouched otherwise.  `group` selects the
-  /// hybrid queue for Scheme::kHybrid and is ignored otherwise.  O(1).
-  AdmissionVerdict try_admit(const FlowSpec& flow, std::size_t group = 0);
+  /// success, leaves the state untouched otherwise.  O(1).
+  AdmissionVerdict try_admit(const FlowSpec& flow);
 
-  /// Releases a previously admitted flow's reservation.  `flow` and
-  /// `group` must match the admit call.
-  void release(const FlowSpec& flow, std::size_t group = 0);
+  /// Releases a previously admitted flow's reservation.  `flow` must
+  /// match the admit call.
+  void release(const FlowSpec& flow);
 
   /// The buffer-occupancy threshold an admitted flow is entitled to:
   /// sigma for WFQ (its private queue allocation), Prop 2's
@@ -76,11 +65,6 @@ class AdmissionController {
   /// Buffer the scheme requires for the currently admitted set; admitting
   /// a flow keeps this <= buffer by construction.
   [[nodiscard]] double required_buffer_bytes() const;
-
-  /// Prop-3 optimal excess-rate shares for the current hybrid aggregates
-  /// (eq. 14).  Empty groups get a zero share; all-empty aggregates yield
-  /// an all-zero vector.  Scheme::kHybrid only.
-  [[nodiscard]] std::vector<double> hybrid_alphas() const;
 
   [[nodiscard]] Rate reserved_rate() const { return Rate::bits_per_second(reserved_rate_bps_); }
   [[nodiscard]] double reserved_sigma_bytes() const { return reserved_sigma_; }
@@ -94,23 +78,13 @@ class AdmissionController {
   void restore_state(CheckpointReader& r);
 
  private:
-  struct GroupAggregate {
-    double sigma_bytes{0.0};
-    double rho_bytes_per_s{0.0};
-    /// sqrt(sigma * rho), this group's term of S (eq. 14/19).
-    double term{0.0};
-  };
-
   /// Effective buffer backing thresholds: B, or B - H under sharing.
-  [[nodiscard]] double partition_bytes() const;
+  [[nodiscard]] ByteSize partition() const;
 
   Config config_;
   double reserved_rate_bps_{0.0};
   double reserved_sigma_{0.0};
   std::size_t admitted_{0};
-  /// kHybrid running state: per-group aggregates and S = sum of terms.
-  std::vector<GroupAggregate> groups_;
-  double s_value_{0.0};
   obs::CounterHandle decisions_metric_{obs::CounterHandle::lookup("admission.decisions")};
   obs::CounterHandle accepts_metric_{obs::CounterHandle::lookup("admission.accepts")};
   obs::CounterHandle rejects_metric_{obs::CounterHandle::lookup("admission.rejects")};

@@ -6,6 +6,12 @@
 #include "sim/inline_action.h"
 
 namespace bufq::admission {
+namespace {
+
+/// Polling interval for the drain check after a departure.
+constexpr Time kReapInterval = Time::milliseconds(10);
+
+}  // namespace
 
 ChurnDriver::ChurnDriver(Simulator& sim, AdmissionController& controller, FlowTable& table,
                          PacketSink& ingress, Config config, Rng rng)
@@ -17,11 +23,9 @@ ChurnDriver::ChurnDriver(Simulator& sim, AdmissionController& controller, FlowTa
       rng_{rng} {
   assert(config_.arrival_rate_hz > 0.0);
   assert(config_.mean_holding > Time::zero());
-  assert(config_.reap_interval > Time::zero());
   assert(!config_.mix.empty() && "churn needs at least one mix entry");
   mix_cumulative_.reserve(config_.mix.size());
   mix_class_.reserve(config_.mix.size());
-  mix_group_.reserve(config_.mix.size());
   double total = 0.0;
   for (const auto& entry : config_.mix) {
     assert(entry.weight > 0.0);
@@ -33,18 +37,6 @@ ChurnDriver::ChurnDriver(Simulator& sim, AdmissionController& controller, FlowTa
     // caching it in the class preserves per-arrival computation exactly.
     const FlowSpec spec{.rho = entry.profile.token_rate, .sigma = entry.profile.bucket};
     mix_class_.push_back(table_.classes().intern(spec, controller_.threshold_bytes(spec)));
-    mix_group_.push_back(entry.hybrid_group);
-  }
-  if (config_.auto_group && controller_.config().scheme == Scheme::kHybrid) {
-    // Promote Prop-3 from a benchmark sketch to the live path: group the
-    // interned classes (not the resident flows) with the exact DP, then
-    // resolve each arrival's queue with one array load.
-    table_.classes().plan_groups(controller_.config().hybrid_queues,
-                                 controller_.config().link_rate);
-    for (std::size_t i = 0; i < mix_class_.size(); ++i) {
-      mix_group_[i] = table_.classes().group_of(mix_class_[i]);
-      assert(mix_group_[i] < controller_.config().hybrid_queues);
-    }
   }
   slots_.resize(table_.slot_count());
 }
@@ -89,7 +81,6 @@ void ChurnDriver::on_arrival() {
   ++counters_.arrivals;
   const std::size_t index = pick_mix_index();
   const TrafficProfile& profile = config_.mix[index].profile;
-  const std::size_t group = mix_group_[index];
   const FlowSpec spec{.rho = profile.token_rate, .sigma = profile.bucket};
 
   if (table_.active_count() >= config_.max_concurrent) {
@@ -98,7 +89,7 @@ void ChurnDriver::on_arrival() {
     return;
   }
 
-  switch (controller_.try_admit(spec, group)) {
+  switch (controller_.try_admit(spec)) {
     case AdmissionVerdict::kBandwidthLimited:
       ++counters_.rejected_bandwidth;
       schedule_next_arrival();
@@ -124,15 +115,11 @@ void ChurnDriver::on_arrival() {
                                                       profile.token_rate, profile.peak_rate);
     entry = slot.shaper.get();
   }
-  auto params =
-      MarkovOnOffSource::params_from_profile(flow_id, profile, config_.packet_bytes);
-  params.on_distribution = config_.burst_distribution;
-  params.pareto_shape = config_.pareto_shape;
-  slot.source =
-      std::make_unique<MarkovOnOffSource>(sim_, *entry, params, rng_.fork(counters_.admitted));
+  slot.source = std::make_unique<MarkovOnOffSource>(
+      sim_, *entry, MarkovOnOffSource::params_from_profile(flow_id, profile),
+      rng_.fork(counters_.admitted));
   slot.handle = handle;
   slot.spec = spec;
-  slot.hybrid_group = group;
   slot.regulated = profile.regulated;
   slot.draining = false;
   slot.source->start();
@@ -164,7 +151,7 @@ void ChurnDriver::on_departure(FlowHandle handle) {
   const auto reap = [this, handle] { try_reap(handle); };
   static_assert(InlineAction::stores_inline<decltype(reap)>,
                 "churn reap event must not allocate");
-  sim_.in(config_.reap_interval, reap);
+  sim_.in(kReapInterval, reap);
 }
 
 void ChurnDriver::try_reap(FlowHandle handle) {
@@ -177,11 +164,11 @@ void ChurnDriver::try_reap(FlowHandle handle) {
     const auto retry = [this, handle] { try_reap(handle); };
     static_assert(InlineAction::stores_inline<decltype(retry)>,
                   "churn reap retry event must not allocate");
-    sim_.in(config_.reap_interval, retry);
+    sim_.in(kReapInterval, retry);
     return;
   }
   advance_integrals();
-  controller_.release(slot.spec, slot.hybrid_group);
+  controller_.release(slot.spec);
   table_.teardown(handle);
   // Safe to destroy: the source is quiescent and the shaper has no event
   // outstanding.

@@ -43,8 +43,6 @@ class ChurnDriver {
   struct MixEntry {
     TrafficProfile profile;
     double weight{1.0};
-    /// Hybrid queue the flow joins under Scheme::kHybrid.
-    std::size_t hybrid_group{0};
   };
 
   struct Config {
@@ -53,19 +51,8 @@ class ChurnDriver {
     /// Mean flow holding time 1/mu.
     Time mean_holding{Time::seconds(1)};
     std::vector<MixEntry> mix;
-    std::int64_t packet_bytes{500};
-    /// Polling interval for the drain check after a departure.
-    Time reap_interval{Time::milliseconds(10)};
     /// Hard cap on concurrent slots (e.g. a WFQ scheduler's class count).
     std::size_t max_concurrent{std::numeric_limits<std::size_t>::max()};
-    BurstDistribution burst_distribution{BurstDistribution::kExponential};
-    double pareto_shape{1.5};
-    /// Under Scheme::kHybrid, ignore the mix entries' hand-assigned
-    /// hybrid_group and derive each profile's queue from the Prop-3
-    /// grouping plan over the interned envelope classes
-    /// (FlowClassRegistry::plan_groups).  Off by default so existing
-    /// trajectories are unchanged.
-    bool auto_group{false};
   };
 
   struct Counters {
@@ -96,8 +83,8 @@ class ChurnDriver {
     }
   };
 
-  /// Invoked right after a flow is admitted into `slot` (e.g. to set a WFQ
-  /// weight) and right after the slot is recycled.
+  /// Invoked right after a flow is admitted into `slot`, e.g. to set a
+  /// WFQ weight.
   using SlotHook = std::function<void(FlowId slot, const TrafficProfile& profile)>;
 
   /// The driver schedules events on `sim` and pushes admitted flows'
@@ -133,7 +120,6 @@ class ChurnDriver {
     std::unique_ptr<MarkovOnOffSource> source;
     FlowHandle handle;
     FlowSpec spec;
-    std::size_t hybrid_group{0};
     bool regulated{false};
     bool draining{false};
   };
@@ -158,9 +144,6 @@ class ChurnDriver {
   /// Per-mix-entry interned envelope class: the arrival hot path admits
   /// via FlowTable::admit_class (pure slot recycling, no hashing).
   std::vector<ClassId> mix_class_;
-  /// Per-mix-entry hybrid queue — the entry's hand-assigned group, or
-  /// the Prop-3 plan's group under Config::auto_group.
-  std::vector<std::size_t> mix_group_;
   std::size_t holding_{0};
   bool started_{false};
   // Time integrals for the churn metrics.

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "core/grouping.h"
 #include "sim/checkpoint.h"
 
 namespace bufq::admission {
@@ -29,37 +28,12 @@ ClassId FlowClassRegistry::intern(const FlowSpec& spec, std::int64_t threshold_b
   return it->second;
 }
 
-void FlowClassRegistry::plan_groups(std::size_t queue_count, Rate link_rate) {
-  assert(queue_count >= 1);
-  const std::size_t n = class_count();
-  group_.assign(n, 0);
-  planned_ = true;
-  if (n == 0) {
-    planned_s_value_ = 0.0;
-    return;
-  }
-  std::vector<FlowSpec> specs;
-  specs.reserve(n);
-  for (ClassId c = 0; c < n; ++c) specs.push_back(spec(c));
-  const GroupingResult plan = optimize_grouping(specs, queue_count, link_rate);
-  for (std::size_t q = 0; q < plan.groups.size(); ++q) {
-    for (const FlowId c : plan.groups[q]) {
-      group_[static_cast<std::size_t>(c)] = static_cast<std::uint32_t>(q);
-    }
-  }
-  planned_s_value_ = plan.s_value;
-}
-
 void FlowClassRegistry::save_state(CheckpointWriter& w) const {
   w.begin_section("flow_classes");
   w.write_i64_vector(threshold_);
   w.write_i64_vector(sigma_bytes_);
   w.write_u64(rho_bps_.size());
   for (const double rho : rho_bps_) w.write_f64(rho);
-  w.write_u64(group_.size());
-  for (const std::uint32_t g : group_) w.write_u32(g);
-  w.write_bool(planned_);
-  w.write_f64(planned_s_value_);
   w.end_section();
 }
 
@@ -69,10 +43,6 @@ void FlowClassRegistry::restore_state(CheckpointReader& r) {
   sigma_bytes_ = r.read_i64_vector();
   rho_bps_.assign(static_cast<std::size_t>(r.read_u64()), 0.0);
   for (double& rho : rho_bps_) rho = r.read_f64();
-  group_.assign(static_cast<std::size_t>(r.read_u64()), 0);
-  for (std::uint32_t& g : group_) g = r.read_u32();
-  planned_ = r.read_bool();
-  planned_s_value_ = r.read_f64();
   r.end_section();
   if (threshold_.size() != sigma_bytes_.size() || rho_bps_.size() != sigma_bytes_.size()) {
     throw CheckpointFormatError("flow class lane sizes disagree");

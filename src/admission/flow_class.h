@@ -1,5 +1,4 @@
-// Envelope-class interning: the hierarchical-grouping layer under the
-// million-flow FlowTable.
+// Envelope-class interning under the million-flow FlowTable.
 //
 // At 1e6+ resident flows, storing (sigma, rho, threshold) per flow is
 // 24 bytes of redundancy: real traffic mixes draw flows from a handful
@@ -11,12 +10,6 @@
 // resident in L1 no matter how many flows share them.  Per-packet
 // threshold checks become two dependent loads — class_[slot] then
 // threshold_[class] — O(1) regardless of resident-flow count.
-//
-// Proposition 3 rides on the same layer: plan_groups() runs the exact
-// contiguous-DP grouping (core/grouping.h) over the *classes* instead
-// of the flows, so hybrid admission resolves a flow's queue with one
-// array load (group_of) instead of re-deriving the sqrt split, and the
-// plan's cost is O(C^2 k) in the class count, not the flow count.
 #pragma once
 
 #include <cstddef>
@@ -56,37 +49,17 @@ class FlowClassRegistry {
                     .sigma = ByteSize::bytes(sigma_bytes_[c])};
   }
 
-  /// Recomputes the Prop-3 grouping of classes into at most
-  /// `queue_count` hybrid queues (exact DP over the sigma/rho-sorted
-  /// class order).  O(C^2 k) in the class count — run it at
-  /// (re)configuration time, not per admission.  No-op on an empty
-  /// registry.
-  void plan_groups(std::size_t queue_count, Rate link_rate);
-
-  /// Hybrid queue of a class under the last plan_groups() call; classes
-  /// interned since then (or before any plan) map to group 0.  O(1).
-  [[nodiscard]] std::size_t group_of(ClassId c) const {
-    return c < group_.size() ? group_[c] : 0;
-  }
-
-  /// True once plan_groups() has run (group_of is meaningful).
-  [[nodiscard]] bool has_plan() const { return planned_; }
-
-  /// S-value of the last plan (eq. 19's S); 0 before any plan.
-  [[nodiscard]] double planned_s_value() const { return planned_s_value_; }
-
-  /// Bytes of per-class state: threshold + sigma + rho + group lane.
-  /// Amortized over the flows sharing the class this is ~0; it is the
-  /// budget-table line item for the registry itself.
+  /// Bytes of per-class state: threshold + sigma + rho.  Amortized over
+  /// the flows sharing the class this is ~0; it is the budget-table line
+  /// item for the registry itself.
   [[nodiscard]] static constexpr std::size_t bytes_per_class() {
     return sizeof(std::int64_t)    // threshold
            + sizeof(std::int64_t)  // sigma
-           + sizeof(double)        // rho
-           + sizeof(std::uint32_t);  // hybrid group
+           + sizeof(double);       // rho
   }
 
-  /// Checkpointable: the class lanes in id order plus the grouping
-  /// plan.  The intern map is rebuilt from the lanes on restore.
+  /// Checkpointable: the class lanes in id order.  The intern map is
+  /// rebuilt from the lanes on restore.
   void save_state(CheckpointWriter& w) const;
   void restore_state(CheckpointReader& r);
 
@@ -121,11 +94,6 @@ class FlowClassRegistry {
   std::vector<std::int64_t> threshold_;
   std::vector<std::int64_t> sigma_bytes_;
   std::vector<double> rho_bps_;
-  /// Hybrid queue per class from the last plan_groups(); sized to the
-  /// class count at plan time (later classes default to group 0).
-  std::vector<std::uint32_t> group_;
-  bool planned_{false};
-  double planned_s_value_{0.0};
   /// Lookup index; never iterated, so its unordered order cannot leak
   /// into any trajectory.
   std::unordered_map<Key, ClassId, KeyHash> index_;

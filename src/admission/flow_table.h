@@ -83,8 +83,7 @@ class FlowTable {
   [[nodiscard]] FlowSpec spec(std::uint32_t slot) const { return classes_.spec(class_[slot]); }
   [[nodiscard]] ClassId class_of(std::uint32_t slot) const { return class_[slot]; }
 
-  /// The shared envelope-class registry (interning, per-class lanes and
-  /// the Prop-3 grouping plan).
+  /// The shared envelope-class registry (interning and per-class lanes).
   [[nodiscard]] FlowClassRegistry& classes() { return classes_; }
   [[nodiscard]] const FlowClassRegistry& classes() const { return classes_; }
 

@@ -17,12 +17,16 @@ double wfq_min_buffer_bytes(const std::vector<FlowSpec>& flows) {
   return static_cast<double>(total_burst(flows).count());
 }
 
-std::optional<double> fifo_min_buffer_bytes(const std::vector<FlowSpec>& flows, Rate link_rate) {
+std::optional<double> fifo_min_buffer_bytes(double total_sigma_bytes, Rate total_rho,
+                                            Rate link_rate) {
   assert(link_rate.bps() > 0.0);
-  const Rate rho = total_rate(flows);
-  if (rho >= link_rate) return std::nullopt;
-  const double sigma = static_cast<double>(total_burst(flows).count());
-  return link_rate.bps() * sigma / (link_rate.bps() - rho.bps());
+  if (total_rho >= link_rate) return std::nullopt;
+  return link_rate.bps() * total_sigma_bytes / (link_rate.bps() - total_rho.bps());
+}
+
+std::optional<double> fifo_min_buffer_bytes(const std::vector<FlowSpec>& flows, Rate link_rate) {
+  return fifo_min_buffer_bytes(static_cast<double>(total_burst(flows).count()),
+                               total_rate(flows), link_rate);
 }
 
 double fifo_min_buffer_bytes(double utilization, ByteSize total_sigma) {

@@ -29,6 +29,10 @@ namespace bufq {
 /// Minimum total buffer for FIFO-with-thresholds (eq. 9):
 ///   B >= R * sum(sigma) / (R - sum(rho)).
 /// Returns nullopt when sum(rho) >= R (no finite buffer suffices).
+[[nodiscard]] std::optional<double> fifo_min_buffer_bytes(double total_sigma_bytes,
+                                                          Rate total_rho, Rate link_rate);
+
+/// Eq. 9 over a flow set's summed envelope.
 [[nodiscard]] std::optional<double> fifo_min_buffer_bytes(const std::vector<FlowSpec>& flows,
                                                           Rate link_rate);
 

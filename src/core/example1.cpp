@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/analysis.h"
+
 namespace bufq {
 
 Example1Dynamics::Example1Dynamics(Rate link_rate, Rate rho1, ByteSize total_buffer)
@@ -10,7 +12,7 @@ Example1Dynamics::Example1Dynamics(Rate link_rate, Rate rho1, ByteSize total_buf
   assert(link_rate.bps() > 0.0);
   assert(rho1.bps() > 0.0 && rho1 < link_rate);
   assert(total_buffer.count() > 0);
-  b1_ = static_cast<double>(total_buffer.count()) * (rho1 / link_rate);
+  b1_ = prop1_threshold_bytes(total_buffer, rho1, link_rate);
   b2_ = static_cast<double>(total_buffer.count()) - b1_;
 }
 

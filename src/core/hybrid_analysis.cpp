@@ -2,7 +2,10 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
+
+#include "core/analysis.h"
 
 namespace bufq {
 namespace {
@@ -17,9 +20,9 @@ double s_sum(const std::vector<QueueAggregate>& queues) {
   return s;
 }
 
-double total_rho_bytes(const std::vector<QueueAggregate>& queues) {
-  double sum = 0.0;
-  for (const auto& q : queues) sum += q.rho_hat.bytes_per_second();
+Rate total_rho(const std::vector<QueueAggregate>& queues) {
+  Rate sum = Rate::zero();
+  for (const auto& q : queues) sum = sum + q.rho_hat;
   return sum;
 }
 
@@ -58,11 +61,7 @@ std::vector<double> prop3_alphas(const std::vector<QueueAggregate>& queues) {
 std::vector<Rate> hybrid_rates(const std::vector<QueueAggregate>& queues, Rate link_rate,
                                const std::vector<double>& alphas) {
   assert(queues.size() == alphas.size());
-  const double excess_bps = link_rate.bps() - [&] {
-    double sum = 0.0;
-    for (const auto& q : queues) sum += q.rho_hat.bps();
-    return sum;
-  }();
+  const double excess_bps = link_rate.bps() - total_rho(queues).bps();
   assert(excess_bps > 0.0 && "hybrid rate split requires spare capacity");
 #ifndef NDEBUG
   double alpha_sum = std::accumulate(alphas.begin(), alphas.end(), 0.0);
@@ -78,8 +77,10 @@ std::vector<Rate> hybrid_rates(const std::vector<QueueAggregate>& queues, Rate l
 
 double queue_min_buffer_bytes(const QueueAggregate& queue, Rate service_rate) {
   assert(service_rate > queue.rho_hat && "queue must be served above its aggregate rate");
-  return service_rate.bytes_per_second() * static_cast<double>(queue.sigma_hat.count()) /
-         (service_rate.bytes_per_second() - queue.rho_hat.bytes_per_second());
+  // Eq. 11 is eq. 9 for one queue drained at R_i.
+  return fifo_min_buffer_bytes(static_cast<double>(queue.sigma_hat.count()), queue.rho_hat,
+                               service_rate)
+      .value_or(std::numeric_limits<double>::infinity());
 }
 
 double hybrid_total_buffer_bytes(const std::vector<QueueAggregate>& queues, Rate link_rate,
@@ -93,17 +94,18 @@ double hybrid_total_buffer_bytes(const std::vector<QueueAggregate>& queues, Rate
 }
 
 double hybrid_optimal_buffer_bytes(const std::vector<QueueAggregate>& queues, Rate link_rate) {
-  const double excess = link_rate.bytes_per_second() - total_rho_bytes(queues);
+  const double excess = link_rate.bytes_per_second() - total_rho(queues).bytes_per_second();
   assert(excess > 0.0);
   const double s = s_sum(queues);
   return total_sigma_bytes(queues) + s * s / excess;  // eq. 19
 }
 
 double single_fifo_buffer_bytes(const std::vector<QueueAggregate>& queues, Rate link_rate) {
-  const double r = link_rate.bytes_per_second();
-  const double rho = total_rho_bytes(queues);
-  assert(r > rho);
-  return r * total_sigma_bytes(queues) / (r - rho);  // eq. 13
+  const Rate rho = total_rho(queues);
+  assert(link_rate > rho);
+  // Eq. 13 is eq. 9 over the merged aggregates.
+  return fifo_min_buffer_bytes(total_sigma_bytes(queues), rho, link_rate)
+      .value_or(std::numeric_limits<double>::infinity());
 }
 
 double hybrid_buffer_savings_bytes(const std::vector<QueueAggregate>& queues, Rate link_rate) {

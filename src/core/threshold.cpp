@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "check/invariants.h"
+#include "core/analysis.h"
 #include "util/annotations.h"
 
 namespace bufq {
@@ -16,9 +17,8 @@ std::vector<std::int64_t> compute_thresholds(const std::vector<FlowSpec>& flows,
   thresholds.reserve(flows.size());
   const double buffer_bytes = static_cast<double>(buffer.count());
   for (const auto& flow : flows) {
-    const double share = flow.rho / link_rate;  // rho_i / R
-    const double t = static_cast<double>(flow.sigma.count()) + share * buffer_bytes;
-    thresholds.push_back(static_cast<std::int64_t>(std::llround(t)));
+    thresholds.push_back(
+        static_cast<std::int64_t>(std::llround(prop2_threshold_bytes(buffer, flow, link_rate))));
   }
   if (scaling == ThresholdScaling::kScaleToFill) {
     const std::int64_t sum = std::accumulate(thresholds.begin(), thresholds.end(),

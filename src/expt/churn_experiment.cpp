@@ -15,22 +15,6 @@
 
 namespace bufq {
 
-namespace {
-
-admission::Scheme admission_scheme(ChurnScheme scheme) {
-  switch (scheme) {
-    case ChurnScheme::kFifoThreshold:
-      return admission::Scheme::kFifoThreshold;
-    case ChurnScheme::kFifoSharing:
-      return admission::Scheme::kFifoSharing;
-    case ChurnScheme::kWfq:
-      return admission::Scheme::kWfq;
-  }
-  return admission::Scheme::kFifoThreshold;
-}
-
-}  // namespace
-
 ChurnResult run_churn_experiment(const ChurnConfig& config) {
   assert(!config.churn.mix.empty());
   assert(config.duration > Time::zero());
@@ -39,7 +23,7 @@ ChurnResult run_churn_experiment(const ChurnConfig& config) {
   Simulator sim;
   admission::FlowTable table{config.max_flows};
   admission::AdmissionController controller{{
-      .scheme = admission_scheme(config.scheme),
+      .scheme = config.scheme,
       .link_rate = config.link_rate,
       .buffer = config.buffer,
       .headroom = config.scheme == ChurnScheme::kFifoSharing ? config.headroom

@@ -14,13 +14,10 @@
 
 namespace bufq {
 
-/// End-to-end scheme under churn: scheduler + per-packet manager + the
-/// admission test gating arrivals.
-enum class ChurnScheme {
-  kFifoThreshold,  ///< FIFO, Prop-2 thresholds, eq. 10 admission
-  kFifoSharing,    ///< FIFO, holes/headroom sharing, eq. 10 vs B - H
-  kWfq,            ///< per-flow WFQ, sigma-sized allocations, eq. 6
-};
+/// End-to-end scheme under churn: the admission scheme also picks the
+/// scheduler (FIFO or per-flow WFQ) and the per-packet manager
+/// (thresholds, or holes/headroom sharing under kFifoSharing).
+using ChurnScheme = admission::Scheme;
 
 struct ChurnConfig {
   Rate link_rate;

@@ -5,16 +5,17 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/analysis.h"
 #include "net/node.h"
 
 namespace bufq::fabric {
 namespace {
 
-/// Proposition 2 threshold for an arrival envelope at a (B, R) hop.
+/// Proposition 2 threshold for an arrival envelope at a (B, R) hop,
+/// rounded up so the reservation never falls short of the bound.
 std::int64_t hop_threshold(const FlowSpec& arrival, const LinkParams& params) {
-  const double burst = static_cast<double>(arrival.sigma.count());
-  const double drain_s = static_cast<double>(params.buffer.count()) * 8.0 / params.rate.bps();
-  return static_cast<std::int64_t>(std::ceil(burst + arrival.rho.bytes_per_second() * drain_s));
+  return static_cast<std::int64_t>(
+      std::ceil(prop2_threshold_bytes(params.buffer, arrival, params.rate)));
 }
 
 }  // namespace

@@ -2,23 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "core/hybrid_analysis.h"
-#include "util/rng.h"
-
 namespace bufq::admission {
 namespace {
 
 const Rate kLink = Rate::megabits_per_second(48.0);
 
-AdmissionController make(Scheme scheme, ByteSize buffer,
-                         ByteSize headroom = ByteSize::zero(), std::size_t queues = 0) {
-  return AdmissionController{{.scheme = scheme,
-                              .link_rate = kLink,
-                              .buffer = buffer,
-                              .headroom = headroom,
-                              .hybrid_queues = queues}};
+AdmissionController make(Scheme scheme, ByteSize buffer, ByteSize headroom = ByteSize::zero()) {
+  return AdmissionController{
+      {.scheme = scheme, .link_rate = kLink, .buffer = buffer, .headroom = headroom}};
 }
 
 // --------------------------------------------------------------- WFQ
@@ -154,92 +145,6 @@ TEST(AdmissionControllerTest, SharingReservesHeadroomOutOfThresholds) {
   EXPECT_LT(sharing_admitted, threshold_admitted);
   // And its Prop-2 thresholds scale against the partition, not B.
   EXPECT_LT(sharing.threshold_bytes(flow), threshold.threshold_bytes(flow));
-}
-
-// ---------------------------------------------------------- hybrid
-
-std::vector<QueueAggregate> aggregates_of(const std::vector<std::vector<FlowSpec>>& groups) {
-  return aggregate_groups(groups);
-}
-
-TEST(AdmissionControllerTest, HybridIncrementalMatchesScratchEq19) {
-  // Admit a random mix into 3 groups; after every admit the incrementally
-  // maintained requirement must match the closed-form eq. 19 recomputed
-  // from scratch over the same aggregates.
-  auto ac = make(Scheme::kHybrid, ByteSize::megabytes(100.0), ByteSize::zero(), 3);
-  Rng rng{7};
-  std::vector<std::vector<FlowSpec>> groups{3};
-  for (int i = 0; i < 60; ++i) {
-    const std::size_t group = rng.uniform_u64(3);
-    const FlowSpec flow{Rate::kilobits_per_second(100.0 + rng.uniform(0.0, 400.0)),
-                        ByteSize::bytes(static_cast<std::int64_t>(1 + rng.uniform_u64(40'000)))};
-    ASSERT_EQ(ac.try_admit(flow, group), AdmissionVerdict::kAccepted);
-    groups[group].push_back(flow);
-    EXPECT_NEAR(ac.required_buffer_bytes(),
-                hybrid_optimal_buffer_bytes(aggregates_of(groups), kLink),
-                1e-6 * ac.required_buffer_bytes());
-  }
-  // The incrementally maintained split matches Prop 3 evaluated fresh.
-  const auto expected = prop3_alphas(aggregates_of(groups));
-  const auto actual = ac.hybrid_alphas();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t q = 0; q < expected.size(); ++q) {
-    EXPECT_NEAR(actual[q], expected[q], 1e-9);
-  }
-}
-
-TEST(AdmissionControllerTest, HybridSurvivesReleaseChurn) {
-  auto ac = make(Scheme::kHybrid, ByteSize::megabytes(100.0), ByteSize::zero(), 2);
-  const FlowSpec a{Rate::megabits_per_second(4.0), ByteSize::kilobytes(50.0)};
-  const FlowSpec b{Rate::megabits_per_second(2.0), ByteSize::kilobytes(20.0)};
-  for (int round = 0; round < 100; ++round) {
-    ASSERT_EQ(ac.try_admit(a, 0), AdmissionVerdict::kAccepted);
-    ASSERT_EQ(ac.try_admit(b, 1), AdmissionVerdict::kAccepted);
-    ac.release(a, 0);
-    ac.release(b, 1);
-  }
-  // Empty again: accumulators pinned to exactly zero, alphas all zero.
-  EXPECT_EQ(ac.admitted_count(), 0u);
-  EXPECT_DOUBLE_EQ(ac.required_buffer_bytes(), 0.0);
-  for (double alpha : ac.hybrid_alphas()) {
-    EXPECT_DOUBLE_EQ(alpha, 0.0);
-  }
-}
-
-TEST(AdmissionControllerTest, HybridEmptyGroupsGetZeroShare) {
-  auto ac = make(Scheme::kHybrid, ByteSize::megabytes(10.0), ByteSize::zero(), 4);
-  const FlowSpec flow{Rate::megabits_per_second(4.0), ByteSize::kilobytes(50.0)};
-  ASSERT_EQ(ac.try_admit(flow, 2), AdmissionVerdict::kAccepted);
-  const auto alphas = ac.hybrid_alphas();
-  ASSERT_EQ(alphas.size(), 4u);
-  EXPECT_DOUBLE_EQ(alphas[0], 0.0);
-  EXPECT_DOUBLE_EQ(alphas[1], 0.0);
-  EXPECT_DOUBLE_EQ(alphas[2], 1.0);
-  EXPECT_DOUBLE_EQ(alphas[3], 0.0);
-}
-
-TEST(AdmissionControllerTest, HybridBeatsSingleFifoAtSameBuffer) {
-  // Eq. 17: grouping saves buffer, so a hybrid controller must admit a
-  // heterogeneous set that the single-FIFO controller refuses.
-  // The full set needs 512 KB as one FIFO (eq. 10) but only ~356 KB split
-  // into two groups (eq. 19); 400 KB sits between.
-  const auto buffer = ByteSize::kilobytes(400.0);
-  auto fifo = make(Scheme::kFifoThreshold, buffer);
-  auto hybrid = make(Scheme::kHybrid, buffer, ByteSize::zero(), 2);
-  // Two classes of very different burstiness (the paper's motivation for
-  // segregating them): bursty-but-slow vs smooth-but-fast.
-  const FlowSpec bursty{Rate::megabits_per_second(1.0), ByteSize::kilobytes(60.0)};
-  const FlowSpec smooth{Rate::megabits_per_second(5.0), ByteSize::kilobytes(4.0)};
-  bool fifo_refused = false;
-  bool hybrid_refused = false;
-  for (int i = 0; i < 4; ++i) {
-    fifo_refused |= fifo.try_admit(bursty) != AdmissionVerdict::kAccepted;
-    fifo_refused |= fifo.try_admit(smooth) != AdmissionVerdict::kAccepted;
-    hybrid_refused |= hybrid.try_admit(bursty, 0) != AdmissionVerdict::kAccepted;
-    hybrid_refused |= hybrid.try_admit(smooth, 1) != AdmissionVerdict::kAccepted;
-  }
-  EXPECT_TRUE(fifo_refused);
-  EXPECT_FALSE(hybrid_refused);
 }
 
 TEST(AdmissionControllerTest, UtilizationTracked) {

@@ -100,5 +100,50 @@ TEST(ChurnTest, WfqChurnAlsoHonorsItsAllocations) {
   EXPECT_EQ(r.counters.conformant_drops, 0u);
 }
 
+TEST(ChurnTest, TrajectoryIsPinnedPerScheme) {
+  // Exact counters of one seed per scheme, with an unregulated flow in
+  // the mix that bursts past its declared envelope.  Any change to
+  // admission, the Prop-2 thresholds or the per-packet managers that
+  // moves a churn trajectory fails here.
+  struct Pinned {
+    ChurnScheme scheme;
+    std::uint64_t arrivals;
+    std::uint64_t admitted;
+    std::uint64_t rejected_buffer;
+    std::uint64_t rejected_bandwidth;
+    std::uint64_t reaped;
+    std::uint64_t conformant_drops;
+    std::uint64_t nonconformant_drops;
+    std::int64_t delivered_bytes;
+    std::uint64_t dropped_packets;
+  };
+  const Pinned expected[] = {
+      {ChurnScheme::kFifoThreshold, 833, 319, 514, 0, 292, 0, 1354, 23'506'500, 1354},
+      {ChurnScheme::kFifoSharing, 847, 301, 546, 0, 276, 0, 0, 19'604'000, 0},
+      {ChurnScheme::kWfq, 855, 500, 0, 355, 461, 0, 9022, 31'983'000, 8229},
+  };
+  const TrafficProfile aggressive{.peak_rate = Rate::megabits_per_second(16.0),
+                                  .avg_rate = Rate::megabits_per_second(4.0),
+                                  .bucket = ByteSize::kilobytes(16.0),
+                                  .token_rate = Rate::megabits_per_second(1.0),
+                                  .mean_burst = ByteSize::kilobytes(64.0),
+                                  .regulated = false};
+  for (const Pinned& want : expected) {
+    auto config = base_config(want.scheme, 7);
+    config.churn.mix.push_back({.profile = aggressive, .weight = 1.0});
+    const ChurnResult r = run_churn_experiment(config);
+    const auto scheme = static_cast<int>(want.scheme);
+    EXPECT_EQ(r.counters.arrivals, want.arrivals) << "scheme " << scheme;
+    EXPECT_EQ(r.counters.admitted, want.admitted) << "scheme " << scheme;
+    EXPECT_EQ(r.counters.rejected_buffer, want.rejected_buffer) << "scheme " << scheme;
+    EXPECT_EQ(r.counters.rejected_bandwidth, want.rejected_bandwidth) << "scheme " << scheme;
+    EXPECT_EQ(r.counters.reaped, want.reaped) << "scheme " << scheme;
+    EXPECT_EQ(r.counters.conformant_drops, want.conformant_drops) << "scheme " << scheme;
+    EXPECT_EQ(r.counters.nonconformant_drops, want.nonconformant_drops) << "scheme " << scheme;
+    EXPECT_EQ(r.traffic.delivered_bytes, want.delivered_bytes) << "scheme " << scheme;
+    EXPECT_EQ(r.traffic.dropped_packets, want.dropped_packets) << "scheme " << scheme;
+  }
+}
+
 }  // namespace
 }  // namespace bufq

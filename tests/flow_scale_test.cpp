@@ -1,8 +1,7 @@
 // Million-flow scale tests for the SoA FlowTable and the envelope-class
 // registry: generation safety under heavy slot recycling, equivalence of
-// the interned admit_class hot path with the spec-based admit path, the
-// Prop-3 grouping plan against the exact DP it caches, and a checkpoint
-// round trip of the SoA layout with a churned free list.
+// the interned admit_class hot path with the spec-based admit path, and a
+// checkpoint round trip of the SoA layout with a churned free list.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "admission/flow_table.h"
-#include "core/grouping.h"
 #include "sim/checkpoint.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -119,40 +117,10 @@ TEST(FlowScaleTest, AdmitClassMatchesSpecAdmitExactly) {
   }
 }
 
-TEST(FlowScaleTest, PlanGroupsMatchesExactGroupingDp) {
-  // group_of() is a cached copy of the exact Prop-3 DP over the interned
-  // classes; recompute the DP directly and compare every assignment and
-  // the S-value.
-  FlowClassRegistry registry;
-  const auto mix = scale_mix();
-  std::vector<FlowSpec> specs;
-  for (const FlowSpec& spec : mix) {
-    registry.intern(spec, 2 * spec.sigma.count());
-    specs.push_back(spec);
-  }
-  const Rate link = Rate::megabits_per_second(45.0);
-  constexpr std::size_t kQueues = 2;
-  registry.plan_groups(kQueues, link);
-  ASSERT_TRUE(registry.has_plan());
-
-  const GroupingResult plan = optimize_grouping(specs, kQueues, link);
-  EXPECT_DOUBLE_EQ(registry.planned_s_value(), plan.s_value);
-  for (std::size_t q = 0; q < plan.groups.size(); ++q) {
-    for (const FlowId c : plan.groups[q]) {
-      EXPECT_EQ(registry.group_of(static_cast<ClassId>(c)), q)
-          << "class " << c << " assigned to the wrong queue";
-    }
-  }
-  // Classes interned after the plan fall back to group 0 until replanned.
-  const ClassId late =
-      registry.intern(FlowSpec{Rate::megabits_per_second(4.0), ByteSize::kilobytes(200.0)}, 1);
-  EXPECT_EQ(registry.group_of(late), 0u);
-}
-
 TEST(FlowScaleTest, CheckpointRoundTripsSoALayoutUnderChurn) {
-  // Save a churned table (holes in the free list, every class in use, a
-  // grouping plan), restore into a fresh one, and demand (a) behavioral
-  // equality on handles/thresholds/groups and (b) a byte-identical
+  // Save a churned table (holes in the free list, every class in use),
+  // restore into a fresh one, and demand (a) behavioral equality on
+  // handles and thresholds and (b) a byte-identical
   // second save — the SoA lanes and LIFO free-list order are part of
   // the deterministic trajectory.
   FlowTable original{256};
@@ -161,7 +129,6 @@ TEST(FlowScaleTest, CheckpointRoundTripsSoALayoutUnderChurn) {
   for (const FlowSpec& spec : mix) {
     classes.push_back(original.classes().intern(spec, 2 * spec.sigma.count()));
   }
-  original.classes().plan_groups(2, Rate::megabits_per_second(45.0));
 
   Rng rng{13};
   std::vector<FlowHandle> live;
@@ -196,9 +163,6 @@ TEST(FlowScaleTest, CheckpointRoundTripsSoALayoutUnderChurn) {
     EXPECT_EQ(restored.occupancy(h.slot), original.occupancy(h.slot));
     EXPECT_EQ(restored.class_of(h.slot), original.class_of(h.slot));
     EXPECT_EQ(restored.threshold(h.slot), original.threshold(h.slot));
-  }
-  for (ClassId c = 0; c < original.classes().class_count(); ++c) {
-    EXPECT_EQ(restored.classes().group_of(c), original.classes().group_of(c));
   }
 
   CheckpointWriter w2;
