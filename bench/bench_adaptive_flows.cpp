@@ -64,10 +64,10 @@ std::unique_ptr<BufferManager> make_manager(const std::string& name, ByteSize bu
                                                   ByteSize::kilobytes(100.0));
   }
   // selective: adaptive flows may borrow, blasters may not.
-  std::vector<SharingClass> classes(kFlows, SharingClass::kAdaptive);
-  classes[4] = classes[5] = SharingClass::kBlocked;
+  std::vector<bool> may_borrow(kFlows, true);
+  may_borrow[4] = may_borrow[5] = false;
   return std::make_unique<BufferSharingManager>(buffer, link, specs, ByteSize::kilobytes(100.0),
-                                                ThresholdScaling::kExact, std::move(classes));
+                                                ThresholdScaling::kExact, std::move(may_borrow));
 }
 
 /// One replication, packaged for the sweep: per_flow carries each flow's
@@ -96,9 +96,9 @@ ExperimentResult run_once(const std::string& manager_name, ByteSize buffer,
             .packet_bytes = kPkt,
         }));
   }
-  std::vector<std::unique_ptr<GreedySource>> blasters;
+  std::vector<std::unique_ptr<CbrSource>> blasters;
   for (std::size_t f = kAdaptive; f < kFlows; ++f) {
-    blasters.push_back(std::make_unique<GreedySource>(
+    blasters.push_back(std::make_unique<CbrSource>(
         sim, link, static_cast<FlowId>(f), Rate::megabits_per_second(30.0), kPkt));
   }
 

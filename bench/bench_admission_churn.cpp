@@ -326,9 +326,9 @@ int main(int argc, char** argv) {
   std::cout << "\n# 4) metrics overhead: view 1 with live obs handles\n";
   const DecisionMeasurement instrumented = measure_decision_throughput(true);
   const double overhead = per_sec / instrumented.per_sec;
-  CsvWriter metrics_csv{std::cout, {"decisions_per_sec_base", "decisions_per_sec_metrics",
+  CsvWriter overhead_csv{std::cout, {"decisions_per_sec_base", "decisions_per_sec_metrics",
                                     "overhead_ratio"}};
-  metrics_csv.row({per_sec, instrumented.per_sec, overhead});
+  overhead_csv.row({per_sec, instrumented.per_sec, overhead});
 
   if (!metrics_out.empty()) {
     obs::BenchReport report;

@@ -50,7 +50,7 @@ int main() {
 
   // 4. Traffic: a conformant CBR flow against a greedy source.
   CbrSource conformant{sim, link, /*flow=*/0, guaranteed};
-  GreedySource adversary{sim, link, /*flow=*/1, link_rate * 3.0};
+  CbrSource adversary{sim, link, /*flow=*/1, link_rate * 3.0};
   conformant.start();
   adversary.start();
 

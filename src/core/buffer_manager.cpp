@@ -70,17 +70,4 @@ void AccountingBufferManager::save_extra(CheckpointWriter&) const {}
 
 void AccountingBufferManager::restore_extra(CheckpointReader&) {}
 
-TailDropManager::TailDropManager(ByteSize capacity, std::size_t flow_count)
-    : AccountingBufferManager{capacity, flow_count} {}
-
-bool TailDropManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
-  if (total_occupancy() + bytes > capacity().count()) return false;
-  account_admit(flow, bytes, now);
-  return true;
-}
-
-void TailDropManager::release(FlowId flow, std::int64_t bytes, Time now) {
-  account_release(flow, bytes, now);
-}
-
 }  // namespace bufq

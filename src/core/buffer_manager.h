@@ -85,15 +85,4 @@ class AccountingBufferManager : public BufferManager {
       obs::HistogramHandle::lookup("bm.flow_occupancy_bytes")};
 };
 
-/// No buffer management beyond the physical capacity: admit whenever the
-/// packet fits.  This is the paper's "FIFO/WFQ with no buffer management"
-/// baseline (plain shared tail drop).
-class TailDropManager final : public AccountingBufferManager {
- public:
-  TailDropManager(ByteSize capacity, std::size_t flow_count);
-
-  [[nodiscard]] bool try_admit(FlowId flow, std::int64_t bytes, Time now) override;
-  void release(FlowId flow, std::int64_t bytes, Time now) override;
-};
-
 }  // namespace bufq

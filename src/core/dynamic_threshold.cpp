@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/threshold.h"
+
 namespace bufq {
 
 DynamicThresholdManager::DynamicThresholdManager(ByteSize capacity, std::size_t flow_count,
@@ -17,8 +19,10 @@ std::int64_t DynamicThresholdManager::current_threshold() const {
 }
 
 bool DynamicThresholdManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
-  if (total_occupancy() + bytes > capacity().count()) return false;
-  if (occupancy(flow) + bytes > current_threshold()) return false;
+  if (!admits(occupancy(flow), current_threshold(), bytes, capacity().count() - total_occupancy(),
+              0, false)) {
+    return false;
+  }
   account_admit(flow, bytes, now);
   return true;
 }

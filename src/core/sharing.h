@@ -21,15 +21,16 @@
 //     headroom  = MIN(headroom, H);
 //
 // Because of that ordering the two pools are a function of the occupancy
-// (see sharing_pools() in core/threshold.h), so the manager stores neither
-// and decides with admits(), the same test ThresholdManager uses.
+// (see sharing_pools() in core/threshold.h), so the manager stores neither:
+// it is a ThresholdManager whose flows may borrow, deciding with admits().
 //
 // Selective sharing, the extension sketched in the paper's conclusion
 // (Section 5): "one could also envision allowing adaptive flows to share
 // buffers with reserved flows, while non-adaptive ones would be prevented
-// from doing so."  Each flow may carry a SharingClass; only kAdaptive
-// flows borrow holes beyond their threshold.  With no classes given every
-// flow is adaptive, which is plain Section 3.3 sharing.
+// from doing so."  Each flow may carry a borrow flag; only flagged flows
+// borrow holes beyond their threshold, the others are held to the fixed
+// partition of Section 3.2.  With no flags given every flow borrows, which
+// is plain Section 3.3 sharing.
 //
 // This sharing model is a flow-aware variant of the Choudhury-Hahne
 // Dynamic Threshold scheme [1].
@@ -38,71 +39,27 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/buffer_manager.h"
 #include "core/flow_spec.h"
 #include "core/threshold.h"
-#include "obs/metrics.h"
 #include "util/units.h"
 
 namespace bufq {
 
-/// Per-flow sharing class of the Section 5 extension:
-///
-///   kReserved  — below-threshold admission only (its reservation), never
-///                borrows holes beyond the threshold;
-///   kAdaptive  — full Section 3.3 behavior (reservation + holes);
-///   kBlocked   — a non-adaptive over-subscriber: reservation only, and
-///                its reserved space is admitted from holes/headroom like
-///                anyone else, but it can never occupy excess space.
-///
-/// kReserved and kBlocked coincide in mechanism (no excess access); they
-/// are kept distinct so policy intent shows up in configs and reports.
-enum class SharingClass {
-  kReserved,
-  kAdaptive,
-  kBlocked,
-};
-
-class BufferSharingManager final : public AccountingBufferManager {
+/// A ThresholdManager whose flows may borrow: constructors only.
+class BufferSharingManager final : public ThresholdManager {
  public:
   /// Thresholds derived from the flows' declared envelopes.  Sharing keeps
   /// the analytic (unscaled) thresholds by default: the slack *is* the
-  /// shared space.  `classes` is empty (every flow adaptive) or holds one
-  /// class per flow.
+  /// shared space.  `may_borrow` is empty (every flow borrows) or holds one
+  /// flag per flow.
   BufferSharingManager(ByteSize capacity, Rate link_rate, const std::vector<FlowSpec>& flows,
                        ByteSize max_headroom,
                        ThresholdScaling scaling = ThresholdScaling::kExact,
-                       std::vector<SharingClass> classes = {});
+                       std::vector<bool> may_borrow = {});
 
-  /// Explicit thresholds (hybrid scheduler path).
-  BufferSharingManager(ByteSize capacity, std::vector<std::int64_t> thresholds,
-                       ByteSize max_headroom, std::vector<SharingClass> classes = {});
-
-  [[nodiscard]] bool try_admit(FlowId flow, std::int64_t bytes, Time now) override;
-  void release(FlowId flow, std::int64_t bytes, Time now) override;
-
-  [[nodiscard]] std::int64_t threshold(FlowId flow) const;
-  [[nodiscard]] SharingClass sharing_class(FlowId flow) const;
-  [[nodiscard]] std::int64_t holes() const { return pools().holes; }
-  [[nodiscard]] std::int64_t headroom() const { return pools().headroom; }
-  [[nodiscard]] ByteSize max_headroom() const { return max_headroom_; }
-
- private:
-  [[nodiscard]] SharingPools pools() const {
-    return sharing_pools(capacity().count() - total_occupancy(), max_headroom_.count());
-  }
-  void publish_pools() const;
-  /// Checkpoint hooks: the derived holes/headroom, kept in the layout and
-  /// checked against the restored total (no gauge updates — the engine
-  /// overwrites the metrics registry after restore).
-  void save_extra(CheckpointWriter& w) const override;
-  void restore_extra(CheckpointReader& r) override;
-
-  std::vector<std::int64_t> thresholds_;
-  std::vector<SharingClass> classes_;
-  ByteSize max_headroom_;
-  obs::GaugeHandle holes_metric_{obs::GaugeHandle::lookup("bm.holes_bytes")};
-  obs::GaugeHandle headroom_metric_{obs::GaugeHandle::lookup("bm.headroom_bytes")};
+  /// Explicit thresholds (hybrid scheduler and fabric paths).
+  BufferSharingManager(ByteSize capacity, const std::vector<std::int64_t>& thresholds,
+                       ByteSize max_headroom, std::vector<bool> may_borrow = {});
 };
 
 }  // namespace bufq

@@ -11,7 +11,8 @@
 // ablated.
 //
 // admits() below is the per-packet test of Sections 3.2 and 3.3 for every
-// manager that uses thresholds: ThresholdManager, BufferSharingManager and
+// manager that uses thresholds: ThresholdManager (with its constructor-only
+// TailDropManager and BufferSharingManager), DynamicThresholdManager and
 // admission::DynamicBufferManager.
 #pragma once
 
@@ -21,6 +22,7 @@
 
 #include "core/buffer_manager.h"
 #include "core/flow_spec.h"
+#include "obs/metrics.h"
 #include "util/units.h"
 
 namespace bufq {
@@ -70,24 +72,62 @@ struct SharingPools {
   return bytes <= holes && occupancy + bytes - threshold <= holes - bytes;
 }
 
-class ThresholdManager final : public AccountingBufferManager {
+/// The one manager behind the paper's per-flow rule: "no buffer
+/// management" (every threshold = B), the fixed partition of Section 3.2
+/// and the sharing of Section 3.3 with its Section 5 selective variant.
+/// Each flow has a threshold and a borrow flag; the buffer has a headroom
+/// cap H.  Every packet is decided by admits().
+///
+/// Only a manager where some flow may borrow has pools: it alone publishes
+/// the bm.holes_bytes/bm.headroom_bytes gauges and keeps the derived
+/// holes/headroom words in its checkpoint section.
+class ThresholdManager : public AccountingBufferManager {
  public:
-  /// Thresholds derived from the flows' declared envelopes.
+  /// Explicit thresholds.  `may_borrow` is empty (no flow borrows) or holds
+  /// one flag per flow.
+  ThresholdManager(ByteSize capacity, std::vector<std::int64_t> thresholds,
+                   ByteSize max_headroom = ByteSize::zero(), std::vector<bool> may_borrow = {});
+
+  /// Thresholds derived from the flows' declared envelopes (Prop. 2); no
+  /// flow borrows.
   ThresholdManager(ByteSize capacity, Rate link_rate, const std::vector<FlowSpec>& flows,
                    ThresholdScaling scaling = ThresholdScaling::kScaleToFill);
 
-  /// Explicit thresholds (used by the hybrid scheduler, which derives them
-  /// from per-queue buffer shares).
-  ThresholdManager(ByteSize capacity, std::vector<std::int64_t> thresholds);
-
-  [[nodiscard]] bool try_admit(FlowId flow, std::int64_t bytes, Time now) override;
-  void release(FlowId flow, std::int64_t bytes, Time now) override;
+  [[nodiscard]] bool try_admit(FlowId flow, std::int64_t bytes, Time now) final;
+  void release(FlowId flow, std::int64_t bytes, Time now) final;
 
   [[nodiscard]] std::int64_t threshold(FlowId flow) const;
-  [[nodiscard]] const std::vector<std::int64_t>& thresholds() const { return thresholds_; }
+  [[nodiscard]] bool may_borrow(FlowId flow) const;
+  [[nodiscard]] std::int64_t holes() const { return pools().holes; }
+  [[nodiscard]] std::int64_t headroom() const { return pools().headroom; }
+  [[nodiscard]] ByteSize max_headroom() const { return max_headroom_; }
 
  private:
+  [[nodiscard]] SharingPools pools() const {
+    return sharing_pools(capacity().count() - total_occupancy(), max_headroom_.count());
+  }
+  void publish_pools() const;
+  /// Checkpoint hooks: with pools, the derived holes/headroom, kept in the
+  /// layout and checked against the restored total (no gauge updates — the
+  /// engine overwrites the metrics registry after restore).
+  void save_extra(CheckpointWriter& w) const override;
+  void restore_extra(CheckpointReader& r) override;
+
   std::vector<std::int64_t> thresholds_;
+  std::vector<bool> may_borrow_;
+  ByteSize max_headroom_;
+  bool pooled_;
+  obs::GaugeHandle holes_metric_;
+  obs::GaugeHandle headroom_metric_;
+};
+
+/// No buffer management beyond the physical capacity: admit whenever the
+/// packet fits.  This is the paper's "FIFO/WFQ with no buffer management"
+/// baseline (plain shared tail drop): every threshold is B and no flow
+/// borrows.
+class TailDropManager final : public ThresholdManager {
+ public:
+  TailDropManager(ByteSize capacity, std::size_t flow_count);
 };
 
 }  // namespace bufq

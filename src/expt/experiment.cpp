@@ -11,12 +11,10 @@
 #include "core/sharing.h"
 #include "core/threshold.h"
 #include "expt/run_harness.h"
-#include "obs/export.h"
 #include "sched/fifo.h"
 #include "sched/hybrid.h"
 #include "sched/wfq.h"
 #include "sim/checkpoint.h"
-#include "sim/inline_action.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
 #include "stats/delay.h"
@@ -63,6 +61,12 @@ std::vector<FlowSpec> flow_specs(const std::vector<TrafficProfile>& flows) {
 }
 
 namespace {
+
+/// RED/FRED: EWMA thresholds as fractions of the buffer, and the drop
+/// probability at the upper one.
+constexpr double kRedMinFraction = 0.25;
+constexpr double kRedMaxFraction = 0.75;
+constexpr double kRedMaxP = 0.1;
 
 /// The scheduler/manager pair for a scheme, with ownership of both.
 struct Pipeline {
@@ -113,19 +117,15 @@ Pipeline build_pipeline(const ExperimentConfig& config) {
                                                          config.scheme.headroom);
       break;
     case ManagerKind::kSelectiveSharing: {
-      auto classes = config.scheme.sharing_classes;
-      if (classes.empty()) {
-        // Default policy: conformant (regulated) flows may adapt into the
-        // excess space; unregulated ones are held to their reservation.
-        classes.reserve(n);
-        for (const auto& f : config.flows) {
-          classes.push_back(f.regulated ? SharingClass::kAdaptive : SharingClass::kBlocked);
-        }
-      }
+      // Conformant (regulated) flows may adapt into the excess space;
+      // unregulated ones are held to their reservation.
+      std::vector<bool> may_borrow;
+      may_borrow.reserve(n);
+      for (const auto& f : config.flows) may_borrow.push_back(f.regulated);
       p.manager = std::make_unique<BufferSharingManager>(config.buffer, config.link_rate, specs,
                                                          config.scheme.headroom,
                                                          ThresholdScaling::kExact,
-                                                         std::move(classes));
+                                                         std::move(may_borrow));
       break;
     }
     case ManagerKind::kDynamicThreshold:
@@ -137,11 +137,9 @@ Pipeline build_pipeline(const ExperimentConfig& config) {
       p.manager = std::make_unique<RedManager>(
           config.buffer, n,
           RedParams{.weight = 0.002,
-                    .min_threshold =
-                        static_cast<std::int64_t>(b * config.scheme.red_min_fraction),
-                    .max_threshold =
-                        static_cast<std::int64_t>(b * config.scheme.red_max_fraction),
-                    .max_p = config.scheme.red_max_p},
+                    .min_threshold = static_cast<std::int64_t>(b * kRedMinFraction),
+                    .max_threshold = static_cast<std::int64_t>(b * kRedMaxFraction),
+                    .max_p = kRedMaxP},
           Rng{config.seed ^ 0x0ED0ull});
       break;
     }
@@ -149,14 +147,13 @@ Pipeline build_pipeline(const ExperimentConfig& config) {
       const auto b = static_cast<double>(config.buffer.count());
       p.manager = std::make_unique<FredManager>(
           config.buffer, n,
-          FredParams{.red = RedParams{.weight = 0.002,
-                                      .min_threshold = static_cast<std::int64_t>(
-                                          b * config.scheme.red_min_fraction),
-                                      .max_threshold = static_cast<std::int64_t>(
-                                          b * config.scheme.red_max_fraction),
-                                      .max_p = config.scheme.red_max_p},
-                     .min_q = 2 * config.packet_bytes,
-                     .strike_limit = 1},
+          FredParams{
+              .red = RedParams{.weight = 0.002,
+                               .min_threshold = static_cast<std::int64_t>(b * kRedMinFraction),
+                               .max_threshold = static_cast<std::int64_t>(b * kRedMaxFraction),
+                               .max_p = kRedMaxP},
+              .min_q = 2 * config.packet_bytes,
+              .strike_limit = 1},
           Rng{config.seed ^ 0xF4EDull});
       break;
     }
@@ -177,22 +174,17 @@ Pipeline build_pipeline(const ExperimentConfig& config) {
 /// The single-multiplexer pipeline as a RunModel.  Construction wires the
 /// exact event sequence run_experiment always produced: sources are built
 /// (forking the master RNG in flow order) and started in flow order; the
-/// harness then schedules the warmup snapshot, then arm_tail() the
-/// optional metrics tick.
+/// harness then schedules the warmup snapshot.
 class ExperimentModel final : public RunModel {
  public:
-  ExperimentModel(const ExperimentConfig& config, Simulator& sim,
-                  obs::MetricsRegistry& registry)
+  ExperimentModel(const ExperimentConfig& config, Simulator& sim)
       : config_{config},
-        sim_{sim},
-        registry_{registry},
         pipeline_{build_pipeline(config)},
         link_{sim, *pipeline_.discipline, config.link_rate},
         stats_{config.flows.size()},
         delays_{config.flows.size()},
         tap_{stats_, link_},
-        master_{config.seed},
-        horizon_{config.warmup + config.duration} {
+        master_{config.seed} {
     assert(!config.flows.empty());
     link_.set_delivery_handler([this](const Packet& p, Time t) {
       stats_.on_delivered(p, t);
@@ -251,55 +243,7 @@ class ExperimentModel final : public RunModel {
   }
 
  private:
-  /// The metrics tick event, shared by the first arming and the re-arm
-  /// (defined before its callers: its return type is deduced).
-  auto tick_action() {
-    const auto tick = [this] { metrics_tick(); };
-    static_assert(InlineAction::stores_inline<decltype(tick)>,
-                  "metrics tick event must not allocate");
-    return tick;
-  }
-
- public:
-  /// The section tail is the optional metrics time series: a
-  /// self-rescheduling calendar event samples the run registry every
-  /// metrics_sample_period of simulated time.
-  void arm_tail() override {
-    if (config_.metrics_csv == nullptr) return;
-    assert(config_.metrics_sample_period > Time::zero());
-    series_ = std::make_unique<obs::TimeSeriesCsv>(*config_.metrics_csv, registry_);
-    schedule_tick();
-  }
-
-  void save_tail(CheckpointWriter& w) const override {
-    w.write_bool(tick_pending_);
-    w.write_time(tick_time_);
-    w.write_u64(tick_seq_);
-  }
-
-  void restore_tail(CheckpointReader& r) override {
-    tick_pending_ = r.read_bool();
-    tick_time_ = r.read_time();
-    tick_seq_ = r.read_u64();
-    if (tick_pending_) sim_.rearm(tick_time_, tick_seq_, tick_action());
-  }
-
- private:
-  void metrics_tick() {
-    tick_pending_ = false;
-    if (series_) series_->sample(sim_.now());
-    if (sim_.now() < horizon_) schedule_tick();
-  }
-
-  void schedule_tick() {
-    tick_pending_ = true;
-    tick_time_ = sim_.now() + config_.metrics_sample_period;
-    tick_seq_ = sim_.in(config_.metrics_sample_period, tick_action());
-  }
-
   const ExperimentConfig& config_;
-  Simulator& sim_;
-  obs::MetricsRegistry& registry_;
   Pipeline pipeline_;
   Link link_;
   StatsCollector stats_;
@@ -308,11 +252,6 @@ class ExperimentModel final : public RunModel {
   Rng master_;
   std::vector<std::unique_ptr<LeakyBucketShaper>> shapers_;
   std::vector<std::unique_ptr<MarkovOnOffSource>> sources_;
-  Time horizon_;
-  std::unique_ptr<obs::TimeSeriesCsv> series_;
-  bool tick_pending_{false};
-  Time tick_time_{Time::zero()};
-  std::uint64_t tick_seq_{0};
 };
 
 RunHarness experiment_harness(const ExperimentConfig& config) {
@@ -322,8 +261,8 @@ RunHarness experiment_harness(const ExperimentConfig& config) {
               .record_delays = config.record_delays,
               .section = "expt",
               .fingerprint = experiment_fingerprint(config)},
-      [&config](Simulator& sim, obs::MetricsRegistry& registry) {
-        return std::make_unique<ExperimentModel>(config, sim, registry);
+      [&config](Simulator& sim, obs::MetricsRegistry&) {
+        return std::make_unique<ExperimentModel>(config, sim);
       }};
 }
 
@@ -351,14 +290,7 @@ std::uint64_t experiment_fingerprint(const ExperimentConfig& config) {
     h.mix_u64(group.size());
     for (const FlowId flow : group) h.mix_i64(flow);
   }
-  h.mix_u64(config.scheme.sharing_classes.size());
-  for (const SharingClass c : config.scheme.sharing_classes) {
-    h.mix_u64(static_cast<std::uint64_t>(c));
-  }
   h.mix_f64(config.scheme.dt_alpha);
-  h.mix_f64(config.scheme.red_min_fraction);
-  h.mix_f64(config.scheme.red_max_fraction);
-  h.mix_f64(config.scheme.red_max_p);
   h.mix_time(config.warmup);
   h.mix_time(config.duration);
   h.mix_u64(config.seed);
@@ -366,8 +298,6 @@ std::uint64_t experiment_fingerprint(const ExperimentConfig& config) {
   h.mix_bool(config.record_delays);
   h.mix_u64(static_cast<std::uint64_t>(config.burst_distribution));
   h.mix_f64(config.pareto_shape);
-  h.mix_bool(config.metrics_csv != nullptr);
-  h.mix_time(config.metrics_sample_period);
   return h.digest();
 }
 

@@ -6,12 +6,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "core/flow_spec.h"
-#include "core/sharing.h"
 #include "obs/metrics.h"
 #include "sim/packet.h"
 #include "traffic/sources.h"
@@ -31,7 +29,7 @@ enum class ManagerKind {
   kNone,              ///< shared tail drop ("no buffer management")
   kThreshold,         ///< fixed-partition thresholds (Section 3.2)
   kSharing,           ///< buffer sharing with holes/headroom (Section 3.3)
-  kSelectiveSharing,  ///< Section 5 extension: per-flow sharing classes
+  kSelectiveSharing,  ///< Section 5 extension: only regulated flows borrow
   kDynamicThreshold,  ///< Choudhury-Hahne DT (the paper's reference [1])
   kRed,               ///< RED (reference [3]) — congestion signaling baseline
   kFred,              ///< Flow RED (reference [5]) — per-flow RED baseline
@@ -44,15 +42,8 @@ struct SchemeConfig {
   ByteSize headroom{ByteSize::megabytes(2.0)};
   /// Flow grouping for SchedulerKind::kHybrid; ignored otherwise.
   std::vector<std::vector<FlowId>> groups;
-  /// Per-flow classes for kSelectiveSharing.  Empty = derive from the
-  /// profiles: regulated flows are adaptive, unregulated ones blocked.
-  std::vector<SharingClass> sharing_classes;
   /// DT multiplier for kDynamicThreshold.
   double dt_alpha{1.0};
-  /// RED/FRED EWMA thresholds as fractions of the buffer.
-  double red_min_fraction{0.25};
-  double red_max_fraction{0.75};
-  double red_max_p{0.1};
 };
 
 struct ExperimentConfig {
@@ -73,11 +64,6 @@ struct ExperimentConfig {
   /// paper's exponential bursts for heavy-tailed or deterministic ones).
   BurstDistribution burst_distribution{BurstDistribution::kExponential};
   double pareto_shape{1.5};
-  /// When non-null, a metrics time series is appended here: one CSV row per
-  /// `metrics_sample_period` of *simulated* time (obs::TimeSeriesCsv format),
-  /// driven by a recurring calendar event.  Null = no time series.
-  std::ostream* metrics_csv{nullptr};
-  Time metrics_sample_period{Time::seconds(1)};
 };
 
 /// Per-flow delay digest for the measured interval.
@@ -144,8 +130,7 @@ struct CheckpointedRun {
 /// Scenario fingerprint of a configuration: every field that shapes the
 /// event trajectory is mixed in, so restoring a checkpoint into a
 /// different scenario throws CheckpointScenarioError instead of silently
-/// diverging.  (The metrics_csv *pointer* is not mixed — only whether a
-/// time series is sampled, and at what period.)
+/// diverging.
 [[nodiscard]] std::uint64_t experiment_fingerprint(const ExperimentConfig& config);
 
 /// Runs the experiment to completion like run_experiment, but snapshots

@@ -52,7 +52,6 @@ RunHarness::RunHarness(const RunSpec& spec, const ModelFactory& build)
   assert(spec.duration > Time::zero());
   warmup_pending_ = true;
   warmup_seq_ = sim_.at(spec.warmup, warmup_action());
-  model_->arm_tail();
 }
 
 ExperimentResult RunHarness::finish() {
@@ -107,7 +106,6 @@ std::vector<std::byte> RunHarness::save() const {
   save_flow_counters(w, at_warmup_);
   w.write_bool(warmup_pending_);
   w.write_u64(warmup_seq_);
-  model_->save_tail(w);
   w.end_section();
 
   w.begin_section("registry");
@@ -139,7 +137,6 @@ void RunHarness::restore(std::span<const std::byte> blob) {
   warmup_pending_ = r.read_bool();
   warmup_seq_ = r.read_u64();
   if (warmup_pending_) sim_.rearm(spec_.warmup, warmup_seq_, warmup_action());
-  model_->restore_tail(r);
   r.end_section();
 
   r.begin_section("registry");

@@ -8,15 +8,14 @@
 //   * the warmup snapshot event and its (time, seq) re-arm on restore;
 //   * the checkpoint trigger (an event count or a simulated time);
 //   * checkpoint framing: simulator, then the model's components, then the
-//     harness section (warmup state + the model's section tail),
-//     `registry` and `checker`, then the trailing-bytes and
-//     re-armed-event-count audits;
+//     harness section (warmup state), `registry` and `checker`, then the
+//     trailing-bytes and re-armed-event-count audits;
 //   * finish(): sim.wall_ns, per-flow warmup deltas and the DelaySummary
 //     assembly.
 //
 // A scenario family (the single-link pipeline, the fabric) supplies only
-// a RunModel: its components, their save/restore, a stats snapshot, a
-// delay recorder and an optional section tail.
+// a RunModel: its components, their save/restore, a stats snapshot and a
+// delay recorder.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +46,8 @@ namespace bufq {
 
 /// The scenario-specific half of a run.  The model's constructor builds
 /// and starts its components (scheduling their first events); the harness
-/// then arms its warmup snapshot, then calls arm_tail().  save_state /
-/// restore_state walk the model's components in registry order.
+/// then arms its warmup snapshot.  save_state / restore_state walk the
+/// model's components in registry order.
 class RunModel : public Checkpointable {
  public:
   RunModel() = default;
@@ -60,14 +59,6 @@ class RunModel : public Checkpointable {
   /// Delays of the measured interval; summarized when the run records
   /// delays.
   [[nodiscard]] virtual const DelayRecorder& delays() const = 0;
-
-  /// Schedules the model's own recurring events, sequenced after the
-  /// warmup snapshot.
-  virtual void arm_tail() {}
-  /// The model's fields of the harness section, written after the warmup
-  /// state; restore_tail reads them back and re-arms their events.
-  virtual void save_tail(CheckpointWriter& /*w*/) const {}
-  virtual void restore_tail(CheckpointReader& /*r*/) {}
 };
 
 /// What the harness needs to know about a run besides its model.

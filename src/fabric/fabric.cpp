@@ -18,6 +18,10 @@
 namespace bufq::fabric {
 namespace {
 
+/// Headroom H of every kSharing port, and the kDynamicThreshold alpha.
+constexpr ByteSize kSharingHeadroom = ByteSize::kilobytes(100.0);
+constexpr double kDtAlpha = 1.0;
+
 std::unique_ptr<BufferManager> make_manager(const FabricScheme& scheme, const LinkParams& params,
                                             std::vector<std::int64_t> thresholds) {
   switch (scheme.manager) {
@@ -26,11 +30,9 @@ std::unique_ptr<BufferManager> make_manager(const FabricScheme& scheme, const Li
     case FabricManager::kThreshold:
       return std::make_unique<ThresholdManager>(params.buffer, std::move(thresholds));
     case FabricManager::kSharing:
-      return std::make_unique<BufferSharingManager>(params.buffer, std::move(thresholds),
-                                                    scheme.headroom);
+      return std::make_unique<BufferSharingManager>(params.buffer, thresholds, kSharingHeadroom);
     case FabricManager::kDynamicThreshold:
-      return std::make_unique<DynamicThresholdManager>(params.buffer, thresholds.size(),
-                                                       scheme.dt_alpha);
+      return std::make_unique<DynamicThresholdManager>(params.buffer, thresholds.size(), kDtAlpha);
   }
   return nullptr;  // unreachable
 }

@@ -48,10 +48,6 @@ enum class FabricManager {
 struct FabricScheme {
   FabricScheduler scheduler{FabricScheduler::kFifo};
   FabricManager manager{FabricManager::kThreshold};
-  /// Headroom H for kSharing.
-  ByteSize headroom{ByteSize::kilobytes(100.0)};
-  /// Alpha for kDynamicThreshold.
-  double dt_alpha{1.0};
 };
 
 /// Restriction of a Fabric build to one shard of a partition (the

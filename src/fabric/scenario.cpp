@@ -147,7 +147,7 @@ std::vector<std::unique_ptr<Source>> make_fabric_sources(
       // The chain analogue of Example 1's greedy flow: full-load arrivals
       // at every hop, so the premium reservation is what keeps it
       // lossless.
-      sources.push_back(std::make_unique<GreedySource>(sim, fabric.ingress(flow), flow,
+      sources.push_back(std::make_unique<CbrSource>(sim, fabric.ingress(flow), flow,
                                                        config.link_rate * config.load,
                                                        config.packet_bytes));
     } else {
@@ -232,8 +232,6 @@ std::uint64_t fabric_fingerprint(const FabricConfig& config) {
   h.mix_i64(config.size);
   h.mix_u64(static_cast<std::uint64_t>(config.scheme.scheduler));
   h.mix_u64(static_cast<std::uint64_t>(config.scheme.manager));
-  h.mix_i64(config.scheme.headroom.count());
-  h.mix_f64(config.scheme.dt_alpha);
   h.mix_f64(config.link_rate.bps());
   h.mix_i64(config.buffer.count());
   h.mix_time(config.propagation);

@@ -143,26 +143,4 @@ void FluidFifoSim::run_until(double t_end) {
   while (now_ + dt_ <= t_end + 1e-12) step();
 }
 
-BurstPotentialTracker::BurstPotentialTracker(double sigma_bytes, double rho_Bps)
-    : sigma_{sigma_bytes}, rho_{rho_Bps}, tokens_{sigma_bytes} {
-  assert(sigma_ >= 0.0);
-  assert(rho_ >= 0.0);
-}
-
-void BurstPotentialTracker::refill(double t) const {
-  assert(t >= last_ - 1e-12);
-  tokens_ = std::min(sigma_, tokens_ + rho_ * (t - last_));
-  last_ = std::max(last_, t);
-}
-
-void BurstPotentialTracker::arrive(double bytes, double t) {
-  refill(t);
-  tokens_ -= bytes;  // may go negative for a non-conformant stream
-}
-
-double BurstPotentialTracker::value(double t) const {
-  refill(t);
-  return tokens_;
-}
-
 }  // namespace bufq

@@ -80,29 +80,4 @@ class FluidFifoSim {
   std::vector<double> dropped_;
 };
 
-/// The burst-potential process sigma_i(t) of Section 2.2: the token count
-/// of a (sigma, rho) bucket fed by the flow's own arrivals.  For a
-/// conformant flow it stays in [0, sigma]; the proof of Proposition 2
-/// bounds M(t) = Q(t) + sigma(t) - sigma.
-class BurstPotentialTracker {
- public:
-  BurstPotentialTracker(double sigma_bytes, double rho_Bps);
-
-  /// Registers `bytes` of arrivals at time `t` (t non-decreasing).
-  void arrive(double bytes, double t);
-
-  /// sigma(t): available burst at time `t`.
-  [[nodiscard]] double value(double t) const;
-
-  [[nodiscard]] double sigma() const { return sigma_; }
-
- private:
-  void refill(double t) const;
-
-  double sigma_;
-  double rho_;
-  mutable double tokens_;
-  mutable double last_{0.0};
-};
-
 }  // namespace bufq

@@ -162,43 +162,4 @@ void write_prometheus_file(const std::string& path, const RegistrySnapshot& snap
   });
 }
 
-TimeSeriesCsv::TimeSeriesCsv(std::ostream& out, const MetricsRegistry& registry)
-    : out_{out}, registry_{registry} {}
-
-void TimeSeriesCsv::sample(Time now) {
-  const RegistrySnapshot snap = registry_.snapshot();
-  if (!header_written_) {
-    header_written_ = true;
-    out_ << "t_s";
-    for (const auto& [name, value] : snap.counters) {
-      counter_names_.push_back(name);
-      out_ << "," << name;
-    }
-    for (const auto& [name, gauge] : snap.gauges) {
-      gauge_names_.push_back(name);
-      out_ << "," << name;
-    }
-    for (const auto& [name, histogram] : snap.histograms) {
-      histogram_names_.push_back(name);
-      out_ << "," << name << ".count";
-    }
-    out_ << "\n";
-  }
-  out_ << fmt(now.to_seconds());
-  for (const std::string& name : counter_names_) {
-    const auto it = snap.counters.find(name);
-    out_ << "," << (it != snap.counters.end() ? it->second : 0);
-  }
-  for (const std::string& name : gauge_names_) {
-    const auto it = snap.gauges.find(name);
-    out_ << "," << (it != snap.gauges.end() ? it->second.last : 0);
-  }
-  for (const std::string& name : histogram_names_) {
-    const auto it = snap.histograms.find(name);
-    out_ << "," << (it != snap.histograms.end() ? it->second.count : 0);
-  }
-  out_ << "\n";
-  ++rows_;
-}
-
 }  // namespace bufq::obs

@@ -1,6 +1,6 @@
 // Exporters for MetricsRegistry snapshots: structured JSON (the
-// BENCH_*.json perf-trajectory artifact format), Prometheus text
-// exposition, and an event-clock-driven CSV time-series snapshotter.
+// BENCH_*.json perf-trajectory artifact format) and Prometheus text
+// exposition.
 //
 // Failure contract (the loud-failure audit): the *_file writers throw
 // std::runtime_error when the output path cannot be opened or a write
@@ -11,10 +11,8 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "util/units.h"
 
 namespace bufq::obs {
 
@@ -52,33 +50,5 @@ void write_prometheus_text(std::ostream& out, const RegistrySnapshot& snapshot);
 /// write_prometheus_text to `path`; throws std::runtime_error on any I/O
 /// error.
 void write_prometheus_file(const std::string& path, const RegistrySnapshot& snapshot);
-
-/// CSV time-series snapshotter, driven by the simulation event clock: the
-/// owner schedules sample(now) at whatever cadence it wants (the
-/// experiment pipeline uses a recurring calendar event) and each call
-/// appends one row of scalar readings.  Columns — t_s, each counter's
-/// value, each gauge's last value, each histogram's count — are fixed at
-/// the first sample; metrics registered later are ignored.
-class TimeSeriesCsv {
- public:
-  /// Does not write until the first sample() (so the registry may still be
-  /// filling with registrations).
-  TimeSeriesCsv(std::ostream& out, const MetricsRegistry& registry);
-
-  /// Appends one row at simulated time `now`, writing the header first on
-  /// the initial call.
-  void sample(Time now);
-
-  [[nodiscard]] std::size_t rows_written() const { return rows_; }
-
- private:
-  std::ostream& out_;
-  const MetricsRegistry& registry_;
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
-  std::vector<std::string> histogram_names_;
-  bool header_written_{false};
-  std::size_t rows_{0};
-};
 
 }  // namespace bufq::obs

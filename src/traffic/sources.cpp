@@ -189,127 +189,4 @@ void CbrSource::restore_state(CheckpointReader& r) {
   sim_.rearm(next_emit_, pending_seq_, [this] { emit_packet(); });
 }
 
-// --------------------------------------------------------------- Poisson
-
-PoissonSource::PoissonSource(Simulator& sim, PacketSink& sink, FlowId flow, Rate mean_rate,
-                             std::int64_t packet_bytes, Rng rng)
-    : sim_{sim},
-      sink_{sink},
-      flow_{flow},
-      mean_gap_{mean_rate.transmission_time(packet_bytes)},
-      packet_bytes_{packet_bytes},
-      rng_{rng} {
-  assert(mean_rate.bps() > 0.0);
-  assert(packet_bytes > 0);
-}
-
-void PoissonSource::start() {
-  assert(!started_);
-  started_ = true;
-  const auto first = [this] { emit_packet(); };
-  static_assert(InlineAction::stores_inline<decltype(first)>,
-                "Poisson emission event must not allocate");
-  const Time gap = rng_.exponential_time(mean_gap_);
-  next_emit_ = sim_.now() + gap;
-  pending_seq_ = sim_.in(gap, first);
-}
-
-void PoissonSource::emit_packet() {
-  sink_.accept(Packet{.flow = flow_,
-                      .size_bytes = packet_bytes_,
-                      .seq = next_seq_++,
-                      .created = sim_.now()});
-  bytes_emitted_ += packet_bytes_;
-  ++packets_emitted_;
-  const auto tick = [this] { emit_packet(); };
-  static_assert(InlineAction::stores_inline<decltype(tick)>,
-                "Poisson emission event must not allocate");
-  const Time gap = rng_.exponential_time(mean_gap_);
-  next_emit_ = sim_.now() + gap;
-  pending_seq_ = sim_.in(gap, tick);
-}
-
-void PoissonSource::save_state(CheckpointWriter& w) const {
-  w.begin_section("src.poisson." + std::to_string(flow_));
-  save_rng(w, rng_);
-  w.write_u64(next_seq_);
-  w.write_i64(bytes_emitted_);
-  w.write_u64(packets_emitted_);
-  w.write_bool(started_);
-  w.write_time(next_emit_);
-  w.write_u64(pending_seq_);
-  w.end_section();
-}
-
-void PoissonSource::restore_state(CheckpointReader& r) {
-  r.begin_section("src.poisson." + std::to_string(flow_));
-  load_rng(r, rng_);
-  next_seq_ = r.read_u64();
-  bytes_emitted_ = r.read_i64();
-  packets_emitted_ = r.read_u64();
-  started_ = r.read_bool();
-  next_emit_ = r.read_time();
-  pending_seq_ = r.read_u64();
-  r.end_section();
-  if (!started_) return;
-  sim_.rearm(next_emit_, pending_seq_, [this] { emit_packet(); });
-}
-
-// ---------------------------------------------------------------- Greedy
-
-GreedySource::GreedySource(Simulator& sim, PacketSink& sink, FlowId flow, Rate rate,
-                           std::int64_t packet_bytes)
-    : sim_{sim},
-      sink_{sink},
-      flow_{flow},
-      interval_{rate.transmission_time(packet_bytes)},
-      packet_bytes_{packet_bytes} {
-  assert(rate.bps() > 0.0);
-  assert(packet_bytes > 0);
-}
-
-void GreedySource::start() {
-  assert(!started_);
-  started_ = true;
-  emit_packet();
-}
-
-void GreedySource::emit_packet() {
-  sink_.accept(Packet{.flow = flow_,
-                      .size_bytes = packet_bytes_,
-                      .seq = next_seq_++,
-                      .created = sim_.now()});
-  bytes_emitted_ += packet_bytes_;
-  ++packets_emitted_;
-  const auto tick = [this] { emit_packet(); };
-  static_assert(InlineAction::stores_inline<decltype(tick)>,
-                "greedy emission event must not allocate");
-  next_emit_ = sim_.now() + interval_;
-  pending_seq_ = sim_.in(interval_, tick);
-}
-
-void GreedySource::save_state(CheckpointWriter& w) const {
-  w.begin_section("src.greedy." + std::to_string(flow_));
-  w.write_u64(next_seq_);
-  w.write_i64(bytes_emitted_);
-  w.write_u64(packets_emitted_);
-  w.write_bool(started_);
-  w.write_time(next_emit_);
-  w.write_u64(pending_seq_);
-  w.end_section();
-}
-
-void GreedySource::restore_state(CheckpointReader& r) {
-  r.begin_section("src.greedy." + std::to_string(flow_));
-  next_seq_ = r.read_u64();
-  bytes_emitted_ = r.read_i64();
-  packets_emitted_ = r.read_u64();
-  started_ = r.read_bool();
-  next_emit_ = r.read_time();
-  pending_seq_ = r.read_u64();
-  r.end_section();
-  if (!started_) return;
-  sim_.rearm(next_emit_, pending_seq_, [this] { emit_packet(); });
-}
-
 }  // namespace bufq

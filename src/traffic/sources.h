@@ -116,75 +116,13 @@ class MarkovOnOffSource : public Source {
   std::uint64_t pending_seq_{0};
 };
 
-/// Constant bit rate source: fixed-size packets at exact intervals.
+/// Constant bit rate source: fixed-size packets at exact intervals.  Run
+/// far above the link rate it is the greedy adversary of Example 1: with
+/// buffer management in place its backlog pins at its threshold.
 class CbrSource : public Source {
  public:
   CbrSource(Simulator& sim, PacketSink& sink, FlowId flow, Rate rate,
             std::int64_t packet_bytes = 500);
-
-  void start() override;
-
-  [[nodiscard]] std::int64_t bytes_emitted() const override { return bytes_emitted_; }
-  [[nodiscard]] std::uint64_t packets_emitted() const override { return packets_emitted_; }
-
-  void save_state(CheckpointWriter& w) const override;
-  void restore_state(CheckpointReader& r) override;
-
- private:
-  void emit_packet();
-
-  Simulator& sim_;
-  PacketSink& sink_;
-  FlowId flow_;
-  Time interval_;
-  std::int64_t packet_bytes_;
-  std::uint64_t next_seq_{0};
-  std::int64_t bytes_emitted_{0};
-  std::uint64_t packets_emitted_{0};
-  bool started_{false};
-  Time next_emit_{Time::zero()};
-  std::uint64_t pending_seq_{0};
-};
-
-/// Poisson packet arrivals at a given mean rate; used by robustness tests.
-class PoissonSource : public Source {
- public:
-  PoissonSource(Simulator& sim, PacketSink& sink, FlowId flow, Rate mean_rate,
-                std::int64_t packet_bytes, Rng rng);
-
-  void start() override;
-
-  [[nodiscard]] std::int64_t bytes_emitted() const override { return bytes_emitted_; }
-  [[nodiscard]] std::uint64_t packets_emitted() const override { return packets_emitted_; }
-
-  void save_state(CheckpointWriter& w) const override;
-  void restore_state(CheckpointReader& r) override;
-
- private:
-  void emit_packet();
-
-  Simulator& sim_;
-  PacketSink& sink_;
-  FlowId flow_;
-  Time mean_gap_;
-  std::int64_t packet_bytes_;
-  Rng rng_;
-  std::uint64_t next_seq_{0};
-  std::int64_t bytes_emitted_{0};
-  std::uint64_t packets_emitted_{0};
-  bool started_{false};
-  Time next_emit_{Time::zero()};
-  std::uint64_t pending_seq_{0};
-};
-
-/// Adversarial source: emits back-to-back packets at a fixed (typically
-/// far-above-link) rate forever.  With buffer management in place its
-/// backlog pins at its threshold, reproducing the greedy flow of
-/// Example 1.
-class GreedySource : public Source {
- public:
-  GreedySource(Simulator& sim, PacketSink& sink, FlowId flow, Rate rate,
-               std::int64_t packet_bytes = 500);
 
   void start() override;
 

@@ -118,7 +118,7 @@ TEST(AimdSourceTest, AdaptiveClassBeatsBlockedClassUnderSelectiveSharing) {
   Simulator sim;
   BufferSharingManager mgr{ByteSize::kilobytes(100.0), std::vector<std::int64_t>{10'000, 10'000},
                            ByteSize::kilobytes(10.0),
-                           {SharingClass::kAdaptive, SharingClass::kBlocked}};
+                           {true, false}};
   FifoScheduler fifo{mgr};
   Link link{sim, fifo, Rate::megabits_per_second(10.0)};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/threshold.h"
+
 namespace bufq {
 namespace {
 

@@ -208,42 +208,5 @@ INSTANTIATE_TEST_SUITE_P(AllTopologies, FabricReplayTest,
                                          fabric::FabricTopologyKind::kFatTree,
                                          fabric::FabricTopologyKind::kWanRing));
 
-TEST(CheckpointReplayTest, MetricsTimeSeriesSurvivesRestore) {
-  // The recurring metrics tick is itself a pending calendar event; a
-  // restored run must emit the identical CSV tail it would have written
-  // uninterrupted.
-  ExperimentConfig config;
-  config.link_rate = Rate::megabits_per_second(48.0);
-  config.flows = {TrafficProfile{.peak_rate = Rate::megabits_per_second(16.0),
-                                 .avg_rate = Rate::megabits_per_second(2.0),
-                                 .bucket = ByteSize::kilobytes(50.0),
-                                 .token_rate = Rate::megabits_per_second(2.0),
-                                 .mean_burst = ByteSize::kilobytes(50.0),
-                                 .regulated = true}};
-  config.buffer = ByteSize::kilobytes(200.0);
-  config.warmup = Time::from_seconds(0.2);
-  config.duration = Time::from_seconds(0.8);
-  config.metrics_sample_period = Time::from_seconds(0.1);
-  config.seed = 3;
-
-  std::ostringstream plain_csv;
-  config.metrics_csv = &plain_csv;
-  const CheckpointedRun run = run_experiment_with_checkpoint(config);
-
-  std::ostringstream resumed_csv;
-  config.metrics_csv = &resumed_csv;
-  (void)resume_experiment(config, run.checkpoint);
-
-  // The plain stream holds warmup + measured samples; the resumed one
-  // only what comes after the snapshot.  Its content must be the exact
-  // byte suffix of the uninterrupted stream.
-  const std::string full = plain_csv.str();
-  const std::string tail = resumed_csv.str();
-  ASSERT_FALSE(tail.empty());
-  const std::string tail_rows = tail.substr(tail.find('\n') + 1);  // drop repeated header
-  ASSERT_LE(tail_rows.size(), full.size());
-  EXPECT_EQ(full.substr(full.size() - tail_rows.size()), tail_rows);
-}
-
 }  // namespace
 }  // namespace bufq

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/example1.h"
+#include "traffic/token_bucket.h"
 #include "util/units.h"
 
 namespace bufq {
@@ -214,41 +215,53 @@ TEST(FluidFifoTest, RepeatedBurstsAtTokenRateStayLossless) {
 }
 
 // ------------------------------------------- burst potential process
+//
+// The burst-potential process sigma(t) of Section 2.2 is the token count
+// of a (sigma, rho) bucket fed by the flow's own arrivals: tokens_at() is
+// sigma(t) and consume() registers arrivals, overdrawing for a
+// non-conformant stream.  The proof of Proposition 2 bounds
+// M(t) = Q(t) + sigma(t) - sigma.
+
+/// sigma = 5000 bytes, rho = 1000 bytes/s.
+TokenBucket burst_potential() {
+  return TokenBucket{ByteSize::bytes(5'000), Rate::bits_per_second(8'000.0)};
+}
 
 TEST(BurstPotentialTest, StartsAtSigma) {
-  BurstPotentialTracker bp{5'000.0, 1'000.0};
-  EXPECT_DOUBLE_EQ(bp.value(0.0), 5'000.0);
+  const TokenBucket bp = burst_potential();
+  EXPECT_DOUBLE_EQ(bp.tokens_at(Time::zero()), 5'000.0);
 }
 
 TEST(BurstPotentialTest, ArrivalsDeplete) {
-  BurstPotentialTracker bp{5'000.0, 1'000.0};
-  bp.arrive(2'000.0, 0.0);
-  EXPECT_DOUBLE_EQ(bp.value(0.0), 3'000.0);
+  TokenBucket bp = burst_potential();
+  bp.consume(2'000, Time::zero());
+  EXPECT_DOUBLE_EQ(bp.tokens_at(Time::zero()), 3'000.0);
 }
 
 TEST(BurstPotentialTest, RefillsAtRhoUpToSigma) {
-  BurstPotentialTracker bp{5'000.0, 1'000.0};
-  bp.arrive(5'000.0, 0.0);
-  EXPECT_NEAR(bp.value(2.0), 2'000.0, 1e-9);
-  EXPECT_NEAR(bp.value(100.0), 5'000.0, 1e-9);
+  TokenBucket bp = burst_potential();
+  bp.consume(5'000, Time::zero());
+  EXPECT_NEAR(bp.tokens_at(Time::seconds(2)), 2'000.0, 1e-9);
+  EXPECT_NEAR(bp.tokens_at(Time::seconds(100)), 5'000.0, 1e-9);
 }
 
 TEST(BurstPotentialTest, NegativeForNonConformantStream) {
-  BurstPotentialTracker bp{5'000.0, 1'000.0};
-  bp.arrive(7'000.0, 0.0);
-  EXPECT_LT(bp.value(0.0), 0.0);
+  TokenBucket bp = burst_potential();
+  bp.consume(7'000, Time::zero());
+  EXPECT_LT(bp.tokens_at(Time::zero()), 0.0);
 }
 
 TEST(BurstPotentialTest, ConformantStreamStaysNonNegative) {
   // Arrivals that obey the token bucket keep sigma(t) in [0, sigma].
-  BurstPotentialTracker bp{5'000.0, 1'000.0};
-  double t = 0.0;
+  TokenBucket bp = burst_potential();
+  Time t = Time::zero();
   for (int i = 0; i < 100; ++i) {
-    const double available = bp.value(t);
-    bp.arrive(available * 0.9, t);  // always within the current potential
-    EXPECT_GE(bp.value(t), -1e-9);
-    EXPECT_LE(bp.value(t), 5'000.0 + 1e-9);
-    t += 0.37;
+    const double available = bp.tokens_at(t);
+    // Always within the current potential.
+    bp.consume(static_cast<std::int64_t>(available * 0.9), t);
+    EXPECT_GE(bp.tokens_at(t), -1e-9);
+    EXPECT_LE(bp.tokens_at(t), 5'000.0 + 1e-9);
+    t += Time::milliseconds(370);
   }
 }
 
@@ -257,28 +270,27 @@ TEST(BurstPotentialTest, MtBoundFromProposition2Proof) {
   // scenario; the proof's bound M(t) < B2*rho1/(R - rho1) must hold.
   const double B = 1e6;
   const double rho1 = 1.5e6;
-  const double sigma1 = 100'000.0;
-  const double b1 = sigma1 + B * rho1 / kR;
+  const std::int64_t sigma1 = 100'000;
+  const double b1 = static_cast<double>(sigma1) + B * rho1 / kR;
   const double b2 = B - b1;
   const double m_hat = b2 * rho1 / (kR - rho1);
 
   FluidFifoSim sim{kR, {b1, b2}, 1e-4};
   sim.set_arrival(0, [rho1](double) { return rho1; });
   sim.set_greedy(1);
-  sim.add_burst(0, 10.0, sigma1);
+  sim.add_burst(0, 10.0, static_cast<double>(sigma1));
 
-  BurstPotentialTracker bp{sigma1, rho1};
-  double t = 0.0;
-  const double dt = 0.01;
-  while (t < 20.0) {
-    sim.run_until(t + dt);
+  TokenBucket bp{ByteSize::bytes(sigma1), Rate::bits_per_second(rho1 * 8.0)};
+  const Time dt = Time::milliseconds(10);
+  // Arrivals over one step: rho1 * dt, plus the burst at t = 10 s.
+  const auto step_bytes = static_cast<std::int64_t>(rho1 * dt.to_seconds());
+  Time t = Time::zero();
+  while (t < Time::seconds(20)) {
     t += dt;
-    // Arrivals over the step: rho1*dt, plus the burst at t=10.
-    double arrived = rho1 * dt;
-    if (std::abs(t - 10.0) < dt / 2) arrived += sigma1;
-    bp.arrive(arrived, t);
-    const double m = sim.occupancy(0) + bp.value(t) - sigma1;
-    ASSERT_LT(m, m_hat + 1.0) << "M(t) bound violated at t=" << t;
+    sim.run_until(t.to_seconds());
+    bp.consume(t == Time::seconds(10) ? step_bytes + sigma1 : step_bytes, t);
+    const double m = sim.occupancy(0) + bp.tokens_at(t) - static_cast<double>(sigma1);
+    ASSERT_LT(m, m_hat + 1.0) << "M(t) bound violated at t=" << t.to_seconds();
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "core/buffer_manager.h"
+#include "core/threshold.h"
 #include "sched/fifo.h"
 #include "sim/simulator.h"
 #include "traffic/sources.h"
@@ -80,7 +80,7 @@ TEST(LinkTest, UtilizationCapsAtLinkRate) {
   // Offer 3x the link rate; delivered bytes over a long window must not
   // exceed capacity (work conservation from the other side).
   Harness h;
-  GreedySource source{h.sim, h.link, 0, Rate::megabits_per_second(12.0), 500};
+  CbrSource source{h.sim, h.link, 0, Rate::megabits_per_second(12.0), 500};
   source.start();
   h.sim.run_until(Time::seconds(10));
   const double delivered_bps = static_cast<double>(h.link.bytes_delivered()) * 8.0 / 10.0;

@@ -94,8 +94,7 @@ std::vector<ManagerCase> manager_cases() {
        [=] {
          return std::make_unique<BufferSharingManager>(
              kCapacity, thresholds, ByteSize::bytes(5'000),
-             std::vector<SharingClass>{SharingClass::kAdaptive, SharingClass::kBlocked,
-                                       SharingClass::kReserved, SharingClass::kAdaptive});
+             std::vector<bool>{true, false, false, true});
        }},
       {"dynamic_threshold",
        [] { return std::make_unique<DynamicThresholdManager>(kCapacity, kFlows, 1.0); }},
@@ -268,11 +267,11 @@ class ReferencePools {
 enum class HeadroomRegime { kZero, kBelowBuffer, kEqualsBuffer, kAboveBuffer };
 
 /// One randomly drawn configuration: buffer, per-flow thresholds and
-/// sharing classes, headroom.
+/// borrow flags, headroom.
 struct DiffConfig {
   std::int64_t capacity{0};
   std::vector<std::int64_t> thresholds;
-  std::vector<SharingClass> classes;
+  std::vector<bool> may_borrow;
   std::int64_t max_headroom{0};
 };
 
@@ -282,7 +281,8 @@ DiffConfig draw_config(Rng& rng, HeadroomRegime regime) {
   for (std::size_t f = 0; f < kFlows; ++f) {
     c.thresholds.push_back(static_cast<std::int64_t>(
         rng.uniform_u64(static_cast<std::uint64_t>(c.capacity / 2))));
-    c.classes.push_back(static_cast<SharingClass>(rng.uniform_u64(3)));
+    // One flow in three borrows.
+    c.may_borrow.push_back(rng.uniform_u64(3) == 1);
   }
   switch (regime) {
     case HeadroomRegime::kZero: c.max_headroom = 0; break;
@@ -362,10 +362,8 @@ TEST_P(SharingDifferentialTest, BufferSharingAllAdaptiveMatchesPseudocode) {
 TEST_P(SharingDifferentialTest, BufferSharingMixedClassesMatchesPseudocode) {
   for_each_config([](const DiffConfig& c, Rng& rng) {
     BufferSharingManager mgr{ByteSize::bytes(c.capacity), c.thresholds,
-                             ByteSize::bytes(c.max_headroom), c.classes};
-    std::vector<bool> may_borrow;
-    for (const SharingClass cls : c.classes) may_borrow.push_back(cls == SharingClass::kAdaptive);
-    run_differential(c, mgr, may_borrow,
+                             ByteSize::bytes(c.max_headroom), c.may_borrow};
+    run_differential(c, mgr, c.may_borrow,
                      [&] { return SharingPools{mgr.holes(), mgr.headroom()}; }, rng);
   });
 }
@@ -373,6 +371,16 @@ TEST_P(SharingDifferentialTest, BufferSharingMixedClassesMatchesPseudocode) {
 TEST_P(SharingDifferentialTest, ThresholdManagerMatchesPseudocode) {
   for_each_config([](const DiffConfig& c, Rng& rng) {
     ThresholdManager mgr{ByteSize::bytes(c.capacity), c.thresholds};
+    run_differential(c, mgr, std::vector<bool>(kFlows, false), {}, rng);
+  });
+}
+
+TEST_P(SharingDifferentialTest, TailDropMatchesPseudocode) {
+  // No buffer management is the same rule with every threshold at the
+  // capacity and no borrower.
+  for_each_config([](DiffConfig c, Rng& rng) {
+    c.thresholds.assign(kFlows, c.capacity);
+    TailDropManager mgr{ByteSize::bytes(c.capacity), kFlows};
     run_differential(c, mgr, std::vector<bool>(kFlows, false), {}, rng);
   });
 }

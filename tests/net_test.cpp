@@ -256,8 +256,8 @@ TEST(NodeTest, PerHopThresholdsProtectAcrossTwoHops) {
   r1.route(1, 0);
 
   CbrSource protected_flow{sim, r1, 0, e2e.rho, kPkt};
-  GreedySource adversary1{sim, r1, 1, kLink * 2.0, kPkt};
-  GreedySource adversary2{sim, r2, 2, kLink * 2.0, kPkt};
+  CbrSource adversary1{sim, r1, 1, kLink * 2.0, kPkt};
+  CbrSource adversary2{sim, r2, 2, kLink * 2.0, kPkt};
   adversary1.start();
   adversary2.start();
   protected_flow.start();

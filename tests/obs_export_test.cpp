@@ -1,7 +1,7 @@
 // Exporter tests: golden JSON / Prometheus output for a known snapshot
 // (which doubles as a determinism check — two exports of the same
-// snapshot must be byte-identical), the loud-failure contract on
-// unwritable paths, and the TimeSeriesCsv column-freezing behaviour.
+// snapshot must be byte-identical) and the loud-failure contract on
+// unwritable paths.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,7 +10,6 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "util/units.h"
 
 namespace bufq::obs {
 namespace {
@@ -105,28 +104,6 @@ TEST(ExportFailureTest, PrometheusThrowsOnUnwritablePath) {
   EXPECT_THROW(
       write_prometheus_file("/nonexistent-bufq-dir/metrics.prom", sample_snapshot()),
       std::runtime_error);
-}
-
-TEST(TimeSeriesCsvTest, ColumnsFreezeAtFirstSample) {
-  MetricsRegistry registry;
-  Counter& events = registry.counter("events");
-  registry.gauge("depth").set(7);
-  registry.histogram("lat").record(5);
-  events.add(5);
-
-  std::ostringstream out;
-  TimeSeriesCsv series{out, registry};
-  series.sample(Time::seconds(1));
-  events.add(4);
-  // Registered after the header: must NOT widen the rows.
-  registry.counter("late").add(99);
-  series.sample(Time::seconds(2));
-
-  EXPECT_EQ(out.str(),
-            "t_s,events,depth,lat.count\n"
-            "1,5,7,1\n"
-            "2,9,7,1\n");
-  EXPECT_EQ(series.rows_written(), 2u);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST_P(Prop1PacketTest, ConformantCbrFlowIsLossless) {
   });
 
   CbrSource conformant{sim, link, 0, rho1, kPkt};
-  GreedySource adversary{sim, link, 1, kLink * static_cast<double>(overdrive), kPkt};
+  CbrSource adversary{sim, link, 1, kLink * static_cast<double>(overdrive), kPkt};
   adversary.start();  // adversary gets a head start on simultaneous events
   conformant.start();
   sim.run_until(Time::seconds(20));
@@ -93,7 +93,7 @@ TEST_P(Prop1PacketTest, ConformantFlowAchievesLongRunRate) {
   });
 
   CbrSource conformant{sim, link, 0, rho1, kPkt};
-  GreedySource adversary{sim, link, 1, kLink * static_cast<double>(overdrive), kPkt};
+  CbrSource adversary{sim, link, 1, kLink * static_cast<double>(overdrive), kPkt};
   adversary.start();
   conformant.start();
   sim.run_until(Time::seconds(25));
@@ -141,7 +141,7 @@ TEST_P(Prop2PacketTest, ShapedBurstyFlowIsLossless) {
       .packet_bytes = kPkt,
   };
   MarkovOnOffSource source{sim, shaper, params, Rng{99}};
-  GreedySource adversary{sim, link, 1, kLink * 3.0, kPkt};
+  CbrSource adversary{sim, link, 1, kLink * 3.0, kPkt};
   adversary.start();
   source.start();
   sim.run_until(Time::seconds(20));
@@ -175,8 +175,8 @@ TEST_P(WfqGuaranteeTest, BackloggedFlowsSplitByWeights) {
     if (t > Time::seconds(1)) delivered[static_cast<std::size_t>(p.flow)] += p.size_bytes;
   });
 
-  GreedySource s0{sim, link, 0, kLink * 2.0, kPkt};
-  GreedySource s1{sim, link, 1, kLink * 2.0, kPkt};
+  CbrSource s0{sim, link, 0, kLink * 2.0, kPkt};
+  CbrSource s1{sim, link, 1, kLink * 2.0, kPkt};
   s0.start();
   s1.start();
   sim.run_until(Time::seconds(6));
@@ -216,8 +216,8 @@ TEST_P(SharingExcessTest, ActiveFlowsGetReservationPlusEqualExcess) {
     if (t > Time::seconds(2)) delivered[static_cast<std::size_t>(p.flow)] += p.size_bytes;
   });
 
-  GreedySource s0{sim, link, 0, kLink, kPkt};
-  GreedySource s1{sim, link, 1, kLink, kPkt};
+  CbrSource s0{sim, link, 0, kLink, kPkt};
+  CbrSource s1{sim, link, 1, kLink, kPkt};
   s0.start();
   s1.start();
   sim.run_until(Time::seconds(12));
@@ -266,11 +266,16 @@ TEST(WorkConservationTest, AllSchedulersDeliverIdenticalTotals) {
             Time::milliseconds(1));
     }
     Link link{sim, *discipline, kLink};
-    std::vector<std::unique_ptr<PoissonSource>> sources;
+    std::vector<std::unique_ptr<MarkovOnOffSource>> sources;
     Rng master{555};
     for (FlowId f = 0; f < 3; ++f) {
-      sources.push_back(std::make_unique<PoissonSource>(
-          sim, link, f, Rate::megabits_per_second(10.0), kPkt, master.fork(f)));
+      // 20 Mb/s peak at 50% duty: 10 Mb/s mean, bursty enough to queue.
+      const MarkovOnOffSource::Params params{.flow = f,
+                                             .peak_rate = Rate::megabits_per_second(20.0),
+                                             .mean_on = Time::milliseconds(2),
+                                             .mean_off = Time::milliseconds(2),
+                                             .packet_bytes = kPkt};
+      sources.push_back(std::make_unique<MarkovOnOffSource>(sim, link, params, master.fork(f)));
       sources.back()->start();
     }
     sim.run_until(Time::seconds(10));
@@ -309,7 +314,7 @@ TEST_P(Remark1Test, NonConformantFlowDeliversAtLeastItsConformantVolume) {
     link.set_delivery_handler([&](const Packet& p, Time) {
       if (p.flow == 0) delivered += p.size_bytes;
     });
-    GreedySource adversary{sim, link, 1, kLink * 3.0, kPkt};
+    CbrSource adversary{sim, link, 1, kLink * 3.0, kPkt};
     CbrSource flow0{sim, link, 0, rho1 * rate_factor, kPkt};
     adversary.start();
     flow0.start();
@@ -350,7 +355,7 @@ TEST_P(TailDropCaptureTest, WithoutBmGreedyFlowStarvesCbr) {
   });
 
   CbrSource conformant{sim, link, 0, rho1, kPkt};
-  GreedySource adversary{sim, link, 1, kLink * 3.0, kPkt};
+  CbrSource adversary{sim, link, 1, kLink * 3.0, kPkt};
   adversary.start();
   conformant.start();
   sim.run_until(Time::seconds(10));

@@ -144,7 +144,7 @@ TEST(RpqSchedulerTest, EndToEndDelayTargetsRespected) {
   });
 
   CbrSource urgent{sim, link, 0, Rate::megabits_per_second(2.0), 500};
-  GreedySource bulk{sim, link, 1, Rate::megabits_per_second(96.0), 500};
+  CbrSource bulk{sim, link, 1, Rate::megabits_per_second(96.0), 500};
   bulk.start();
   urgent.start();
   sim.run_until(Time::seconds(10));

@@ -106,7 +106,7 @@ TEST(ShaperTest, ThroughputCapsAtTokenRate) {
   RecordingSink sink;
   LeakyBucketShaper shaper{sim, sink, ByteSize::kilobytes(10.0),
                            Rate::megabits_per_second(2.0)};
-  GreedySource source{sim, shaper, 0, Rate::megabits_per_second(20.0), 500};
+  CbrSource source{sim, shaper, 0, Rate::megabits_per_second(20.0), 500};
   source.start();
   sim.run_until(Time::seconds(10));
   std::int64_t bytes = 0;

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "core/threshold.h"
+#include "obs/metrics.h"
+#include "sim/checkpoint.h"
+
 namespace bufq {
 namespace {
 
@@ -163,15 +172,14 @@ TEST(BufferSharingTest, ZeroHeadroomDegeneratesToPureSharing) {
   EXPECT_EQ(mgr.holes(), 5'000);
 }
 
-// ------------------------------------------- Section 5 sharing classes
+// ------------------------------------------- Section 5 borrow flags
 
-/// 10 KB buffer; flows 0 (adaptive), 1 (blocked), 2 (reserved); 2 KB
-/// thresholds each; 1 KB headroom.
+/// 10 KB buffer; flow 0 (adaptive) may borrow, flows 1 (blocked) and 2
+/// (reserved) may not; 2 KB thresholds each; 1 KB headroom.
 BufferSharingManager classed_manager() {
-  return BufferSharingManager{
-      ByteSize::bytes(10'000), std::vector<std::int64_t>{2'000, 2'000, 2'000},
-      ByteSize::bytes(1'000),
-      {SharingClass::kAdaptive, SharingClass::kBlocked, SharingClass::kReserved}};
+  return BufferSharingManager{ByteSize::bytes(10'000),
+                              std::vector<std::int64_t>{2'000, 2'000, 2'000},
+                              ByteSize::bytes(1'000), {true, false, false}};
 }
 
 TEST(SelectiveSharingTest, PoolsInitializedLikeBufferSharing) {
@@ -238,7 +246,7 @@ TEST(SelectiveSharingTest, DepartureRefillsHeadroomFirst) {
   auto mgr = classed_manager();
   // Drain the headroom via a below-threshold admit when holes are gone.
   BufferSharingManager tight{ByteSize::bytes(3'000), std::vector<std::int64_t>{3'000},
-                             ByteSize::bytes(2'000), {SharingClass::kReserved}};
+                             ByteSize::bytes(2'000), {false}};
   ASSERT_TRUE(tight.try_admit(0, 2'000, kNow));  // holes 1000 -> 0, headroom -1000 -> 1000
   EXPECT_EQ(tight.headroom(), 1'000);
   tight.release(0, 1'500, kNow);
@@ -263,16 +271,75 @@ TEST(SelectiveSharingTest, InvariantAcrossChurn) {
 
 TEST(SelectiveSharingTest, NoClassesMeansEveryFlowAdaptive) {
   const auto mgr = small_manager();
-  EXPECT_EQ(mgr.sharing_class(0), SharingClass::kAdaptive);
-  EXPECT_EQ(mgr.sharing_class(1), SharingClass::kAdaptive);
+  EXPECT_TRUE(mgr.may_borrow(0));
+  EXPECT_TRUE(mgr.may_borrow(1));
 }
 
 TEST(SelectiveSharingTest, ClassAccessors) {
   auto mgr = classed_manager();
-  EXPECT_EQ(mgr.sharing_class(0), SharingClass::kAdaptive);
-  EXPECT_EQ(mgr.sharing_class(1), SharingClass::kBlocked);
-  EXPECT_EQ(mgr.sharing_class(2), SharingClass::kReserved);
+  EXPECT_TRUE(mgr.may_borrow(0));
+  EXPECT_FALSE(mgr.may_borrow(1));
+  EXPECT_FALSE(mgr.may_borrow(2));
   EXPECT_EQ(mgr.threshold(0), 2'000);
+}
+
+// ------------------------------------------- pools exist only to borrow
+
+/// What one admit leaves behind under a run-private registry: whether the
+/// holes/headroom gauges were registered, and the `bm` checkpoint section
+/// read back word by word — the shared accounting, then pool words only if
+/// `pool_words` says so (end_section throws on anything left over).
+struct PoolState {
+  bool holes_gauge{false};
+  bool headroom_gauge{false};
+};
+
+PoolState admit_one(const std::function<std::unique_ptr<BufferManager>()>& make,
+                    bool pool_words) {
+  obs::ScopedMetrics scope;
+  const auto mgr = make();
+  EXPECT_TRUE(mgr->try_admit(0, 500, kNow));
+  CheckpointWriter w;
+  mgr->save_state(w);
+  const std::vector<std::byte> blob = w.finish(0);
+  CheckpointReader r{blob};
+  r.begin_section("bm");
+  EXPECT_EQ(r.read_i64_vector().size(), 2u);
+  EXPECT_EQ(r.read_i64(), 500);
+  static_cast<void>(r.read_u64());
+  if (pool_words) {
+    // Holes plus headroom is the free space.
+    const std::int64_t holes = r.read_i64();
+    EXPECT_EQ(holes + r.read_i64(), mgr->capacity().count() - 500);
+  }
+  EXPECT_NO_THROW(r.end_section());
+  const obs::RegistrySnapshot snap = scope.registry().snapshot();
+  return {.holes_gauge = snap.gauges.contains("bm.holes_bytes"),
+          .headroom_gauge = snap.gauges.contains("bm.headroom_bytes")};
+}
+
+TEST(PoolStateTest, OnlyBorrowingManagersPublishAndSavePools) {
+  const auto buffer = ByteSize::bytes(10'000);
+  const std::vector<std::int64_t> thresholds{2'000, 2'000};
+
+  const PoolState partition =
+      admit_one([&] { return std::make_unique<ThresholdManager>(buffer, thresholds); }, false);
+  EXPECT_FALSE(partition.holes_gauge);
+  EXPECT_FALSE(partition.headroom_gauge);
+
+  const PoolState tail_drop =
+      admit_one([&] { return std::make_unique<TailDropManager>(buffer, 2); }, false);
+  EXPECT_FALSE(tail_drop.holes_gauge);
+  EXPECT_FALSE(tail_drop.headroom_gauge);
+
+  const PoolState sharing = admit_one(
+      [&] {
+        return std::make_unique<BufferSharingManager>(buffer, thresholds,
+                                                      ByteSize::bytes(2'000));
+      },
+      true);
+  EXPECT_TRUE(sharing.holes_gauge);
+  EXPECT_TRUE(sharing.headroom_gauge);
 }
 
 }  // namespace

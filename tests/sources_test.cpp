@@ -58,40 +58,10 @@ TEST(CbrSourceTest, SequenceNumbersIncrease) {
   }
 }
 
-TEST(PoissonSourceTest, MeanRateMatches) {
+TEST(CbrSourceTest, EmitsBackToBackAtConfiguredRate) {
   Simulator sim;
   RecordingSink sink;
-  PoissonSource source{sim, sink, 0, Rate::megabits_per_second(4.0), 500, Rng{123}};
-  source.start();
-  sim.run_until(Time::seconds(60));
-  const double rate_bps = static_cast<double>(sink.total_bytes()) * 8.0 / 60.0;
-  EXPECT_NEAR(rate_bps, 4e6, 4e6 * 0.05);
-}
-
-TEST(PoissonSourceTest, InterarrivalsAreVariable) {
-  Simulator sim;
-  RecordingSink sink;
-  PoissonSource source{sim, sink, 0, Rate::megabits_per_second(4.0), 500, Rng{5}};
-  source.start();
-  sim.run_until(Time::seconds(1));
-  ASSERT_GT(sink.packets.size(), 100u);
-  // At least two distinct gaps (a CBR stream would have exactly one).
-  std::vector<std::int64_t> gaps;
-  for (std::size_t i = 1; i < sink.packets.size(); ++i) {
-    gaps.push_back((sink.packets[i].created - sink.packets[i - 1].created).ns());
-  }
-  std::int64_t min_gap = gaps[0], max_gap = gaps[0];
-  for (auto g : gaps) {
-    min_gap = std::min(min_gap, g);
-    max_gap = std::max(max_gap, g);
-  }
-  EXPECT_LT(min_gap, max_gap);
-}
-
-TEST(GreedySourceTest, EmitsBackToBackAtConfiguredRate) {
-  Simulator sim;
-  RecordingSink sink;
-  GreedySource source{sim, sink, 0, Rate::megabits_per_second(400.0), 500};
+  CbrSource source{sim, sink, 0, Rate::megabits_per_second(400.0), 500};
   source.start();
   sim.run_until(Time::milliseconds(10));
   // 400 Mb/s of 500B packets: one per 10us; 1001 packets in 10ms.

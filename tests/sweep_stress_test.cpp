@@ -70,9 +70,6 @@ SweepCase random_case(Rng& rng, std::size_t index) {
       ByteSize::bytes(static_cast<std::int64_t>(rng.uniform(0.0, 1.0) *
                                                 static_cast<double>(c.config.buffer.count())));
   c.config.scheme.dt_alpha = rng.uniform(0.25, 4.0);
-  c.config.scheme.red_min_fraction = rng.uniform(0.05, 0.4);
-  c.config.scheme.red_max_fraction = rng.uniform(0.5, 0.95);
-  c.config.scheme.red_max_p = rng.uniform(0.01, 0.5);
   if (rng.bernoulli(0.2)) {
     c.config.burst_distribution = BurstDistribution::kPareto;
   } else if (rng.bernoulli(0.2)) {

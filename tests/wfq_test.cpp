@@ -187,8 +187,8 @@ TEST(WfqSchedulerTest, EndToEndRateSplitMatchesWeights) {
     delivered[static_cast<std::size_t>(p.flow)] += p.size_bytes;
   });
 
-  GreedySource s0{sim, link, 0, Rate::megabits_per_second(20.0), 500};
-  GreedySource s1{sim, link, 1, Rate::megabits_per_second(20.0), 500};
+  CbrSource s0{sim, link, 0, Rate::megabits_per_second(20.0), 500};
+  CbrSource s1{sim, link, 1, Rate::megabits_per_second(20.0), 500};
   s0.start();
   s1.start();
   sim.run_until(Time::seconds(10));
@@ -227,7 +227,7 @@ TEST(WfqSchedulerTest, ShapedFlowDelayBoundedBySigmaOverShare) {
       .packet_bytes = 500,
   };
   MarkovOnOffSource bursty{sim, shaper, params, Rng{31}};
-  GreedySource bulk{sim, link_obj, 1, link * 2.0, 500};
+  CbrSource bulk{sim, link_obj, 1, link * 2.0, 500};
   bulk.start();
   bursty.start();
   sim.run_until(Time::seconds(20));
