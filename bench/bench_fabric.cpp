@@ -97,12 +97,12 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   try {
     Flags flags{argc, argv};
-    seeds = static_cast<std::size_t>(flags.get_int("seeds", 2));
+    seeds = flags.get_count("seeds", 2);
     base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     warmup = Time::from_seconds(flags.get_double("warmup", 1.0));
     duration = Time::from_seconds(flags.get_double("duration", 4.0));
     loads = flags.get_list<double>("loads", {0.6, 1.0});
-    jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+    jobs = flags.get_count("jobs", 0);
     shards = static_cast<int>(flags.get_int("shards", 1));
     progress = flags.get_bool("progress", false);
     metrics_out = flags.get_string("metrics-out", "");
@@ -156,11 +156,11 @@ int main(int argc, char** argv) {
             << "# seeds=" << seeds << " base_seed=" << base_seed
             << " warmup=" << warmup.to_seconds() << "s duration=" << duration.to_seconds()
             << "s\n";
-  std::cerr << "# jobs=" << (jobs == 0 ? TaskPool::default_thread_count() : jobs)
+  std::cerr << "# jobs=" << (jobs == 0 ? default_thread_count() : jobs)
             << " runs=" << cases.size() * seeds << "\n";
 
   SweepOptions options;
-  options.jobs = jobs == 0 ? TaskPool::default_thread_count() : jobs;
+  options.jobs = jobs == 0 ? default_thread_count() : jobs;
   options.replications = seeds;
   options.base_seed = base_seed;
   // Common random numbers: scheme-vs-scheme comparisons at one grid point

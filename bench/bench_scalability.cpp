@@ -36,7 +36,6 @@
 #include "sched/fifo.h"
 #include "sched/rpq.h"
 #include "sched/wfq.h"
-#include "sim/inline_action.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/task_pool.h"
@@ -176,54 +175,46 @@ void BM_DynamicFlowTableThresholds(benchmark::State& state) {
 
 BENCHMARK(BM_DynamicFlowTableThresholds)->RangeMultiplier(16)->Range(1 << 8, 1 << 20);
 
-/// Sweep-engine substrate: per-task dispatch overhead of the work-
-/// stealing pool.  A simulation run costs milliseconds, so the pool's
-/// microsecond-scale dispatch must be (and is) negligible; this guards
-/// against regressions in the queueing/steal path.
-void BM_TaskPoolDispatch(benchmark::State& state) {
+/// Sweep-engine substrate: per-index dispatch overhead of parallel_for,
+/// thread start-up included.  A simulation run costs milliseconds, so
+/// microsecond-scale dispatch must be (and is) negligible.
+void BM_ParallelForDispatch(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  TaskPool pool{threads};
   constexpr std::size_t kBatch = 1024;
   for (auto _ : state) {
     std::atomic<std::uint64_t> sum{0};
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      pool.submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
+    parallel_for(kBatch, threads,
+                 [&sum](std::size_t i) { sum.fetch_add(i, std::memory_order_relaxed); });
     benchmark::DoNotOptimize(sum.load());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
 }
 
-BENCHMARK(BM_TaskPoolDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-/// Work stealing under imbalance: all tasks submitted from one external
-/// thread land round-robin, but tasks vary 16x in cost, so idle workers
-/// must steal to finish early.  Items/s should scale with threads.
-void BM_TaskPoolImbalancedWork(benchmark::State& state) {
+/// Imbalanced work: indices vary 16x in cost, and threads that finish
+/// early claim the remaining indices from the shared counter.  Items/s
+/// should scale with threads.
+void BM_ParallelForImbalancedWork(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  TaskPool pool{threads};
   constexpr std::size_t kTasks = 256;
   for (auto _ : state) {
     std::atomic<std::uint64_t> sum{0};
-    for (std::size_t i = 0; i < kTasks; ++i) {
+    parallel_for(kTasks, threads, [&sum](std::size_t i) {
       const std::uint64_t spins = 512 * (1 + i % 16);
-      pool.submit([&sum, spins] {
-        Rng rng{spins};
-        std::uint64_t x = 0;
-        for (std::uint64_t k = 0; k < spins; ++k) x ^= rng.next_u64();
-        sum.fetch_add(x, std::memory_order_relaxed);
-      });
-    }
-    pool.wait_idle();
+      Rng rng{spins};
+      std::uint64_t x = 0;
+      for (std::uint64_t k = 0; k < spins; ++k) x ^= rng.next_u64();
+      sum.fetch_add(x, std::memory_order_relaxed);
+    });
     benchmark::DoNotOptimize(sum.load());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTasks));
 }
 
-BENCHMARK(BM_TaskPoolImbalancedWork)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ParallelForImbalancedWork)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 /// PhaseBarrier round-trip: the parallel fabric engine pays exactly one
 /// barrier per lookahead window, so its window rate is bounded by this.
@@ -284,8 +275,6 @@ struct KernelTicker {
     const auto tick = [this] {
       if (remaining-- > 0) arm();
     };
-    static_assert(InlineAction::stores_inline<decltype(tick)>,
-                  "kernel spin event must not allocate");
     sim->in(gap, tick);
   }
 };

@@ -17,14 +17,12 @@ BenchOptions parse_options(int argc, const char* const* argv,
   BenchOptions options;
   try {
     Flags flags{argc, argv};
-    options.seeds = static_cast<std::size_t>(
-        flags.get_int("replications", flags.get_int("seeds", 5)));
+    options.seeds = flags.get_count("replications", flags.get_count("seeds", 5));
     options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     options.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
     options.duration = Time::from_seconds(flags.get_double("duration", 20.0));
     options.buffers_mb = flags.get_list<double>("buffers", std::move(default_buffers_mb));
-    options.jobs = static_cast<std::size_t>(
-        flags.get_int("jobs", static_cast<std::int64_t>(TaskPool::default_thread_count())));
+    options.jobs = flags.get_count("jobs", default_thread_count());
     options.progress = flags.get_bool("progress", false);
     options.metrics_out = flags.get("metrics-out").value_or("");
     options.checkpoint = parse_sweep_checkpoint(flags);
@@ -45,7 +43,7 @@ BenchOptions parse_options(int argc, const char* const* argv,
 
 SweepOptions sweep_options(const BenchOptions& options) {
   SweepOptions sweep;
-  sweep.jobs = options.jobs == 0 ? TaskPool::default_thread_count() : options.jobs;
+  sweep.jobs = options.jobs == 0 ? default_thread_count() : options.jobs;
   sweep.replications = options.seeds;
   sweep.base_seed = options.base_seed;
   // Common random numbers: every grid point sees the same seed set, which

@@ -103,7 +103,7 @@ void print_banner(std::ostream& out, const std::string& figure, const std::strin
 /// The whole main() of a bench_fig* binary: parses options with the
 /// figure's default buffer grid, prints banner (+ workload table where the
 /// figure calls for it) and the CSV series to stdout, runs the grid x
-/// seeds sweep on a TaskPool, and reports run failures on stderr.
+/// seeds sweep with parallel_for, and reports run failures on stderr.
 /// Returns the process exit code.
 int run_figure_main(int figure, int argc, const char* const* argv);
 

@@ -14,12 +14,15 @@
 // admitted conformant flow loses a packet — the guarantee the thresholds
 // exist to keep.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "expt/churn_experiment.h"
 #include "util/flags.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bufq;
 
   Flags flags{argc, argv};
@@ -54,7 +57,7 @@ int main(int argc, char** argv) {
   config.buffer = ByteSize::megabytes(flags.get_double("buffer_mb", 1.0));
   config.scheme = scheme;
   config.headroom = ByteSize::kilobytes(flags.get_double("headroom_kb", 100.0));
-  config.max_flows = static_cast<std::size_t>(flags.get_int("max_flows", 256));
+  config.max_flows = flags.get_count("max_flows", 256);
   config.churn.arrival_rate_hz = flags.get_double("lambda", 150.0);
   config.churn.mean_holding = Time::milliseconds(flags.get_int("holding_ms", 500));
   config.churn.mix = {
@@ -99,4 +102,16 @@ int main(int argc, char** argv) {
   }
   std::printf("\nOK: every admitted conformant flow was served losslessly.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // Malformed or negative flag values.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     config.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
     config.duration = Time::from_seconds(flags.get_double("duration", 20.0));
     config.record_delays = flags.get_bool("delays", false);
-    const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 5));
+    const std::size_t seeds = flags.get_count("seeds", 5);
 
     const SweepCheckpoint checkpoint = parse_sweep_checkpoint(flags);
 
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
     single.label = workload;
     single.config = config;
     SweepOptions options;
-    options.jobs = TaskPool::default_thread_count();
+    options.jobs = default_thread_count();
     options.replications = seeds;
     options.base_seed = 1;
     options.checkpoint = checkpoint;

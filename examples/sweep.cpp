@@ -34,9 +34,8 @@ int main(int argc, char** argv) {
     params.buffers_mb = flags.get_list<double>("buffers", params.buffers_mb);
     params.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
     params.duration = Time::from_seconds(flags.get_double("duration", 20.0));
-    options.jobs = static_cast<std::size_t>(
-        flags.get_int("jobs", static_cast<std::int64_t>(TaskPool::default_thread_count())));
-    options.replications = static_cast<std::size_t>(flags.get_int("replications", 5));
+    options.jobs = flags.get_count("jobs", default_thread_count());
+    options.replications = flags.get_count("replications", 5);
     options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     options.seed_mode = SeedMode::kSharedAcrossCases;
     options.progress = flags.get_bool("progress", false) ? &std::cerr : nullptr;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/inline_action.h"
 
 namespace bufq::admission {
 namespace {
@@ -54,8 +53,6 @@ void ChurnDriver::start() {
 void ChurnDriver::schedule_next_arrival() {
   const Time gap = rng_.exponential_time(Time::from_seconds(1.0 / config_.arrival_rate_hz));
   const auto arrive = [this] { on_arrival(); };
-  static_assert(InlineAction::stores_inline<decltype(arrive)>,
-                "churn arrival event must not allocate");
   sim_.in(gap, arrive);
 }
 
@@ -129,10 +126,6 @@ void ChurnDriver::on_arrival() {
   if (on_admit_) on_admit_(flow_id, profile);
 
   const auto depart = [this, handle] { on_departure(handle); };
-  // Largest churn capture (this + FlowHandle); must stay inline in the
-  // event record so flow setup/teardown never allocates per event.
-  static_assert(InlineAction::stores_inline<decltype(depart)>,
-                "churn departure event must not allocate");
   sim_.in(rng_.exponential_time(config_.mean_holding), depart);
   schedule_next_arrival();
 }
@@ -149,8 +142,6 @@ void ChurnDriver::on_departure(FlowHandle handle) {
   // The reservation and slot are held until every byte the flow pushed
   // into the shaper or the buffer has drained; poll for that.
   const auto reap = [this, handle] { try_reap(handle); };
-  static_assert(InlineAction::stores_inline<decltype(reap)>,
-                "churn reap event must not allocate");
   sim_.in(kReapInterval, reap);
 }
 
@@ -162,8 +153,6 @@ void ChurnDriver::try_reap(FlowHandle handle) {
   const bool source_busy = sim_.now() < slot.source->quiescent_after();
   if (shaper_busy || source_busy || table_.occupancy(handle.slot) > 0) {
     const auto retry = [this, handle] { try_reap(handle); };
-    static_assert(InlineAction::stores_inline<decltype(retry)>,
-                  "churn reap retry event must not allocate");
     sim_.in(kReapInterval, retry);
     return;
   }

@@ -9,7 +9,6 @@
 #include "admission/flow_table.h"
 #include "sched/fifo.h"
 #include "sched/wfq.h"
-#include "sim/inline_action.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
 
@@ -75,8 +74,6 @@ ChurnResult run_churn_experiment(const ChurnConfig& config) {
 
   std::vector<FlowCounters> at_warmup;
   const auto snap_warmup = [&] { at_warmup = stats.snapshot(); };
-  static_assert(InlineAction::stores_inline<decltype(snap_warmup)>,
-                "warmup snapshot event must not allocate");
   sim.at(config.warmup, snap_warmup);
   sim.run_until(config.warmup + config.duration);
 

@@ -157,19 +157,8 @@ SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extra
     report_progress(false);
   };
 
-  if (options.jobs <= 1) {
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-      for (std::size_t r = 0; r < replications; ++r) run_one(c, r);
-    }
-  } else {
-    TaskPool pool{options.jobs};
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-      for (std::size_t r = 0; r < replications; ++r) {
-        pool.submit([&run_one, c, r] { run_one(c, r); });
-      }
-    }
-    pool.wait_idle();
-  }
+  parallel_for(total, options.jobs,
+               [&](std::size_t i) { run_one(i / replications, i % replications); });
   report_progress(true);
 
   SweepResult result;

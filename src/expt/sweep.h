@@ -1,15 +1,15 @@
 // Parallel sweep engine.  Every figure of the paper is a grid of mutually
 // independent simulation runs; this module fans a vector of SweepCases
-// (config points) times k replications out over a work-stealing TaskPool
-// and folds the runs back into one SweepRow per case, with mean / stddev /
+// (config points) times k replications out as one parallel_for batch and
+// folds the runs back into one SweepRow per case, with mean / stddev /
 // 95% CI columns per metric.
 //
 // Determinism contract: run (case p, replication r) is seeded with
 // SeedSequence(base_seed).derive(p, r) (or .derive(r) under
 // kSharedAcrossCases), and every run writes into its own pre-sized result
-// slot.  Seeds therefore depend only on indices — never on thread count,
-// scheduling order, or work stealing — so a sweep's rows (and the CSV
-// serialization below) are bit-identical at --jobs 1, 2, or 8.
+// slot.  Seeds therefore depend only on indices — never on thread count
+// or scheduling order — so a sweep's rows (and the CSV serialization
+// below) are bit-identical at --jobs 1, 2, or 8.
 #pragma once
 
 #include <cstddef>

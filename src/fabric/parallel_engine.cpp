@@ -10,7 +10,6 @@
 
 #include "check/invariants.h"
 #include "expt/run_harness.h"
-#include "sim/inline_action.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
@@ -87,8 +86,6 @@ class ShardModel {
       // 0 schedules a no-op at the same instant to keep the merged
       // sim.events count — and the at() check tally — identical.
       const auto warmup_parity = [] {};
-      static_assert(InlineAction::stores_inline<decltype(warmup_parity)>,
-                    "warmup parity event must not allocate");
       static_cast<void>(sim_.at(config.warmup, warmup_parity));
     }
   }
@@ -210,9 +207,8 @@ ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
   cc.shards = plan.shards;
   cc.lookahead = plan.lookahead;
   cc.horizon = horizon;
-  cc.sync_points = {config.warmup};
-  ParallelCoordinator coord{cc, [&](Time t) {
-                              if (t != config.warmup) return;
+  cc.sync_point = config.warmup;
+  ParallelCoordinator coord{cc, [&] {
                               for (auto& slot : slots) {
                                 if (slot.model != nullptr) {
                                   slot.at_warmup = slot.model->stats_snapshot();
@@ -223,44 +219,39 @@ ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
   BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the determinism contract");
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // A dedicated pool with exactly one worker per shard: shard workers
-  // live at the barrier for the whole run, so they must not share
-  // threads (a worker parked in arrive_and_wait() would starve the shard
-  // whose turn it is holding).
-  TaskPool pool{shard_count};
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    pool.submit([&config, &sc, &plan, &coord, &slots, s] {
-      Slot& slot = slots[s];
-      const auto shard = static_cast<std::int32_t>(s);
-      check::ScopedChecker shard_checker;
-      {
-        obs::ScopedMetrics shard_metrics;
+  // Exactly one thread per shard: shard workers live at the barrier for
+  // the whole run, so they must not share threads (a worker parked in
+  // arrive_and_wait() would starve the shard whose turn it is holding).
+  parallel_for(shard_count, shard_count, [&](std::size_t s) {
+    Slot& slot = slots[s];
+    const auto shard = static_cast<std::int32_t>(s);
+    check::ScopedChecker shard_checker;
+    {
+      obs::ScopedMetrics shard_metrics;
+      try {
+        slot.model =
+            std::make_unique<ShardModel>(config, sc, plan, shard, coord.channel(shard));
+      } catch (const std::exception& e) {
+        slot.error = e.what();
+      }
+      // A failed shard still arrives at the next barrier, flagging its
+      // failure, which ends the run there for every shard; so the loop
+      // body only ever runs while this shard's model is healthy.
+      ParallelCoordinator::Window window;
+      while (coord.next_window(shard, window, !slot.error.empty())) {
         try {
-          slot.model =
-              std::make_unique<ShardModel>(config, sc, plan, shard, coord.channel(shard));
+          slot.model->run_window(window);
         } catch (const std::exception& e) {
           slot.error = e.what();
         }
-        // A failed shard still arrives at the next barrier, flagging its
-        // failure, which ends the run there for every shard; so the loop
-        // body only ever runs while this shard's model is healthy.
-        ParallelCoordinator::Window window;
-        while (coord.next_window(shard, window, !slot.error.empty())) {
-          try {
-            slot.model->run_window(window);
-          } catch (const std::exception& e) {
-            slot.error = e.what();
-          }
-        }
-        if (slot.error.empty()) slot.out = slot.model->collect();
-        slot.model.reset();  // tear down on the owning thread, scopes still live
-        slot.metrics = shard_metrics.registry().snapshot();
       }
-      slot.checks_run = shard_checker.checker().checks_run();
-      slot.violations = shard_checker.checker().violation_count();
-    });
-  }
-  pool.wait_idle();
+      if (slot.error.empty()) slot.out = slot.model->collect();
+      slot.model.reset();  // tear down on the owning thread, scopes still live
+      slot.metrics = shard_metrics.registry().snapshot();
+    }
+    slot.checks_run = shard_checker.checker().checks_run();
+    slot.violations = shard_checker.checker().violation_count();
+  });
 
   BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the determinism contract");
   const auto wall_end = std::chrono::steady_clock::now();

@@ -4,12 +4,12 @@
 // run_fabric_experiment() runs serially, but partitioned by a
 // fabric::ShardPlan: each shard owns a private Simulator and a Fabric
 // built under a FabricShardScope (only that shard's nodes/ports exist),
-// runs on its own util/task_pool worker, and advances in conservative
-// lookahead windows coordinated by sim/parallel.h.  Cross-shard packets
-// ride sim/shard.h BoundaryChannels: the cut link's tail port transmits
-// into a BoundarySender (zero-propagation seam, no calendar event), the
-// coordinator exchanges and orders the events at the window barrier, and
-// the destination shard injects each one with
+// runs on its own thread (util/task_pool's parallel_for), and advances in
+// conservative lookahead windows coordinated by sim/parallel.h.
+// Cross-shard packets ride sim/shard.h BoundaryChannels: the cut link's
+// tail port transmits into a BoundarySender (zero-propagation seam, no
+// calendar event), the coordinator exchanges and orders the events at the
+// window barrier, and the destination shard injects each one with
 // Simulator::dispatch_external at its stamped arrival time — the same
 // single event, the same clock advance, the same kEventClock check the
 // serial wire arrival would have produced.

@@ -34,7 +34,6 @@ ProvisionPlan plan_fabric(const Topology& topo, const RouteTable& routes,
   plan.flows.resize(static_cast<std::size_t>(max_flow) + 1);
 
   // Pass 1: pin paths, reserve guaranteed thresholds, accumulate budgets.
-  std::vector<std::vector<FlowId>> best_effort_on(topo.link_count());
   for (const FlowBinding& b : bindings) {
     FlowPlan& fp = plan.flows[static_cast<std::size_t>(b.flow)];
     fp.flow = b.flow;
@@ -60,7 +59,6 @@ ProvisionPlan plan_fabric(const Topology& topo, const RouteTable& routes,
         envelope = output_envelope(envelope, params.buffer, params.rate);
       } else {
         ++budget.best_effort_flows;
-        best_effort_on[static_cast<std::size_t>(l)].push_back(b.flow);
       }
       // Worst-case residence at a capacity-B work-conserving hop plus the
       // wire: valid for every delivered packet under any scheme.

@@ -72,7 +72,7 @@ struct FabricConfig {
   /// shard enough work per lookahead window to amortize the barrier.
   int hosts_per_leaf{2};
   /// Parallel execution: partition the fabric into this many shards
-  /// (clamped to the switch count) and run them on task_pool workers with
+  /// (clamped to the switch count) and run them, one thread each, in
   /// conservative lookahead windows.  1 = serial.  The output is
   /// bit-identical to serial, so this is an execution strategy, not a
   /// scenario parameter — it is deliberately NOT part of

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "sim/checkpoint.h"
-#include "sim/inline_action.h"
 #include "util/annotations.h"
 
 namespace bufq {
@@ -37,8 +36,6 @@ OutputPort::OutputPort(Simulator& sim, Rate rate, Time propagation_delay,
         // Constant delay => FIFO exit order, so the wire is a deque and
         // the arrival event captures only `this` and pops the front.
         const auto arrive = [this] { deliver_front(); };
-        static_assert(InlineAction::stores_inline<decltype(arrive)>,
-                      "propagation arrival event must not allocate");
         const Time arrives = sim_.now() + propagation_;
         wire_metric_.add(1);
         const std::uint64_t seq = sim_.in(propagation_, arrive);

@@ -4,13 +4,11 @@
 // 16-byte small-object buffer is too small for the kernel's lambdas
 // ([this] plus a Packet already exceeds it), so steady-state simulation
 // paid one heap allocation per scheduled event plus another when step()
-// copied the action back out of the calendar.  InlineAction stores any
+// copied the action back out of the calendar.  InlineAction stores a
 // nothrow-movable callable of up to kInlineBytes directly inside the
 // event record and is move-only, so the calendar never allocates or
-// copies: larger callables still work (they fall back to a single heap
-// cell) but the hot-path lambdas are all static_assert'ed inline at
-// their call sites (link, sources, shaper, aimd, node, churn driver, the
-// run harness and experiment pipelines, the parallel engine).
+// copies.  Nothing else converts: a larger or throwing-move callable is
+// a compile error at whatever call site builds the action.
 //
 // Trivially-copyable callables (the common [this]-capture case) are
 // relocated with memcpy and need no destructor call, which keeps moves
@@ -39,10 +37,10 @@ class InlineAction {
   /// checkpointed and re-armed.
   static constexpr std::size_t kInlineBytes = 48;
 
-  /// True when callable F is stored inline (no heap): it must fit the
-  /// buffer, be suitably aligned, and move without throwing so the
-  /// calendar's relocations stay noexcept.  cv/ref qualifiers are
-  /// stripped, so `stores_inline<decltype(some_lambda)>` works directly.
+  /// True when callable F fits the event record: it must fit the buffer,
+  /// be suitably aligned, and move without throwing so the calendar's
+  /// relocations stay noexcept.  The converting constructor accepts only
+  /// such callables.  cv/ref qualifiers are stripped.
   template <typename F>
   static constexpr bool stores_inline =
       sizeof(std::remove_cvref_t<F>) <= kInlineBytes &&
@@ -54,18 +52,12 @@ class InlineAction {
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::remove_cvref_t<F>, InlineAction> &&
-                std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
+                std::is_invocable_r_v<void, std::remove_cvref_t<F>&> && stores_inline<F>>>
   // NOLINTNEXTLINE(google-explicit-constructor): mirrors std::function.
   BUFQ_HOT InlineAction(F&& f) {
     using Fn = std::remove_cvref_t<F>;
-    if constexpr (stores_inline<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      BUFQ_LINT_SUPPRESS("hot-path-allocation", "cold fallback for oversize captures; hot call sites static_assert stores_inline");
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &heap_ops<Fn>;
-    }
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &inline_ops<Fn>;
   }
 
   BUFQ_HOT InlineAction(InlineAction&& other) noexcept { move_from(other); }
@@ -118,24 +110,11 @@ class InlineAction {
   }
 
   template <typename Fn>
-  static void invoke_heap(void* storage) {
-    (**std::launder(reinterpret_cast<Fn**>(storage)))();
-  }
-  template <typename Fn>
-  static void destroy_heap(void* storage) noexcept {
-    delete *std::launder(reinterpret_cast<Fn**>(storage));
-  }
-
-  template <typename Fn>
   static constexpr Ops inline_ops{
       &invoke_inline<Fn>,
       std::is_trivially_copyable_v<Fn> ? nullptr : &relocate_inline<Fn>,
       std::is_trivially_destructible_v<Fn> ? nullptr : &destroy_inline<Fn>,
   };
-  /// The heap cell's pointer relocates by memcpy (relocate == nullptr)
-  /// but still owns its callable, so destroy is always set.
-  template <typename Fn>
-  static constexpr Ops heap_ops{&invoke_heap<Fn>, nullptr, &destroy_heap<Fn>};
 
   BUFQ_HOT void move_from(InlineAction& other) noexcept {
     ops_ = other.ops_;

@@ -4,7 +4,6 @@
 
 #include "check/invariants.h"
 #include "sim/checkpoint.h"
-#include "sim/inline_action.h"
 #include "util/annotations.h"
 
 namespace bufq {
@@ -29,8 +28,6 @@ BUFQ_HOT void Link::try_transmit() {
   BUFQ_CHECK(tx >= Time::zero(), check::Invariant::kEventClock, in_flight_.flow, sim_.now(),
              tx.to_seconds(), 0.0, "negative transmission time");
   const auto complete = [this] { finish_transmission(); };
-  static_assert(InlineAction::stores_inline<decltype(complete)>,
-                "link completion event must not allocate");
   completion_time_ = sim_.now() + tx;
   completion_seq_ = sim_.in(tx, complete);
 }

@@ -14,11 +14,7 @@ ParallelCoordinator::ParallelCoordinator(Config config, SyncHook on_sync)
   assert(config_.shards >= 1);
   assert(config_.lookahead > Time::zero());
   assert(config_.horizon > Time::zero());
-  for (std::size_t i = 0; i < config_.sync_points.size(); ++i) {
-    assert(config_.sync_points[i] > Time::zero());
-    assert(config_.sync_points[i] < config_.horizon);
-    assert(i == 0 || config_.sync_points[i - 1] < config_.sync_points[i]);
-  }
+  assert(config_.sync_point >= Time::zero() && config_.sync_point < config_.horizon);
   const auto n = static_cast<std::size_t>(config_.shards);
   channels_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
@@ -62,12 +58,9 @@ void ParallelCoordinator::advance() {
   }
 
   // Completed windows now cover exactly [0, cur_); fire the sync hook
-  // when that prefix ends at a sync point (e.g. the warmup snapshot).
-  if (windows_ > 0 && next_sync_ < config_.sync_points.size() &&
-      cur_ == config_.sync_points[next_sync_]) {
-    if (on_sync_) on_sync_(cur_);
-    ++next_sync_;
-  }
+  // when that prefix ends at the sync point (e.g. the warmup snapshot).
+  // cur_ only grows, so this fires at most once.
+  if (windows_ > 0 && cur_ == config_.sync_point && on_sync_) on_sync_();
 
   if (drain_issued_) {
     done_ = true;
@@ -78,8 +71,8 @@ void ParallelCoordinator::advance() {
   Time end = config_.horizon;
   if (!drain) {
     end = cur_ + config_.lookahead;
-    if (next_sync_ < config_.sync_points.size() && config_.sync_points[next_sync_] < end) {
-      end = config_.sync_points[next_sync_];
+    if (cur_ < config_.sync_point && config_.sync_point < end) {
+      end = config_.sync_point;
     }
     if (end > config_.horizon) end = config_.horizon;
   }

@@ -10,7 +10,7 @@
 // the window barrier.  One barrier per window, no null messages.
 //
 // The schedule of windows is a pure function of (lookahead, horizon,
-// sync_points) — thread timing never moves a window edge — and boundary
+// sync_point) — thread timing never moves a window edge — and boundary
 // events are delivered in (time, src_shard, seq) order (sim/shard.h), so
 // a sharded run is deterministic and, for models whose cross-shard
 // traffic flows over uniform-latency links, bit-identical to serial.
@@ -52,10 +52,10 @@ class ParallelCoordinator {
     Time lookahead{Time::zero()};
     /// End of simulated time; the drain round runs it inclusively.
     Time horizon{Time::zero()};
-    /// Forced window edges, strictly increasing, each in (0, horizon).
-    /// The engine uses one for the warmup instant so the on_sync hook can
-    /// snapshot statistics at exactly the serial snapshot point.
-    std::vector<Time> sync_points;
+    /// Forced window edge in (0, horizon); zero means none.  The engine
+    /// sets the warmup instant so the on_sync hook can snapshot
+    /// statistics at exactly the serial snapshot point.
+    Time sync_point{Time::zero()};
   };
 
   /// One lookahead window as seen by a shard worker.
@@ -68,10 +68,10 @@ class ParallelCoordinator {
     std::vector<BoundaryEvent> incoming;
   };
 
-  /// `on_sync(t)` runs inside the barrier (single-threaded, all workers
-  /// parked) when the completed windows exactly cover [0, t) for a sync
-  /// point t.  May read any shard state the workers left behind.
-  using SyncHook = std::function<void(Time)>;
+  /// `on_sync()` runs inside the barrier (single-threaded, all workers
+  /// parked) once the completed windows exactly cover [0, sync_point).
+  /// May read any shard state the workers left behind.
+  using SyncHook = std::function<void()>;
 
   ParallelCoordinator(Config config, SyncHook on_sync = {});
 
@@ -110,7 +110,6 @@ class ParallelCoordinator {
   /// arrives; advance() reads them all under the barrier.
   std::vector<std::uint8_t> failed_;
   Time cur_{Time::zero()};
-  std::size_t next_sync_{0};
   bool drain_issued_{false};
   bool done_{false};
   std::uint64_t windows_{0};

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "sim/checkpoint.h"
-#include "sim/inline_action.h"
 
 namespace bufq {
 
@@ -25,8 +24,6 @@ void AimdSource::start() {
   started_ = true;
   emit_packet();
   const auto first_epoch = [this] { epoch(); };
-  static_assert(InlineAction::stores_inline<decltype(first_epoch)>,
-                "AIMD epoch event must not allocate");
   next_epoch_ = sim_.now() + params_.rtt;
   epoch_seq_ = sim_.in(params_.rtt, first_epoch);
 }
@@ -39,8 +36,6 @@ void AimdSource::emit_packet() {
   bytes_emitted_ += params_.packet_bytes;
   ++packets_emitted_;
   const auto tick = [this] { emit_packet(); };
-  static_assert(InlineAction::stores_inline<decltype(tick)>,
-                "AIMD emission event must not allocate");
   const Time gap = rate_.transmission_time(params_.packet_bytes);
   next_emit_ = sim_.now() + gap;
   emit_seq_ = sim_.in(gap, tick);
@@ -55,8 +50,6 @@ void AimdSource::epoch() {
   }
   loss_in_epoch_ = false;
   const auto next_epoch = [this] { epoch(); };
-  static_assert(InlineAction::stores_inline<decltype(next_epoch)>,
-                "AIMD epoch event must not allocate");
   next_epoch_ = sim_.now() + params_.rtt;
   epoch_seq_ = sim_.in(params_.rtt, next_epoch);
 }

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "sim/checkpoint.h"
-#include "sim/inline_action.h"
 
 namespace bufq {
 
@@ -59,8 +58,6 @@ void LeakyBucketShaper::schedule_release() {
     release_pending_ = false;
     release_ready();
   };
-  static_assert(InlineAction::stores_inline<decltype(release)>,
-                "shaper release event must not allocate");
   release_time_ = now + wait;
   release_seq_ = sim_.in(wait, release);
 }

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "sim/checkpoint.h"
-#include "sim/inline_action.h"
 
 namespace bufq {
 
@@ -53,10 +52,6 @@ void MarkovOnOffSource::schedule(Time delay, void (MarkovOnOffSource::*next)()) 
   const auto fire = [this, next] {
     if (!stopped_) (this->*next)();
   };
-  // Every source event goes through here; the member-pointer capture is
-  // the largest a source schedules and must stay inside the event record.
-  static_assert(InlineAction::stores_inline<decltype(fire)>,
-                "source events must not allocate");
   pending_seq_ = sim_.in(delay, fire);
 }
 
@@ -94,8 +89,6 @@ void MarkovOnOffSource::restore_state(CheckpointReader& r) {
   const auto fire = [this, next] {
     if (!stopped_) (this->*next)();
   };
-  static_assert(InlineAction::stores_inline<decltype(fire)>,
-                "source events must not allocate");
   sim_.rearm(next_event_, pending_seq_, fire);
 }
 
@@ -159,8 +152,6 @@ void CbrSource::emit_packet() {
   bytes_emitted_ += packet_bytes_;
   ++packets_emitted_;
   const auto tick = [this] { emit_packet(); };
-  static_assert(InlineAction::stores_inline<decltype(tick)>,
-                "CBR emission event must not allocate");
   next_emit_ = sim_.now() + interval_;
   pending_seq_ = sim_.in(interval_, tick);
 }

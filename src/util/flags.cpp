@@ -72,6 +72,16 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) cons
   return v ? parse_number<std::int64_t>(name, *v) : fallback;
 }
 
+std::size_t Flags::get_count(const std::string& name, std::size_t fallback) const {
+  const auto v = get(name);
+  if (!v) return fallback;
+  const auto n = parse_number<std::int64_t>(name, *v);
+  if (n < 0) {
+    throw std::invalid_argument("flag --" + name + " must not be negative, got '" + *v + "'");
+  }
+  return static_cast<std::size_t>(n);
+}
+
 bool Flags::get_bool(const std::string& name, bool fallback) const {
   const auto v = get(name);
   if (!v) return fallback;

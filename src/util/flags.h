@@ -4,6 +4,7 @@
 // so is a numeric value that does not parse in full (`--seed=5x`).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -21,6 +22,9 @@ class Flags {
   [[nodiscard]] std::string get_string(const std::string& name, const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int for counts (jobs, seeds, flows): throws std::invalid_argument
+  /// on a negative value instead of letting it wrap to a huge size_t.
+  [[nodiscard]] std::size_t get_count(const std::string& name, std::size_t fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
   /// Comma-separated list (`--buffers=0.5,1,2`), every item parsed as
   /// strictly as get_double (T = double) or get_int (T = std::int64_t).

@@ -1,18 +1,52 @@
 #include "util/task_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <memory>
+#include <latch>
+#include <thread>
 #include <utility>
+#include <vector>
 
 namespace bufq {
-namespace {
 
-// Identifies the pool (and worker slot) the current thread belongs to, so
-// submit() from inside a task targets the submitting worker's own deque.
-thread_local TaskPool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
+std::size_t default_thread_count() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<std::size_t>(hw) : 1;
+}
 
-}  // namespace
+void parallel_for(std::size_t count, std::size_t threads,
+                  const std::function<void(std::size_t)>& body) {
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  const std::size_t workers = std::min(threads, count);
+  std::atomic<std::size_t> next{workers};
+  // No body starts until every thread has: bodies that wait for each
+  // other would hang if one of their threads failed to start.
+  std::latch start{1};
+  bool abandoned = false;
+  // jthread joins on destruction, also when a later emplace throws.
+  std::vector<std::jthread> pool;
+  pool.reserve(workers);
+  try {
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&, w] {
+        start.wait();
+        if (abandoned) return;
+        for (std::size_t i = w; i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+          body(i);
+        }
+      });
+    }
+  } catch (...) {
+    abandoned = true;
+    start.count_down();
+    throw;
+  }
+  start.count_down();
+}
 
 PhaseBarrier::PhaseBarrier(std::size_t parties, std::function<void()> on_completion)
     : on_completion_{std::move(on_completion)}, parties_{parties} {
@@ -35,119 +69,6 @@ void PhaseBarrier::arrive_and_wait() {
   }
   const std::uint64_t arrived_at = generation_;
   cv_.wait(lock, [&] { return generation_ != arrived_at; });
-}
-
-std::uint64_t PhaseBarrier::generation() const {
-  const std::lock_guard<std::mutex> lock{mu_};
-  return generation_;
-}
-
-std::size_t TaskPool::default_thread_count() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<std::size_t>(hw) : 1;
-}
-
-TaskPool::TaskPool(std::size_t threads) {
-  const std::size_t n = threads > 0 ? threads : default_thread_count();
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) queues_.push_back(std::make_unique<WorkerQueue>());
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-TaskPool::~TaskPool() {
-  wait_idle();
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    stop_ = true;
-  }
-  work_available_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void TaskPool::submit(Task task) {
-  assert(task);
-  std::size_t target;
-  if (tl_pool == this) {
-    target = tl_worker;
-  } else {
-    const std::lock_guard<std::mutex> lock{mu_};
-    target = next_queue_++ % queues_.size();
-  }
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    ++queued_;
-    ++outstanding_;
-  }
-  {
-    auto& queue = *queues_[target];
-    const std::lock_guard<std::mutex> lock{queue.mu};
-    // Worker-local submissions go to the front (LIFO: the freshest task has
-    // the warmest cache); external batches to the back, so stealing (which
-    // takes from the back) grabs the oldest, largest-grained work first.
-    if (tl_pool == this) {
-      queue.tasks.push_front(std::move(task));
-    } else {
-      queue.tasks.push_back(std::move(task));
-    }
-  }
-  work_available_.notify_one();
-}
-
-void TaskPool::wait_idle() {
-  // Must not be called from a worker of this pool: the wait would occupy
-  // the very thread that should be draining the queue.
-  assert(tl_pool != this);
-  std::unique_lock<std::mutex> lock{mu_};
-  idle_.wait(lock, [this] { return outstanding_ == 0; });
-}
-
-bool TaskPool::try_acquire(std::size_t index, Task& task) {
-  {
-    auto& own = *queues_[index];
-    const std::lock_guard<std::mutex> lock{own.mu};
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      return true;
-    }
-  }
-  const std::size_t n = queues_.size();
-  for (std::size_t step = 1; step < n; ++step) {
-    auto& victim = *queues_[(index + step) % n];
-    const std::lock_guard<std::mutex> lock{victim.mu};
-    if (!victim.tasks.empty()) {
-      task = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void TaskPool::worker_loop(std::size_t index) {
-  tl_pool = this;
-  tl_worker = index;
-  for (;;) {
-    Task task;
-    if (try_acquire(index, task)) {
-      {
-        const std::lock_guard<std::mutex> lock{mu_};
-        --queued_;
-      }
-      task();
-      task = nullptr;  // release captures before reporting completion
-      const std::lock_guard<std::mutex> lock{mu_};
-      --outstanding_;
-      if (outstanding_ == 0) idle_.notify_all();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock{mu_};
-    work_available_.wait(lock, [this] { return stop_ || queued_ > 0; });
-    if (stop_ && queued_ == 0) return;
-  }
 }
 
 }  // namespace bufq

@@ -1,28 +1,36 @@
-// Work-stealing thread pool for embarrassingly parallel simulation work.
+// Parallel execution for embarrassingly parallel simulation work: one
+// fixed batch of indices spread over short-lived threads, plus the
+// phase barrier the sharded fabric engine synchronizes its windows on.
 //
-// Each worker owns a deque: it pushes and pops its own work LIFO (cache
-// locality for nested submissions) and steals FIFO from the back of a
-// victim's deque when its own runs dry, so large batches balance across
-// workers regardless of submission order.  Determinism of results is the
-// *caller's* job — the sweep engine achieves it by deriving every run's
-// seed from its index and writing results into pre-sized slots, so the
-// pool is free to schedule however it likes.
-//
-// Tasks must not throw: wrap bodies in try/catch and record failures into
-// the task's own result slot (an escaped exception would std::terminate).
+// Determinism of results is the *caller's* job: the sweep engine derives
+// every run's seed from its index and writes results into pre-sized
+// slots, so which thread runs which index never matters.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 namespace bufq {
+
+/// Hardware concurrency with a floor of 1 (hardware_concurrency() may
+/// return 0 on exotic platforms).
+[[nodiscard]] std::size_t default_thread_count();
+
+/// Runs body(i) once for every i in [0, count).  With threads <= 1 the
+/// bodies run on the caller, in index order.  Otherwise min(threads,
+/// count) fresh threads run them while the caller only waits: thread w
+/// starts with index w and then claims the rest from a shared counter,
+/// so with threads >= count every body has a thread of its own (bodies
+/// that wait for each other at a PhaseBarrier rely on this).  Returns
+/// once every body has finished.  If a thread cannot be started, no body
+/// runs and the std::system_error propagates.  On the threaded path an
+/// exception escaping a body calls std::terminate: record failures in
+/// the index's own result slot instead.
+void parallel_for(std::size_t count, std::size_t threads,
+                  const std::function<void(std::size_t)>& body);
 
 /// Reusable synchronization barrier for long-lived phased workloads (the
 /// parallel fabric engine's lookahead windows).  `parties` threads call
@@ -31,13 +39,11 @@ namespace bufq {
 /// in the wait, so the callback has exclusive access to any state the
 /// parties touch only between barriers), then releases the generation.
 ///
-/// This exists because TaskPool's steal path is the wrong shape for shard
-/// workers: a shard must stay pinned to one thread for its whole run (its
-/// Simulator, metrics scope, and checker scope are thread-confined), so
-/// the engine submits one long-lived task per shard and synchronizes the
-/// lookahead windows here instead of re-submitting a task per window.
-/// Purely condvar-based — no spinning — so it degrades gracefully when
-/// the pool is oversubscribed (more shards than cores).
+/// A shard stays pinned to one thread for its whole run (its Simulator,
+/// metrics scope, and checker scope are thread-confined), so the engine
+/// runs one long-lived body per shard and synchronizes the lookahead
+/// windows here.  Purely condvar-based, with no spinning, so it degrades
+/// gracefully with more shards than cores.
 class PhaseBarrier {
  public:
   /// `on_completion` may be empty; when set it runs once per phase, on the
@@ -50,74 +56,13 @@ class PhaseBarrier {
   /// Blocks until all `parties` threads of the current phase have arrived.
   void arrive_and_wait();
 
-  /// Phases completed so far.  Racy if read while parties are mid-phase;
-  /// meant for tests and post-run accounting.
-  [[nodiscard]] std::uint64_t generation() const;
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::function<void()> on_completion_;
   std::size_t parties_;
   std::size_t waiting_{0};
   std::uint64_t generation_{0};
-};
-
-/// Work-stealing pool of `threads` workers; see the file comment for the
-/// scheduling discipline and the no-throw task contract.
-class TaskPool {
- public:
-  /// A unit of work; must not throw (see file comment).
-  using Task = std::function<void()>;
-
-  /// Spawns `threads` workers; 0 means default_thread_count().
-  explicit TaskPool(std::size_t threads = 0);
-
-  /// Drains all submitted tasks, then joins the workers.
-  ~TaskPool();
-
-  TaskPool(const TaskPool&) = delete;
-  TaskPool& operator=(const TaskPool&) = delete;
-
-  /// Enqueues a task.  From a worker of this pool the task lands on that
-  /// worker's own deque (LIFO); from any other thread the deques are fed
-  /// round-robin.  Safe to call concurrently and from inside tasks.
-  void submit(Task task);
-
-  /// Blocks until every task submitted so far (including tasks those tasks
-  /// submitted) has finished.
-  void wait_idle();
-
-  /// Number of worker threads this pool spawned.
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
-
-  /// Hardware concurrency with a floor of 1 (hardware_concurrency() may
-  /// return 0 on exotic platforms).
-  [[nodiscard]] static std::size_t default_thread_count();
-
- private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
-  void worker_loop(std::size_t index);
-  /// Pops from own deque (front) or steals from another (back).
-  [[nodiscard]] bool try_acquire(std::size_t index, Task& task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  // Guards the counters and the two condition variables; per-deque locks
-  // are leaf locks acquired without it.  Task granularity here is a whole
-  // simulation run, so a plain mutex is nowhere near contended.
-  std::mutex mu_;
-  std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::size_t queued_{0};       ///< submitted, not yet picked up
-  std::size_t outstanding_{0};  ///< submitted, not yet finished
-  std::size_t next_queue_{0};   ///< round-robin cursor for external submits
-  bool stop_{false};
 };
 
 }  // namespace bufq

@@ -102,13 +102,12 @@ TEST(LintFixtures, SuppressionSilencesAndCountsAsUsed) {
     EXPECT_NE(f.file, "src/sim/suppressed_wall_clock_fixture.cpp") << f.rule;
     EXPECT_NE(f.file, "src/obs/out_of_scope_fixture.cpp") << f.rule;
     EXPECT_NE(f.file, "src/sim/reserved_growth_fixture.cpp") << f.rule;
-    EXPECT_NE(f.file, "src/sim/named_lambda_fixture.cpp") << f.rule;
     EXPECT_NE(f.file, "src/sim/shard_clean_fixture.cpp") << f.rule;
   }
 }
 
-TEST(LintFixtures, ThirteenRulesAreKnown) {
-  EXPECT_EQ(known_rules().size(), 13u);
+TEST(LintFixtures, TwelveRulesAreKnown) {
+  EXPECT_EQ(known_rules().size(), 12u);
 }
 
 }  // namespace

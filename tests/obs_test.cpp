@@ -1,7 +1,7 @@
 // Metrics-registry unit tests: counter/gauge/histogram semantics, the
 // log2-linear bucket math and its error bound, percentile math against
 // known distributions, ScopedMetrics confinement and scope folding, and
-// snapshot determinism when runs are spread across a TaskPool.
+// snapshot determinism when runs are spread across parallel_for threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -257,26 +257,22 @@ TEST(ScopedMetricsTest, TallyDiscardedWhenNoEnclosingRegistry) {
 }
 
 TEST(ScopedMetricsTest, PoolWorkerSeesNoSubmittingThreadsRegistry) {
-  // A registry is confined to the thread that installed it: a task on a
-  // pool worker must not resolve handles into the submitter's scope, or
-  // two threads would write one plain cell.
+  // A registry is confined to the thread that installed it: a body on a
+  // parallel_for thread must not resolve handles into the caller's scope,
+  // or two threads would write one plain cell.
   ScopedMetrics scope;
   bool worker_current_null = false;
   bool worker_handles_inactive = false;
-  {
-    TaskPool pool{2};
-    pool.submit([&] {
-      worker_current_null = MetricsRegistry::current() == nullptr;
-      const CounterHandle counter = CounterHandle::lookup("worker.hits");
-      const GaugeHandle gauge = GaugeHandle::lookup("worker.level");
-      const HistogramHandle histogram = HistogramHandle::lookup("worker.lat");
-      counter.add();
-      gauge.set(1);
-      histogram.record(1);
-      worker_handles_inactive = !counter.active() && !gauge.active() && !histogram.active();
-    });
-    pool.wait_idle();
-  }
+  parallel_for(1, 2, [&](std::size_t) {
+    worker_current_null = MetricsRegistry::current() == nullptr;
+    const CounterHandle counter = CounterHandle::lookup("worker.hits");
+    const GaugeHandle gauge = GaugeHandle::lookup("worker.level");
+    const HistogramHandle histogram = HistogramHandle::lookup("worker.lat");
+    counter.add();
+    gauge.set(1);
+    histogram.record(1);
+    worker_handles_inactive = !counter.active() && !gauge.active() && !histogram.active();
+  });
   EXPECT_TRUE(worker_current_null);
   EXPECT_TRUE(worker_handles_inactive);
   EXPECT_EQ(MetricsRegistry::current(), &scope.registry());
@@ -284,26 +280,22 @@ TEST(ScopedMetricsTest, PoolWorkerSeesNoSubmittingThreadsRegistry) {
 }
 
 // The sweep determinism contract, in miniature: each "run" records into
-// its own ScopedMetrics on a pool worker, the per-run snapshots are
-// folded in run order, and the result must not depend on the worker
+// its own ScopedMetrics on a parallel_for thread, the per-run snapshots
+// are folded in run order, and the result must not depend on the worker
 // count.
 RegistrySnapshot fold_runs_with_pool(std::size_t jobs, std::size_t runs) {
   std::vector<RegistrySnapshot> slots(runs);
-  TaskPool pool{jobs};
-  for (std::size_t r = 0; r < runs; ++r) {
-    pool.submit([r, &slots] {
-      ScopedMetrics scope;
-      Counter& events = scope.registry().counter("events");
-      Histogram& latency = scope.registry().histogram("latency");
-      for (std::size_t i = 0; i <= r; ++i) {
-        events.add();
-        latency.record(static_cast<std::int64_t>(13 * r + i));
-      }
-      scope.registry().gauge("level").set(static_cast<std::int64_t>(r));
-      slots[r] = scope.registry().snapshot();
-    });
-  }
-  pool.wait_idle();
+  parallel_for(runs, jobs, [&slots](std::size_t r) {
+    ScopedMetrics scope;
+    Counter& events = scope.registry().counter("events");
+    Histogram& latency = scope.registry().histogram("latency");
+    for (std::size_t i = 0; i <= r; ++i) {
+      events.add();
+      latency.record(static_cast<std::int64_t>(13 * r + i));
+    }
+    scope.registry().gauge("level").set(static_cast<std::int64_t>(r));
+    slots[r] = scope.registry().snapshot();
+  });
   RegistrySnapshot folded;
   for (const RegistrySnapshot& slot : slots) folded.merge(slot);
   return folded;

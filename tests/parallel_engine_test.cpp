@@ -107,7 +107,7 @@ TEST(ParallelCoordinator, WindowScheduleIsAPureFunctionOfConfig) {
   cfg.shards = 1;
   cfg.lookahead = Time::milliseconds(2);
   cfg.horizon = Time::milliseconds(5);
-  cfg.sync_points = {Time::milliseconds(3)};
+  cfg.sync_point = Time::milliseconds(3);
   ParallelCoordinator coord{cfg};
 
   std::vector<Time> ends;
@@ -131,14 +131,30 @@ TEST(ParallelCoordinator, FiresSyncHookExactlyAtSyncPoint) {
   cfg.shards = 1;
   cfg.lookahead = Time::milliseconds(2);
   cfg.horizon = Time::milliseconds(6);
-  cfg.sync_points = {Time::milliseconds(3)};
+  cfg.sync_point = Time::milliseconds(3);
   std::vector<Time> fired;
-  ParallelCoordinator coord{cfg, [&](Time t) { fired.push_back(t); }};
+  Time covered = Time::zero();  // end of the last window the shard ran
+  ParallelCoordinator coord{cfg, [&] { fired.push_back(covered); }};
   ParallelCoordinator::Window w;
-  while (coord.next_window(0, w)) {
-  }
+  while (coord.next_window(0, w)) covered = w.end;
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired.front(), Time::milliseconds(3));
+}
+
+TEST(ParallelCoordinator, ZeroSyncPointForcesNoEdgeAndNeverFires) {
+  ParallelCoordinator::Config cfg;
+  cfg.shards = 1;
+  cfg.lookahead = Time::milliseconds(2);
+  cfg.horizon = Time::milliseconds(6);
+  int fired = 0;
+  ParallelCoordinator coord{cfg, [&] { ++fired; }};
+  std::vector<Time> ends;
+  ParallelCoordinator::Window w;
+  while (coord.next_window(0, w)) ends.push_back(w.end);
+  const std::vector<Time> expected{Time::milliseconds(2), Time::milliseconds(4),
+                                   Time::milliseconds(6), Time::milliseconds(6)};
+  EXPECT_EQ(ends, expected);
+  EXPECT_EQ(fired, 0);
 }
 
 // Equal-timestamp ordering property: shards 0 and 1 both emit to shard 2
@@ -199,18 +215,15 @@ TEST(ParallelCoordinator, FailedShardEndsEveryShardAtTheNextBarrier) {
   ParallelCoordinator coord{cfg};
 
   std::vector<int> calls(2, 0);
-  TaskPool pool{2};
-  for (std::int32_t shard = 0; shard < 2; ++shard) {
-    pool.submit([&coord, &calls, shard] {
-      ParallelCoordinator::Window w;
-      int& mine = calls[static_cast<std::size_t>(shard)];
-      while (true) {
-        ++mine;
-        if (!coord.next_window(shard, w, /*failed=*/shard == 0)) break;
-      }
-    });
-  }
-  pool.wait_idle();
+  parallel_for(2, 2, [&coord, &calls](std::size_t s) {
+    const auto shard = static_cast<std::int32_t>(s);
+    ParallelCoordinator::Window w;
+    int& mine = calls[s];
+    while (true) {
+      ++mine;
+      if (!coord.next_window(shard, w, /*failed=*/shard == 0)) break;
+    }
+  });
 
   EXPECT_LE(calls[0], 2);
   EXPECT_LE(calls[1], 2);

@@ -14,7 +14,6 @@
 #include <new>
 #include <vector>
 
-#include "sim/inline_action.h"
 #include "sim/simulator.h"
 #include "util/units.h"
 
@@ -69,8 +68,6 @@ struct Ticker {
 
   void arm() {
     const auto tick = [this] { arm(); };
-    static_assert(InlineAction::stores_inline<decltype(tick)>,
-                  "ticker event must not allocate");
     sim->in(gap, tick);
   }
 };

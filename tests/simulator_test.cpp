@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <type_traits>
 #include <vector>
+
+#include "sim/inline_action.h"
 
 namespace bufq {
 namespace {
@@ -149,6 +154,36 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   for (std::size_t i = 1; i < fire_times.size(); ++i) {
     ASSERT_LE(fire_times[i - 1], fire_times[i]);
   }
+}
+
+// Events never allocate because nothing that would need the heap converts
+// to an InlineAction at all: an oversize capture or a functor whose move
+// may throw is a compile error at the call site, not a silent fallback.
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(ThrowingMove&&) noexcept(false) {}
+  void operator()() {}
+};
+
+struct Ticker {
+  int fired = 0;
+  InlineAction action() {
+    const auto tick = [this] { ++fired; };
+    static_assert(std::is_constructible_v<InlineAction, decltype(tick)>);
+    return tick;
+  }
+};
+
+TEST(InlineActionTest, OnlyInlineCallablesConvert) {
+  const std::array<std::byte, 64> big{};
+  const auto oversize = [big] { static_cast<void>(big); };
+  static_assert(!std::is_constructible_v<InlineAction, decltype(oversize)>);
+  static_assert(!std::is_constructible_v<InlineAction, ThrowingMove>);
+
+  Ticker ticker;
+  InlineAction action = ticker.action();
+  action();
+  EXPECT_EQ(ticker.fired, 1);
 }
 
 }  // namespace

@@ -98,6 +98,16 @@ TEST(FlagsTest, DoubleRejectsTrailingGarbage) {
   EXPECT_THROW((void)flags.get_double("warmup", 1.0), std::invalid_argument);
 }
 
+TEST(FlagsTest, CountRejectsNegative) {
+  // Cast from get_int, -1 would wrap to SIZE_MAX threads or seeds.
+  const char* argv[] = {"prog", "--jobs=-1", "--seeds=0", "--max_flows=x"};
+  Flags flags{4, argv};
+  EXPECT_THROW((void)flags.get_count("jobs", 1), std::invalid_argument);
+  EXPECT_EQ(flags.get_count("seeds", 5), 0u);
+  EXPECT_THROW((void)flags.get_count("max_flows", 256), std::invalid_argument);
+  EXPECT_EQ(flags.get_count("replications", 3), 3u);
+}
+
 TEST(FlagsTest, ListParsesEveryItem) {
   const char* argv[] = {"prog", "--buffers=0.5,1,2.25", "--shards=2,4,8", "--one=3"};
   Flags flags{4, argv};

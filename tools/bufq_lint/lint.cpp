@@ -129,7 +129,6 @@ const std::vector<std::string>& known_rules() {
       "hot-path-container-growth",
       "hygiene-pragma-once",
       "hygiene-include-order",
-      "hygiene-inline-action-assert",
       "hygiene-bad-suppression",
       "hygiene-unused-suppression",
   };

@@ -36,8 +36,6 @@
 //   hygiene-pragma-once           header missing #pragma once
 //   hygiene-include-order         own header first, then <system>, then
 //                                 "project" includes
-//   hygiene-inline-action-assert  lambda scheduled on the simulator
-//                                 without a stores_inline static_assert
 //   hygiene-bad-suppression       BUFQ_LINT_SUPPRESS naming an unknown
 //                                 rule or an empty reason
 //   hygiene-unused-suppression    BUFQ_LINT_SUPPRESS that silenced

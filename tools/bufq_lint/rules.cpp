@@ -34,9 +34,6 @@ constexpr std::string_view kGrowthMethods[] = {
     "push_back", "emplace_back", "push_front", "emplace_front",
     "emplace",   "insert",       "resize",     "append",
 };
-constexpr std::string_view kSchedulerReceivers[] = {
-    "sim", "sim_", "simulator", "simulator_",
-};
 
 template <typename Range>
 bool contains(const Range& range, std::string_view text) {
@@ -92,7 +89,6 @@ class FilePass {
       wall_clock();
       random_source();
       unordered_iteration();
-      inline_action_asserts();
     }
     if (ctx_.shard_scope) shard_boundary();
     hot_path_rules();
@@ -123,19 +119,6 @@ class FilePass {
       if (code_[k].text == close && --depth == 0) return k + 1;
     }
     return code_.size();
-  }
-
-  /// True when '[' at `k` opens a lambda (and not a subscript or an
-  /// attribute): subscripts follow a value (identifier, ')', ']', or a
-  /// literal), attributes follow another '['.
-  bool is_lambda_intro(std::size_t k) const {
-    if (k == 0) return false;
-    const Token& prev = code_[k - 1];
-    if (prev.kind == TokKind::kIdentifier || prev.kind == TokKind::kNumber ||
-        prev.kind == TokKind::kString) {
-      return false;
-    }
-    return !(prev.text == "]" || prev.text == ")" || prev.text == "[");
   }
 
   // --- suppressions -----------------------------------------------------
@@ -410,70 +393,6 @@ class FilePass {
           add("determinism-shard-boundary", t.line,
               "mutable static in shard-boundary code; shared mutable state "
               "breaks the bit-identical serial/parallel contract");
-        }
-      }
-    }
-  }
-
-  // --- InlineAction SBO asserts -----------------------------------------
-
-  void inline_action_asserts() {
-    // Named lambdas declared in this file: auto NAME = [...]
-    std::set<std::string> lambda_names;
-    for (std::size_t i = 0; i + 3 < code_.size(); ++i) {
-      if (is_ident(code_[i], "auto") && code_[i + 1].kind == TokKind::kIdentifier &&
-          is_punct(code_[i + 2], "=") && is_punct(code_[i + 3], "[")) {
-        lambda_names.insert(code_[i + 1].text);
-      }
-    }
-    const auto has_assert_for = [&](const std::string& name) {
-      for (std::size_t k = 0; k + 6 < code_.size(); ++k) {
-        if (is_ident(code_[k], "stores_inline") && is_punct(code_[k + 1], "<") &&
-            is_ident(code_[k + 2], "decltype") && is_punct(code_[k + 3], "(") &&
-            is_ident(code_[k + 4], name) && is_punct(code_[k + 5], ")") &&
-            is_punct(code_[k + 6], ">")) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    for (std::size_t i = 0; i + 3 < code_.size(); ++i) {
-      if (code_[i].kind != TokKind::kIdentifier ||
-          !contains(kSchedulerReceivers, code_[i].text)) {
-        continue;
-      }
-      std::size_t j = i + 1;
-      // Accessor receiver: sim().at(...)
-      if (is_punct(code_[j], "(") && j + 1 < code_.size() && is_punct(code_[j + 1], ")")) {
-        j += 2;
-      }
-      if (j + 2 >= code_.size() || !is_punct(code_[j], ".")) continue;
-      if (!is_ident(code_[j + 1], "at") && !is_ident(code_[j + 1], "in")) continue;
-      if (!is_punct(code_[j + 2], "(")) continue;
-      const std::size_t args_open = j + 2;
-      const std::size_t args_close = skip_balanced(args_open);
-      const int call_line = code_[j + 1].line;
-
-      bool literal = false;
-      for (std::size_t k = args_open + 1; k + 1 < args_close; ++k) {
-        if (is_punct(code_[k], "[") && is_lambda_intro(k)) {
-          literal = true;
-          break;
-        }
-      }
-      if (literal) {
-        add("hygiene-inline-action-assert", call_line,
-            "lambda scheduled directly; name it and static_assert "
-            "InlineAction::stores_inline<decltype(name)> first");
-        continue;
-      }
-      for (std::size_t k = args_open + 1; k + 1 < args_close; ++k) {
-        if (code_[k].kind == TokKind::kIdentifier &&
-            lambda_names.count(code_[k].text) != 0 && !has_assert_for(code_[k].text)) {
-          add("hygiene-inline-action-assert", call_line,
-              "scheduled lambda '" + code_[k].text +
-                  "' has no InlineAction::stores_inline static_assert in this file");
         }
       }
     }
