@@ -23,8 +23,8 @@ namespace {
 /// The tail end of a cut link: receives what the port "transmits onto the
 /// wire" and stamps it into the channel with the arrival time the serial
 /// wire would have delivered it at.  The kEventClock check mirrors the
-/// schedule-time check the serial sim_.in() call performs, keeping the
-/// checker tally identical.
+/// schedule-time check the serial wire's sim_.reserve() call performs,
+/// keeping the checker tally identical.
 class BoundarySender final : public PacketSink {
  public:
   BoundarySender(Simulator& sim, BoundaryChannel& channel, std::int32_t dst_shard, LinkId link,

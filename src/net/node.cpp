@@ -33,22 +33,31 @@ OutputPort::OutputPort(Simulator& sim, Rate rate, Time propagation_delay,
       if (propagation_ == Time::zero()) {
         downstream_->accept(p);
       } else {
-        // Constant delay => FIFO exit order, so the wire is a deque and
-        // the arrival event captures only `this` and pops the front.
-        const auto arrive = [this] { deliver_front(); };
+        // Constant delay => FIFO exit order, so only the wire's head is
+        // on the calendar; the others wait with their reserved keys.
         const Time arrives = sim_.now() + propagation_;
         wire_metric_.add(1);
-        const std::uint64_t seq = sim_.in(propagation_, arrive);
+        const std::uint64_t seq = sim_.reserve(arrives);
         in_flight_.push_back(Wire{p, arrives, seq});
+        if (in_flight_.size() == 1) arm_front();
       }
     });
   }
+}
+
+void OutputPort::arm_front() {
+  const Wire& head = in_flight_.front();
+  sim_.rearm(head.arrives, head.seq, [this] { deliver_front(); });
 }
 
 void OutputPort::deliver_front() {
   const Packet head = in_flight_.front().packet;
   in_flight_.pop_front();
   wire_metric_.add(-1);
+  // The next head's key is larger than this one and is filed before any
+  // other event pops, so the calendar pops the same (time, seq) order as
+  // if every wire packet had been filed on transmit.
+  if (!in_flight_.empty()) arm_front();
   downstream_->accept(head);
 }
 
@@ -79,8 +88,8 @@ void OutputPort::restore_state(CheckpointReader& r, const std::string& label) {
     const Time arrives = r.read_time();
     const std::uint64_t seq = r.read_u64();
     in_flight_.push_back(Wire{p, arrives, seq});
-    sim_.rearm(arrives, seq, [this] { deliver_front(); });
   }
+  if (!in_flight_.empty()) arm_front();
   r.end_section();
   manager_->restore_state(r);
   discipline_->restore_state(r);

@@ -65,22 +65,24 @@ class OutputPort {
     drop_tap_ = std::move(tap);
   }
 
-  /// Checkpointable: drop counters, the propagation wire (with each
-  /// arrival's (time, seq) for re-arming), then the owned manager,
+  /// Checkpointable: drop counters, the propagation wire (each arrival's
+  /// (time, seq); restore re-arms the head), then the owned manager,
   /// discipline and link in that order.  `label` keeps section names
   /// unique across a topology ("node.<n>.port.<p>").
   void save_state(CheckpointWriter& w, const std::string& label) const;
   void restore_state(CheckpointReader& r, const std::string& label);
 
  private:
-  /// One packet on the propagation wire, with the (time, seq) of its
-  /// scheduled arrival so restore can re-arm it exactly.
+  /// One packet on the propagation wire, with the (time, seq) reserved
+  /// for its arrival, which is filed once the packet reaches the head.
   struct Wire {
     Packet packet;
     Time arrives;
     std::uint64_t seq;
   };
 
+  /// Files the wire's head arrival under its stored (time, seq).
+  void arm_front();
   void deliver_front();
 
   Simulator& sim_;
@@ -90,9 +92,10 @@ class OutputPort {
   std::unique_ptr<Link> link_;
   PacketSink* downstream_;
   /// Packets on the propagation wire, oldest first.  The delay is
-  /// constant, so arrivals leave in FIFO order and each arrival event
-  /// only needs to capture `this` (keeping it inside the InlineAction
-  /// buffer) and pop the front.
+  /// constant, so arrivals leave in FIFO order and only the head holds a
+  /// calendar event; the rest keep the (time, seq) reserved on transmit
+  /// until they reach the head.  The event captures only `this` (inside
+  /// the InlineAction buffer) and pops the front.
   std::deque<Wire> in_flight_;
   std::function<void(const Packet&, Time)> drop_tap_;
   std::int64_t dropped_bytes_{0};

@@ -48,12 +48,7 @@ class Simulator {
   /// events record it alongside the fire time so checkpoint restore can
   /// re-arm with the exact (time, seq) key and preserve tie order.
   BUFQ_HOT std::uint64_t at(Time t, Action action) {
-    BUFQ_CHECK(t >= now_, check::Invariant::kEventClock, -1, now_, t.to_seconds(),
-               now_.to_seconds(), "event scheduled in the past");
-#if !BUFQ_CHECKS_ENABLED
-    assert(t >= now_ && "cannot schedule in the past");
-#endif
-    const std::uint64_t seq = next_seq_++;
+    const std::uint64_t seq = reserve(t);
     calendar_.push(CalendarQueue::Event{t, seq, std::move(action)});
     return seq;
   }
@@ -65,12 +60,26 @@ class Simulator {
     return at(now_ + delay, std::move(action));
   }
 
-  /// Re-schedules a checkpointed event under its *original* sequence
-  /// number.  Restore-only: `seq` must have been handed out by at()/in()
-  /// before the checkpoint (i.e. seq < next_seq_ after restore_state), so
-  /// tie-break order is identical to the uninterrupted run.  Plain asserts
-  /// rather than BUFQ_CHECK: the checker tallies are overwritten by the
-  /// engine after re-arming, and restore must not perturb them.
+  /// Hands out the next sequence number without filing an event, after
+  /// the schedule-time check on `t` (at() reserves through it too).  The
+  /// caller files the event later with rearm(t, seq, ...), in the
+  /// tie-break place the seq gives it.  Requires t >= now().
+  BUFQ_HOT std::uint64_t reserve([[maybe_unused]] Time t) {
+    BUFQ_CHECK(t >= now_, check::Invariant::kEventClock, -1, now_, t.to_seconds(),
+               now_.to_seconds(), "event scheduled in the past");
+#if !BUFQ_CHECKS_ENABLED
+    assert(t >= now_ && "cannot schedule in the past");
+#endif
+    return next_seq_++;
+  }
+
+  /// Files an event under a sequence number handed out earlier by
+  /// at()/in()/reserve(): a seq reserved ahead of time (a propagation
+  /// wire files only its head), or a checkpointed event's original seq on
+  /// restore.  Either way the tie-break order is the one the seq was issued
+  /// in.  Plain asserts rather than BUFQ_CHECK: reserve() already ran the
+  /// schedule-time check, and on restore the checker tallies are
+  /// overwritten by the engine after re-arming and must not be perturbed.
   void rearm(Time t, std::uint64_t seq, Action action) {
     assert(t >= now_ && "cannot re-arm in the past");
     assert(seq < next_seq_ && "re-armed seq was never issued");

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/threshold.h"
 #include "obs/metrics.h"
 #include "sched/fifo.h"
+#include "sim/checkpoint.h"
 #include "sim/simulator.h"
 #include "traffic/sources.h"
 
@@ -140,6 +143,111 @@ TEST(NodeTest, FifoOrderingAcrossPropagationWire) {
         << "flow " << p.flow << " reordered";
     ++next_seq[static_cast<std::size_t>(p.flow)];
   }
+}
+
+/// Records each delivery with the simulated time it arrived.
+class TimedSink final : public PacketSink {
+ public:
+  struct Arrival {
+    FlowId flow;
+    std::uint64_t seq;
+    Time at;
+    bool operator==(const Arrival&) const = default;
+  };
+  explicit TimedSink(const Simulator& sim) : sim_{sim} {}
+  void accept(const Packet& packet) override {
+    arrivals.push_back(Arrival{packet.flow, packet.seq, sim_.now()});
+  }
+  std::vector<Arrival> arrivals;
+
+ private:
+  const Simulator& sim_;
+};
+
+/// A wire holds its packets in FIFO order and files only its head on the
+/// calendar: once a burst has left the link, one event stands for all of
+/// it, and each packet still arrives exactly one propagation delay after
+/// its transmission ended.
+TEST(NodeTest, WireArmsOnlyItsHead) {
+  constexpr std::uint64_t kBurst = 12;
+  const Time prop = Time::milliseconds(10);
+  const Time tx = kLink.transmission_time(kPkt);
+  Simulator sim;
+  TimedSink sink{sim};
+  Node node{"r1"};
+  node.add_port(make_port(sim, kLink, prop, &sink));
+  node.route(0, 0);
+  for (std::uint64_t i = 0; i < kBurst; ++i) {
+    node.accept(Packet{.flow = 0, .size_bytes = kPkt, .seq = i, .created = Time::zero()});
+  }
+  const Time last_tx_end = tx * static_cast<std::int64_t>(kBurst);
+  ASSERT_LT(last_tx_end, tx + prop);
+  sim.run_until(last_tx_end + Time::microseconds(1));
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(sim.events_pending(), 1u);
+
+  sim.run();
+  ASSERT_EQ(sink.arrivals.size(), kBurst);
+  for (std::uint64_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(sink.arrivals[i].seq, i);
+    EXPECT_EQ(sink.arrivals[i].at, tx * static_cast<std::int64_t>(i + 1) + prop) << "packet " << i;
+  }
+}
+
+/// A checkpoint taken while packets sit on the wire restores every one of
+/// them (the head on the calendar, the rest behind it), and the restored
+/// run delivers the same packets at the same times as the uninterrupted one.
+TEST(NodeTest, MidWireCheckpointResumesIdentically) {
+  const Time prop = Time::milliseconds(10);
+  const Time tx = kLink.transmission_time(kPkt);
+  // Six packets are on the wire and four still queued or in service.
+  const Time snapshot_at = tx * 6 + Time::microseconds(1);
+  const auto build = [&](Simulator& sim, TimedSink& sink, Node& node) {
+    node.add_port(make_port(sim, kLink, prop, &sink));
+    node.route(0, 0);
+    node.route(1, 0);
+  };
+  const auto offer = [](Node& node) {
+    for (std::uint64_t i = 0; i < 10; ++i) {
+      node.accept(Packet{.flow = static_cast<FlowId>(i % 2), .size_bytes = kPkt, .seq = i,
+                         .created = Time::zero()});
+    }
+  };
+
+  Simulator ref_sim;
+  TimedSink ref_sink{ref_sim};
+  Node ref_node{"r1"};
+  build(ref_sim, ref_sink, ref_node);
+  offer(ref_node);
+  ref_sim.run();
+
+  std::vector<std::byte> blob;
+  {
+    Simulator sim;
+    TimedSink sink{sim};
+    Node node{"r1"};
+    build(sim, sink, node);
+    offer(node);
+    sim.run_until(snapshot_at);
+    ASSERT_TRUE(sink.arrivals.empty());
+    CheckpointWriter w;
+    sim.save_state(w);
+    node.save_state(w, 0);
+    blob = w.finish(0);
+  }
+  Simulator sim;
+  TimedSink sink{sim};
+  Node node{"r1"};
+  build(sim, sink, node);
+  CheckpointReader r{blob};
+  const std::uint64_t expected_pending = sim.restore_state(r);
+  node.restore_state(r, 0);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(sim.events_pending(), expected_pending);
+  sim.run();
+
+  EXPECT_EQ(sink.arrivals, ref_sink.arrivals);
+  EXPECT_EQ(sim.events_processed(), ref_sim.events_processed());
 }
 
 /// The drop tap fires once per refused packet, after the port's own

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
@@ -139,6 +140,22 @@ TEST(SimulatorTest, ZeroDelayEventFiresAtCurrentTime) {
   // The zero-delay event was scheduled after event 3, so FIFO tie-break
   // puts it last.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+/// A seq reserved before a later at() keeps its earlier place among
+/// equal-time events when it is filed afterwards under that seq: the
+/// propagation wire relies on this to file each packet only once it
+/// reaches the wire's head.
+TEST(SimulatorTest, ReservedSeqKeepsItsTiePlace) {
+  Simulator sim;
+  std::vector<char> order;
+  const Time t = Time::milliseconds(5);
+  const std::uint64_t s = sim.reserve(t);
+  sim.at(t, [&order] { order.push_back('B'); });
+  sim.rearm(t, s, [&order] { order.push_back('A'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+  EXPECT_EQ(sim.events_processed(), 2u);
 }
 
 TEST(SimulatorTest, ManyEventsStressOrdering) {
