@@ -55,13 +55,20 @@ SweepOptions sweep_options(const BenchOptions& options) {
 }
 
 int report_sweep_errors(const SweepResult& result) {
+  bool violated = false;
   for (const SweepRow& row : result.rows) {
     if (!row.error.empty()) {
       std::cerr << "error: case " << row.index << " (" << row.label << "): " << row.error
                 << "\n";
     }
+    // Zero unless checks are compiled in (-DBUFQ_CHECKS=ON).
+    if (row.check_violations != 0) {
+      std::cerr << "error: case " << row.index << " (" << row.label
+                << "): " << row.check_violations << " invariant violations\n";
+      violated = true;
+    }
   }
-  return result.ok() ? 0 : 1;
+  return result.ok() && !violated ? 0 : 1;
 }
 
 std::map<std::string, Summary> replicate(

@@ -73,8 +73,9 @@ BenchOptions parse_options(int argc, const char* const* argv,
 /// checkpoint policy.
 SweepOptions sweep_options(const BenchOptions& options);
 
-/// Prints every failed row's error on stderr; returns the process exit
-/// code (0 when every run succeeded, 1 otherwise).
+/// Prints every failed row's error, and every row's invariant-violation
+/// count when it is non-zero, on stderr; returns the process exit code (0
+/// when every run succeeded without a violation, 1 otherwise).
 int report_sweep_errors(const SweepResult& result);
 
 /// Runs `seeds` replications of `config` (varying only the seed) through

@@ -29,6 +29,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "check/invariants.h"
 #include "expt/sweep.h"
 #include "fabric/scenario.h"
 #include "util/flags.h"
@@ -105,9 +106,13 @@ int main(int argc, char** argv) try {
               metrics.at("premium_p100_delay_ms"), metrics.at("premium_delay_bound_ms"));
   std::printf("aggregate: %.2f Mb/s delivered; cross-traffic loss %.4f%%\n",
               metrics.at("agg_mbps"), metrics.at("cross_loss") * 100.0);
-  std::printf("audit:     %llu checks, %llu violations\n",
-              static_cast<unsigned long long>(result.checks_run),
-              static_cast<unsigned long long>(result.check_violations));
+  if (BUFQ_CHECKS_ENABLED) {
+    std::printf("audit:     %llu checks, %llu violations\n",
+                static_cast<unsigned long long>(result.checks_run),
+                static_cast<unsigned long long>(result.check_violations));
+  } else {
+    std::printf("audit:     off (build with -DBUFQ_CHECKS=ON to run it)\n");
+  }
   return result.check_violations == 0 ? 0 : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

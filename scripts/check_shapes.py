@@ -5,6 +5,10 @@ Each check mirrors a claim recorded in EXPERIMENTS.md; run after
 scripts/run_all_figures.sh.  Exits non-zero if any claim fails, so this
 doubles as a coarse regression gate for the whole reproduction.
 
+Usage: check_shapes.py [RESULTS_DIR]
+RESULTS_DIR holds the bench_*.txt outputs; it defaults to the repository's
+results/ directory.
+
 Only the Python standard library is used.
 """
 import csv
@@ -163,4 +167,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        print(f"usage: {sys.argv[0]} [RESULTS_DIR]", file=sys.stderr)
+        sys.exit(2)
+    if len(sys.argv) == 2:
+        RESULTS = Path(sys.argv[1])
+        if not RESULTS.is_dir():
+            print(f"error: {RESULTS} is not a directory", file=sys.stderr)
+            sys.exit(2)
     sys.exit(main())

@@ -75,6 +75,7 @@ void ChurnDriver::advance_integrals() {
 }
 
 void ChurnDriver::on_arrival() {
+  if (settle_) settle_();
   ++counters_.arrivals;
   const std::size_t index = pick_mix_index();
   const TrafficProfile& profile = config_.mix[index].profile;
@@ -131,6 +132,7 @@ void ChurnDriver::on_arrival() {
 }
 
 void ChurnDriver::on_departure(FlowHandle handle) {
+  if (settle_) settle_();
   if (!table_.valid(handle)) return;
   Slot& slot = slots_[handle.slot];
   assert(!slot.draining);
@@ -146,6 +148,7 @@ void ChurnDriver::on_departure(FlowHandle handle) {
 }
 
 void ChurnDriver::try_reap(FlowHandle handle) {
+  if (settle_) settle_();
   assert(table_.valid(handle) && "only the reap chain tears flows down");
   Slot& slot = slots_[handle.slot];
   const bool shaper_busy =

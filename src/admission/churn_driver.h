@@ -99,6 +99,11 @@ class ChurnDriver {
 
   void set_admit_hook(SlotHook hook) { on_admit_ = std::move(hook); }
 
+  /// Invoked first on every arrival, departure and reap, before the driver
+  /// reads FlowTable occupancy or calls the admit hook: a lazily settled
+  /// link (LazyLink::advance_to) hangs here.
+  void set_settle_hook(std::function<void()> hook) { settle_ = std::move(hook); }
+
   /// Schedules the first arrival.  Call at most once, before running.
   void start();
 
@@ -138,6 +143,7 @@ class ChurnDriver {
   Config config_;
   Rng rng_;
   SlotHook on_admit_;
+  std::function<void()> settle_;
   Counters counters_;
   std::vector<Slot> slots_;
   std::vector<double> mix_cumulative_;

@@ -51,7 +51,10 @@ ChurnResult run_churn_experiment(const ChurnConfig& config) {
     discipline = std::make_unique<FifoScheduler>(manager);
   }
 
-  Link link{sim, *discipline, config.link_rate};
+  // A LazyLink files no completion events: each arrival settles it, the
+  // driver settles it before reading FlowTable occupancy or rebinding a
+  // WFQ weight, and the warmup and end snapshots settle it too.
+  LazyLink link{sim, *discipline, config.link_rate};
   StatsCollector stats{config.max_flows};
   link.set_delivery_handler([&](const Packet& p, Time t) { stats.on_delivered(p, t); });
   OfferedTrafficTap tap{stats, link};
@@ -60,6 +63,7 @@ ChurnResult run_churn_experiment(const ChurnConfig& config) {
   churn.max_concurrent = std::min(churn.max_concurrent, config.max_flows);
   Rng master{config.seed};
   admission::ChurnDriver driver{sim, controller, table, tap, churn, master.fork(0)};
+  driver.set_settle_hook([&] { link.advance_to(sim.now()); });
   if (wfq != nullptr) {
     driver.set_admit_hook([wfq](FlowId slot, const TrafficProfile& profile) {
       wfq->set_class_weight(static_cast<std::size_t>(slot), profile.token_rate.bps());
@@ -73,9 +77,14 @@ ChurnResult run_churn_experiment(const ChurnConfig& config) {
   driver.start();
 
   std::vector<FlowCounters> at_warmup;
-  const auto snap_warmup = [&] { at_warmup = stats.snapshot(); };
+  const auto snap_warmup = [&] {
+    link.advance_to(sim.now());
+    at_warmup = stats.snapshot();
+  };
   sim.at(config.warmup, snap_warmup);
-  sim.run_until(config.warmup + config.duration);
+  const Time horizon = config.warmup + config.duration;
+  sim.run_until(horizon);
+  link.advance_through(horizon);
 
   ChurnResult result;
   result.counters = driver.counters();

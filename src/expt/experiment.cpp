@@ -174,7 +174,9 @@ Pipeline build_pipeline(const ExperimentConfig& config) {
 /// The single-multiplexer pipeline as a RunModel.  Construction wires the
 /// exact event sequence run_experiment always produced: sources are built
 /// (forking the master RNG in flow order) and started in flow order; the
-/// harness then schedules the warmup snapshot.
+/// harness then schedules the warmup snapshot.  The link is a LazyLink: it
+/// files no completion events, every arrival settles it, and the harness
+/// settles it before each read.
 class ExperimentModel final : public RunModel {
  public:
   ExperimentModel(const ExperimentConfig& config, Simulator& sim)
@@ -220,6 +222,14 @@ class ExperimentModel final : public RunModel {
   }
   [[nodiscard]] const DelayRecorder& delays() const override { return delays_; }
 
+  void settle(Time t, bool through) override {
+    if (through) {
+      link_.advance_through(t);
+    } else {
+      link_.advance_to(t);
+    }
+  }
+
   /// Registry order: manager, discipline, link, stats, delays, shapers,
   /// sources.
   void save_state(CheckpointWriter& w) const override {
@@ -245,7 +255,7 @@ class ExperimentModel final : public RunModel {
  private:
   const ExperimentConfig& config_;
   Pipeline pipeline_;
-  Link link_;
+  LazyLink link_;
   StatsCollector stats_;
   DelayRecorder delays_;
   OfferedTrafficTap tap_;

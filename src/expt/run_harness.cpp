@@ -36,6 +36,7 @@ std::vector<DelaySummary> summarize_delays(const DelayRecorder& delays) {
 
 auto RunHarness::warmup_action() {
   const auto snap_warmup = [this] {
+    model_->settle(sim_.now(), false);
     at_warmup_ = model_->stats_snapshot();
     warmup_pending_ = false;
   };
@@ -55,6 +56,7 @@ ExperimentResult RunHarness::finish() {
   BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the CSV determinism contract");
   const auto wall_start = std::chrono::steady_clock::now();
   sim_.run_until(horizon_);
+  model_->settle(horizon_, true);
   BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the CSV determinism contract");
   const auto wall_end = std::chrono::steady_clock::now();
   const auto wall_ns =
@@ -75,11 +77,15 @@ CheckpointedRun RunHarness::finish_with_checkpoint(const CheckpointTrigger& trig
   // Runs until the trigger without scheduling anything: an event-count
   // trigger stops between events, a time trigger uses run_until's clock
   // advance, so the trajectory is exactly that of an uninterrupted run.
+  // The model settles to the snapshot instant first: through it after
+  // run_until (every event at it has run), only before it between events.
   if (trigger.events > 0) {
     sim_.run_events_until(trigger.events, horizon_);
+    model_->settle(sim_.now(), false);
   } else {
     const Time at = trigger.at == Time::zero() ? spec_.warmup : trigger.at;
     sim_.run_until(at > horizon_ ? horizon_ : at);
+    model_->settle(sim_.now(), true);
   }
   CheckpointedRun run;
   run.checkpoint = save();

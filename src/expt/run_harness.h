@@ -6,6 +6,8 @@
 //     constructed before the Simulator and the model so every handle
 //     resolves against them;
 //   * the warmup snapshot event and its (time, seq) re-arm on restore;
+//   * settling the model's lazy state before each read: at the warmup
+//     snapshot, before a checkpoint and at the horizon;
 //   * the checkpoint trigger (an event count or a simulated time);
 //   * checkpoint framing: simulator, then the model's components, then the
 //     harness section (warmup state), `registry` and `checker`, then the
@@ -59,6 +61,13 @@ class RunModel : public Checkpointable {
   /// Delays of the measured interval; summarized when the run records
   /// delays.
   [[nodiscard]] virtual const DelayRecorder& delays() const = 0;
+
+  /// Brings state the model keeps lazily (a LazyLink's departures) up to
+  /// `t` before the harness reads or saves it: everything that ended
+  /// before `t`, and with `through` also what ends exactly at `t` — for a
+  /// clock that has run every event at `t`.  The default keeps no lazy
+  /// state.
+  virtual void settle(Time /*t*/, bool /*through*/) {}
 };
 
 /// What the harness needs to know about a run besides its model.

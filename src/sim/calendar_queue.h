@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/invariants.h"
 #include "sim/inline_action.h"
 #include "util/annotations.h"
 #include "util/dary_heap.h"
@@ -31,6 +32,11 @@ class CalendarQueue {
     Time time;
     std::uint64_t seq;
     InlineAction action;
+#if BUFQ_CHECKS_ENABLED
+    /// Checks builds only: the clock when the event was filed, kept in a
+    /// slab beside the action (see Simulator::dispatching).
+    Time scheduled_at{Time::zero()};
+#endif
   };
 
   [[nodiscard]] bool empty() const { return keys_.empty(); }
@@ -44,10 +50,17 @@ class CalendarQueue {
       slot = static_cast<std::uint32_t>(actions_.size());
       BUFQ_LINT_SUPPRESS("hot-path-container-growth", "the slab keeps its capacity; steady state reuses freed slots");
       actions_.push_back(std::move(event.action));
+#if BUFQ_CHECKS_ENABLED
+      BUFQ_LINT_SUPPRESS("hot-path-container-growth", "grows in step with the slab above");
+      scheduled_.push_back(event.scheduled_at);
+#endif
     } else {
       slot = free_slots_.back();
       free_slots_.pop_back();
       actions_[slot] = std::move(event.action);
+#if BUFQ_CHECKS_ENABLED
+      scheduled_[slot] = event.scheduled_at;
+#endif
     }
     keys_.push(Key{event.time, event.seq, slot});
   }
@@ -65,6 +78,9 @@ class CalendarQueue {
     out.time = key.time;
     out.seq = key.seq;
     out.action = std::move(actions_[key.slot]);
+#if BUFQ_CHECKS_ENABLED
+    out.scheduled_at = scheduled_[key.slot];
+#endif
     BUFQ_LINT_SUPPRESS("hot-path-container-growth", "the free list keeps its capacity; it never outgrows the slab");
     free_slots_.push_back(key.slot);
     return true;
@@ -99,6 +115,9 @@ class CalendarQueue {
 
   DaryMinHeap<Key, 4, EarlierKey> keys_;
   std::vector<InlineAction> actions_;
+#if BUFQ_CHECKS_ENABLED
+  std::vector<Time> scheduled_;
+#endif
   std::vector<std::uint32_t> free_slots_;
 };
 

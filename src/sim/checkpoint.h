@@ -95,7 +95,7 @@ class CheckpointShardingError : public CheckpointError {
 };
 
 /// Format version stamped into every header; bump on any layout change.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// CRC-32 (IEEE 802.3 polynomial, table-driven — no external deps).
 [[nodiscard]] std::uint32_t checkpoint_crc32(std::span<const std::byte> data);

@@ -2,70 +2,105 @@
 
 #include <cassert>
 
-#include "check/invariants.h"
 #include "sim/checkpoint.h"
-#include "util/annotations.h"
 
 namespace bufq {
 
-Link::Link(Simulator& sim, QueueDiscipline& queue, Rate rate)
+LazyLink::LazyLink(Simulator& sim, QueueDiscipline& queue, Rate rate)
     : sim_{sim}, queue_{queue}, rate_{rate} {
   assert(rate.bps() > 0.0);
 }
 
-BUFQ_HOT void Link::accept(const Packet& packet) {
-  queue_.enqueue(packet, sim_.now());
-  if (!busy_) try_transmit();
-}
-
-BUFQ_HOT void Link::try_transmit() {
+BUFQ_HOT void LazyLink::start(Time t) {
   assert(!busy_);
-  auto next = queue_.dequeue(sim_.now());
+  auto next = queue_.dequeue(t);
   if (!next) return;
   busy_ = true;
   in_flight_ = *next;
   const Time tx = rate_.transmission_time(in_flight_.size_bytes);
-  BUFQ_CHECK(tx >= Time::zero(), check::Invariant::kEventClock, in_flight_.flow, sim_.now(),
+  BUFQ_CHECK(tx >= Time::zero(), check::Invariant::kEventClock, in_flight_.flow, t,
              tx.to_seconds(), 0.0, "negative transmission time");
-  const auto complete = [this] { finish_transmission(); };
-  completion_time_ = sim_.now() + tx;
-  completion_seq_ = sim_.in(tx, complete);
+  departs_ = t + tx;
+#if BUFQ_CHECKS_ENABLED
+  started_ = t;
+  start_seq_ = t == sim_.now() ? sim_.next_seq() : 0;
+#endif
 }
 
-BUFQ_HOT void Link::finish_transmission() {
+BUFQ_HOT void LazyLink::retire() {
   const Packet packet = in_flight_;
+  const Time departed = departs_;
   busy_ = false;
   bytes_delivered_ += packet.size_bytes;
   ++packets_delivered_;
-  if (on_delivery_) on_delivery_(packet, sim_.now());
-  try_transmit();
+  if (on_delivery_) on_delivery_(packet, departed);
+  start(departed);
 }
 
-void Link::save_state(CheckpointWriter& w) const {
+#if BUFQ_CHECKS_ENABLED
+void LazyLink::check_tie() const {
+  const Simulator::Origin* event = sim_.dispatching();
+  if (event == nullptr) return;  // settled between events: no event to order
+  // A start at the clock's own instant knows exactly which seqs were
+  // handed out before it; a start worked out retroactively only knows its
+  // time, so an event filed at that same instant counts as filed after.
+  const bool filed_before =
+      start_seq_ != 0 ? event->seq < start_seq_ : event->scheduled_at < started_;
+  BUFQ_CHECK(filed_before, check::Invariant::kEventClock, in_flight_.flow, departs_,
+             event->scheduled_at.to_seconds(), started_.to_seconds(),
+             "event at a departure instant was filed after that transmission began");
+}
+#endif
+
+void LazyLink::save_section(CheckpointWriter& w, const std::uint64_t* completion_seq) const {
   w.begin_section("link");
   w.write_bool(busy_);
   if (busy_) {
     save_packet(w, in_flight_);
-    w.write_time(completion_time_);
-    w.write_u64(completion_seq_);
+    w.write_time(departs_);
+    if (completion_seq != nullptr) w.write_u64(*completion_seq);
   }
   w.write_i64(bytes_delivered_);
   w.write_u64(packets_delivered_);
   w.end_section();
 }
 
-void Link::restore_state(CheckpointReader& r) {
+void LazyLink::restore_section(CheckpointReader& r, std::uint64_t* completion_seq) {
   r.begin_section("link");
   busy_ = r.read_bool();
   if (busy_) {
     in_flight_ = load_packet(r);
-    completion_time_ = r.read_time();
-    completion_seq_ = r.read_u64();
-    sim_.rearm(completion_time_, completion_seq_, [this] { finish_transmission(); });
+    departs_ = r.read_time();
+    if (completion_seq != nullptr) *completion_seq = r.read_u64();
+#if BUFQ_CHECKS_ENABLED
+    started_ = departs_ - rate_.transmission_time(in_flight_.size_bytes);
+    start_seq_ = 0;
+#endif
   }
   bytes_delivered_ = r.read_i64();
   packets_delivered_ = r.read_u64();
   r.end_section();
+}
+
+Link::Link(Simulator& sim, QueueDiscipline& queue, Rate rate)
+    : sim_{sim}, core_{sim, queue, rate} {}
+
+BUFQ_HOT void Link::arm() {
+  if (!core_.busy()) return;
+  const auto complete = [this] { this->complete(); };
+  completion_seq_ = sim_.at(core_.departs(), complete);
+}
+
+BUFQ_HOT void Link::complete() {
+  core_.retire();
+  arm();
+}
+
+void Link::save_state(CheckpointWriter& w) const { core_.save_section(w, &completion_seq_); }
+
+void Link::restore_state(CheckpointReader& r) {
+  core_.restore_section(r, &completion_seq_);
+  if (core_.busy()) sim_.rearm(core_.departs(), completion_seq_, [this] { complete(); });
 }
 
 }  // namespace bufq

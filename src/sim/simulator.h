@@ -49,7 +49,11 @@ class Simulator {
   /// re-arm with the exact (time, seq) key and preserve tie order.
   BUFQ_HOT std::uint64_t at(Time t, Action action) {
     const std::uint64_t seq = reserve(t);
+#if BUFQ_CHECKS_ENABLED
+    calendar_.push(CalendarQueue::Event{t, seq, std::move(action), now_});
+#else
     calendar_.push(CalendarQueue::Event{t, seq, std::move(action)});
+#endif
     return seq;
   }
 
@@ -80,10 +84,16 @@ class Simulator {
   /// in.  Plain asserts rather than BUFQ_CHECK: reserve() already ran the
   /// schedule-time check, and on restore the checker tallies are
   /// overwritten by the engine after re-arming and must not be perturbed.
+  /// When the seq was handed out is not known here, so in checks builds a
+  /// re-armed event counts as filed before anything (see dispatching()).
   void rearm(Time t, std::uint64_t seq, Action action) {
     assert(t >= now_ && "cannot re-arm in the past");
     assert(seq < next_seq_ && "re-armed seq was never issued");
+#if BUFQ_CHECKS_ENABLED
+    calendar_.push(CalendarQueue::Event{t, seq, std::move(action), kFiledBeforeAnything});
+#else
     calendar_.push(CalendarQueue::Event{t, seq, std::move(action)});
+#endif
   }
 
   /// Executes the single earliest pending event.  Returns false when the
@@ -156,6 +166,21 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   [[nodiscard]] std::size_t events_pending() const { return calendar_.size(); }
 
+#if BUFQ_CHECKS_ENABLED
+  /// Checks builds only: when, and under which seq, the event now being
+  /// dispatched was filed; null between events and for boundary events
+  /// (dispatch_external).  Lets a component that keeps its timing as state
+  /// (LazyLink) audit that an equal-time event was filed before the work
+  /// it ties with began, i.e. that it would have popped first.
+  struct Origin {
+    Time scheduled_at;
+    std::uint64_t seq;
+  };
+  [[nodiscard]] const Origin* dispatching() const { return in_event_ ? &origin_ : nullptr; }
+  /// Checks builds only: the seq the next filed event will get.
+  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
+#endif
+
   /// Checkpointable: serializes clock, sequence counter, lifetime event
   /// count and the pending-event count.  The calendar's *contents* are
   /// not serialized — InlineActions cannot be; each component re-arms its
@@ -181,7 +206,14 @@ class Simulator {
     if ((processed_ & 63u) == 0) {
       depth_metric_.record(static_cast<std::int64_t>(calendar_.size()));
     }
+#if BUFQ_CHECKS_ENABLED
+    origin_ = Origin{ev.scheduled_at, ev.seq};
+    in_event_ = true;
     ev.action();
+    in_event_ = false;
+#else
+    ev.action();
+#endif
   }
 
   CalendarQueue calendar_;
@@ -189,6 +221,11 @@ class Simulator {
   std::uint64_t next_seq_{0};
   std::uint64_t processed_{0};
   bool stopped_{false};
+#if BUFQ_CHECKS_ENABLED
+  static constexpr Time kFiledBeforeAnything{Time::nanoseconds(INT64_MIN)};
+  Origin origin_{};
+  bool in_event_{false};
+#endif
   // Resolved against the registry installed when the Simulator is built
   // (the run's ScopedMetrics); no-ops when none is.
   obs::CounterHandle events_metric_{obs::CounterHandle::lookup("sim.events")};
