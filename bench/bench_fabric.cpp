@@ -51,7 +51,7 @@ struct Shape {
 
 struct Scheme {
   const char* name;
-  FabricManager manager;
+  ManagerKind manager;
 };
 
 std::string format_load(double load) {
@@ -67,7 +67,7 @@ double measure_leaf_spine_events_per_sec(Time warmup, Time duration, std::uint64
   FabricConfig config;
   config.topology = FabricTopologyKind::kLeafSpine;
   config.size = 8;
-  config.scheme.manager = FabricManager::kThreshold;
+  config.scheme.manager = ManagerKind::kThreshold;
   config.load = 1.0;
   config.warmup = warmup;
   config.duration = duration;
@@ -121,9 +121,9 @@ int main(int argc, char** argv) {
       {FabricTopologyKind::kWanRing, 8},
   };
   const std::vector<Scheme> schemes = {
-      {"taildrop", FabricManager::kTailDrop},
-      {"threshold", FabricManager::kThreshold},
-      {"sharing", FabricManager::kSharing},
+      {"taildrop", ManagerKind::kNone},
+      {"threshold", ManagerKind::kThreshold},
+      {"sharing", ManagerKind::kSharing},
   };
 
   std::vector<SweepCase> cases;

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   config.topology = FabricTopologyKind::kLeafSpine;
   config.size = 8;
   config.hosts_per_leaf = 8;
-  config.scheme.manager = FabricManager::kThreshold;
+  config.scheme.manager = ManagerKind::kThreshold;
   config.link_rate = Rate::megabits_per_second(link_mbps);
   config.load = 1.0;
   config.warmup = warmup;

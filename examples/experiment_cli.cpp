@@ -9,7 +9,7 @@
 //   --workload    table1 | table2                    (default table1)
 //   --scheduler   fifo | wfq | hybrid                (default fifo)
 //   --manager     none | threshold | sharing | selective | dt | red | fred
-//                                                    (default threshold)
+//                 (taildrop = none)                  (default threshold)
 //   --buffer_mb   total buffer in MB                 (default 1.0)
 //   --headroom_kb sharing headroom in KB             (default 300)
 //   --dt_alpha    dynamic-threshold multiplier       (default 1.0)
@@ -44,24 +44,6 @@ namespace {
 
 using namespace bufq;
 
-SchedulerKind parse_scheduler(const std::string& name) {
-  if (name == "fifo") return SchedulerKind::kFifo;
-  if (name == "wfq") return SchedulerKind::kWfq;
-  if (name == "hybrid") return SchedulerKind::kHybrid;
-  throw std::invalid_argument("unknown --scheduler '" + name + "'");
-}
-
-ManagerKind parse_manager(const std::string& name) {
-  if (name == "none") return ManagerKind::kNone;
-  if (name == "threshold") return ManagerKind::kThreshold;
-  if (name == "sharing") return ManagerKind::kSharing;
-  if (name == "selective") return ManagerKind::kSelectiveSharing;
-  if (name == "dt") return ManagerKind::kDynamicThreshold;
-  if (name == "red") return ManagerKind::kRed;
-  if (name == "fred") return ManagerKind::kFred;
-  throw std::invalid_argument("unknown --manager '" + name + "'");
-}
-
 // Built via += rather than operator+ chains to sidestep a GCC 12
 // -Wrestrict false positive (gcc bug 105651).
 std::string flow_key(std::size_t f, const char* suffix) {
@@ -77,14 +59,12 @@ int main(int argc, char** argv) {
   try {
     Flags flags{argc, argv};
     const std::string workload = flags.get_string("workload", "table1");
-    const std::string scheduler = flags.get_string("scheduler", "fifo");
-    const std::string manager = flags.get_string("manager", "threshold");
 
     ExperimentConfig config;
     config.link_rate = paper_link_rate();
     config.buffer = ByteSize::megabytes(flags.get_double("buffer_mb", 1.0));
-    config.scheme.scheduler = parse_scheduler(scheduler);
-    config.scheme.manager = parse_manager(manager);
+    config.scheme.scheduler = parse_scheduler(flags.get_string("scheduler", "fifo"));
+    config.scheme.manager = parse_manager(flags.get_string("manager", "threshold"));
     config.scheme.headroom = ByteSize::kilobytes(flags.get_double("headroom_kb", 300.0));
     config.scheme.dt_alpha = flags.get_double("dt_alpha", 1.0);
     config.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
@@ -117,7 +97,8 @@ int main(int argc, char** argv) {
     }
 
     std::printf("workload=%s scheduler=%s manager=%s buffer=%s seeds=%zu\n\n",
-                workload.c_str(), scheduler.c_str(), manager.c_str(),
+                workload.c_str(), to_string(config.scheme.scheduler),
+                to_string(config.scheme.manager),
                 config.buffer.to_string().c_str(), seeds);
 
     // Per-flow metrics across replications.

@@ -1,13 +1,13 @@
 #include "expt/churn_experiment.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "admission/dynamic_manager.h"
 #include "admission/flow_table.h"
-#include "sched/fifo.h"
+#include "expt/experiment.h"
 #include "sched/wfq.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
@@ -15,9 +15,10 @@
 namespace bufq {
 
 ChurnResult run_churn_experiment(const ChurnConfig& config) {
-  assert(!config.churn.mix.empty());
-  assert(config.duration > Time::zero());
-  assert(config.max_flows > 0);
+  if (config.churn.mix.empty() || config.duration <= Time::zero() || config.max_flows == 0) {
+    throw std::invalid_argument(
+        "churn needs a non-empty flow mix, a positive duration and max_flows > 0");
+  }
 
   Simulator sim;
   admission::FlowTable table{config.max_flows};
@@ -39,17 +40,13 @@ ChurnResult run_churn_experiment(const ChurnConfig& config) {
           : admission::DynamicBufferManager::Policy::kThreshold,
       config.scheme == ChurnScheme::kFifoSharing ? config.headroom : ByteSize::zero()};
 
-  std::unique_ptr<QueueDiscipline> discipline;
-  WfqScheduler* wfq = nullptr;
-  if (config.scheme == ChurnScheme::kWfq) {
-    // One class per table slot; weights are rebound as slots are recycled.
-    auto sched = std::make_unique<WfqScheduler>(manager, config.link_rate,
-                                                std::vector<double>(config.max_flows, 1.0));
-    wfq = sched.get();
-    discipline = std::move(sched);
-  } else {
-    discipline = std::make_unique<FifoScheduler>(manager);
-  }
+  // One WFQ class per table slot, all of weight 1 until the admit hook
+  // rebinds a slot to its flow's token rate.  A FIFO reads no envelopes.
+  const bool per_slot = config.scheme == ChurnScheme::kWfq;
+  const std::unique_ptr<QueueDiscipline> discipline =
+      build_discipline(per_slot ? SchedulerKind::kWfq : SchedulerKind::kFifo, manager,
+                       config.link_rate, std::vector<FlowSpec>(per_slot ? config.max_flows : 0));
+  auto* const wfq = dynamic_cast<WfqScheduler*>(discipline.get());
 
   // A LazyLink files no completion events: each arrival settles it, the
   // driver settles it before reading FlowTable occupancy or rebinding a

@@ -49,7 +49,8 @@ struct ChurnResult {
   std::size_t active_at_end{0};
 };
 
-/// Runs one churn experiment to completion.
+/// Runs one churn experiment to completion.  Throws std::invalid_argument
+/// for an empty flow mix, a non-positive duration or max_flows == 0.
 [[nodiscard]] ChurnResult run_churn_experiment(const ChurnConfig& config);
 
 }  // namespace bufq

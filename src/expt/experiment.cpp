@@ -1,11 +1,12 @@
 #include "expt/experiment.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "core/buffer_manager.h"
 #include "core/dynamic_threshold.h"
 #include "core/red.h"
 #include "core/sharing.h"
@@ -62,113 +63,120 @@ std::vector<FlowSpec> flow_specs(const std::vector<TrafficProfile>& flows) {
 
 namespace {
 
-/// RED/FRED: EWMA thresholds as fractions of the buffer, and the drop
-/// probability at the upper one.
-constexpr double kRedMinFraction = 0.25;
-constexpr double kRedMaxFraction = 0.75;
-constexpr double kRedMaxP = 0.1;
+/// CLI names, indexed by enum value.
+constexpr const char* kSchedulerNames[] = {"fifo", "wfq", "hybrid"};
+constexpr const char* kManagerNames[] = {"none", "threshold", "sharing", "selective",
+                                         "dt",   "red",       "fred"};
 
-/// The scheduler/manager pair for a scheme, with ownership of both.
-struct Pipeline {
-  std::unique_ptr<BufferManager> manager;
-  std::unique_ptr<QueueDiscipline> discipline;
-};
-
-Pipeline build_pipeline(const ExperimentConfig& config) {
-  const auto specs = flow_specs(config.flows);
-  const std::size_t n = specs.size();
-  Pipeline p;
-
-  if (config.scheme.scheduler == SchedulerKind::kHybrid) {
-    if (config.scheme.groups.empty()) {
-      throw std::invalid_argument("hybrid scheme requires a flow grouping");
-    }
-    HybridBuilder builder{config.link_rate, config.buffer, specs, config.scheme.groups};
-    std::unique_ptr<CompositeBufferManager> manager;
-    switch (config.scheme.manager) {
-      case ManagerKind::kThreshold:
-        manager = builder.make_threshold_manager();
-        break;
-      case ManagerKind::kSharing:
-        manager = builder.make_sharing_manager(config.scheme.headroom);
-        break;
-      case ManagerKind::kNone:
-      case ManagerKind::kSelectiveSharing:
-      case ManagerKind::kDynamicThreshold:
-      case ManagerKind::kRed:
-      case ManagerKind::kFred:
-        throw std::invalid_argument(
-            "hybrid scheme supports kThreshold or kSharing per-queue management");
-    }
-    p.discipline = builder.make_scheduler(*manager);
-    p.manager = std::move(manager);
-    return p;
+template <typename Kind, std::size_t N>
+Kind parse_name(const char* const (&names)[N], const std::string& name, const char* flag) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (name == names[i]) return static_cast<Kind>(i);
   }
+  throw std::invalid_argument(std::string{"unknown --"} + flag + " '" + name + "'");
+}
 
-  switch (config.scheme.manager) {
+/// RED/FRED: EWMA thresholds at a quarter and three quarters of the
+/// buffer, with RED's default weight and drop probability.
+RedParams red_params(ByteSize buffer) {
+  const auto b = static_cast<double>(buffer.count());
+  return RedParams{.min_threshold = static_cast<std::int64_t>(b * 0.25),
+                   .max_threshold = static_cast<std::int64_t>(b * 0.75)};
+}
+
+std::unique_ptr<BufferManager> build_manager(const SchemeConfig& scheme, PortSpec& port) {
+  const std::size_t n = port.flows.size();
+  const auto thresholds = [&port](ThresholdScaling scaling) {
+    return port.thresholds.empty()
+               ? compute_thresholds(port.flows, port.buffer, port.rate, scaling)
+               : std::move(port.thresholds);
+  };
+  switch (scheme.manager) {
     case ManagerKind::kNone:
-      p.manager = std::make_unique<TailDropManager>(config.buffer, n);
-      break;
+      return std::make_unique<TailDropManager>(port.buffer, n);
     case ManagerKind::kThreshold:
-      p.manager = std::make_unique<ThresholdManager>(config.buffer, config.link_rate, specs);
-      break;
+      return std::make_unique<ThresholdManager>(port.buffer,
+                                                thresholds(ThresholdScaling::kScaleToFill));
     case ManagerKind::kSharing:
-      p.manager = std::make_unique<BufferSharingManager>(config.buffer, config.link_rate, specs,
-                                                         config.scheme.headroom);
-      break;
     case ManagerKind::kSelectiveSharing: {
-      // Conformant (regulated) flows may adapt into the excess space;
-      // unregulated ones are held to their reservation.
-      std::vector<bool> may_borrow;
-      may_borrow.reserve(n);
-      for (const auto& f : config.flows) may_borrow.push_back(f.regulated);
-      p.manager = std::make_unique<BufferSharingManager>(config.buffer, config.link_rate, specs,
-                                                         config.scheme.headroom,
-                                                         ThresholdScaling::kExact,
-                                                         std::move(may_borrow));
-      break;
+      // Plain sharing passes no flags: every flow borrows.
+      const bool selective = scheme.manager == ManagerKind::kSelectiveSharing;
+      return std::make_unique<BufferSharingManager>(
+          port.buffer, thresholds(ThresholdScaling::kExact), scheme.headroom,
+          selective ? std::move(port.may_borrow) : std::vector<bool>{});
     }
     case ManagerKind::kDynamicThreshold:
-      p.manager = std::make_unique<DynamicThresholdManager>(config.buffer, n,
-                                                            config.scheme.dt_alpha);
-      break;
-    case ManagerKind::kRed: {
-      const auto b = static_cast<double>(config.buffer.count());
-      p.manager = std::make_unique<RedManager>(
-          config.buffer, n,
-          RedParams{.weight = 0.002,
-                    .min_threshold = static_cast<std::int64_t>(b * kRedMinFraction),
-                    .max_threshold = static_cast<std::int64_t>(b * kRedMaxFraction),
-                    .max_p = kRedMaxP},
-          Rng{config.seed ^ 0x0ED0ull});
-      break;
-    }
-    case ManagerKind::kFred: {
-      const auto b = static_cast<double>(config.buffer.count());
-      p.manager = std::make_unique<FredManager>(
-          config.buffer, n,
-          FredParams{
-              .red = RedParams{.weight = 0.002,
-                               .min_threshold = static_cast<std::int64_t>(b * kRedMinFraction),
-                               .max_threshold = static_cast<std::int64_t>(b * kRedMaxFraction),
-                               .max_p = kRedMaxP},
-              .min_q = 2 * config.packet_bytes,
-              .strike_limit = 1},
-          Rng{config.seed ^ 0xF4EDull});
-      break;
-    }
+      return std::make_unique<DynamicThresholdManager>(port.buffer, n, scheme.dt_alpha);
+    case ManagerKind::kRed:
+      return std::make_unique<RedManager>(port.buffer, n, red_params(port.buffer),
+                                          Rng{port.seed ^ 0x0ED0ull});
+    case ManagerKind::kFred:
+      return std::make_unique<FredManager>(
+          port.buffer, n,
+          FredParams{.red = red_params(port.buffer), .min_q = 2 * port.packet_bytes},
+          Rng{port.seed ^ 0xF4EDull});
   }
+  return nullptr;  // unreachable
+}
 
-  if (config.scheme.scheduler == SchedulerKind::kFifo) {
-    p.discipline = std::make_unique<FifoScheduler>(*p.manager);
-  } else {
-    std::vector<double> weights;
-    weights.reserve(n);
-    for (const auto& s : specs) weights.push_back(s.rho.bps());
-    p.discipline =
-        std::make_unique<WfqScheduler>(*p.manager, config.link_rate, std::move(weights));
+}  // namespace
+
+SchedulerKind parse_scheduler(const std::string& name) {
+  return parse_name<SchedulerKind>(kSchedulerNames, name, "scheduler");
+}
+
+ManagerKind parse_manager(const std::string& name) {
+  if (name == "taildrop") return ManagerKind::kNone;
+  return parse_name<ManagerKind>(kManagerNames, name, "manager");
+}
+
+const char* to_string(SchedulerKind k) { return kSchedulerNames[static_cast<std::size_t>(k)]; }
+
+const char* to_string(ManagerKind k) { return kManagerNames[static_cast<std::size_t>(k)]; }
+
+PortPipeline build_port(const SchemeConfig& scheme, PortSpec port) {
+  if (scheme.scheduler != SchedulerKind::kHybrid) {
+    auto manager = build_manager(scheme, port);
+    auto discipline = build_discipline(scheme.scheduler, *manager, port.rate, port.flows);
+    return {std::move(manager), std::move(discipline)};
   }
-  return p;
+  if (scheme.groups.empty()) throw std::invalid_argument("hybrid scheme requires a flow grouping");
+  if (scheme.manager != ManagerKind::kThreshold && scheme.manager != ManagerKind::kSharing) {
+    throw std::invalid_argument(
+        "hybrid scheme supports kThreshold or kSharing per-queue management");
+  }
+  const HybridBuilder builder{port.rate, port.buffer, port.flows, scheme.groups};
+  std::unique_ptr<BufferManager> manager = scheme.manager == ManagerKind::kThreshold
+                                               ? builder.make_threshold_manager()
+                                               : builder.make_sharing_manager(scheme.headroom);
+  auto discipline = builder.make_scheduler(*manager);
+  return {std::move(manager), std::move(discipline)};
+}
+
+std::unique_ptr<QueueDiscipline> build_discipline(SchedulerKind scheduler,
+                                                  BufferManager& manager, Rate rate,
+                                                  const std::vector<FlowSpec>& flows) {
+  if (scheduler == SchedulerKind::kFifo) return std::make_unique<FifoScheduler>(manager);
+  std::vector<double> weights;
+  weights.reserve(flows.size());
+  for (const FlowSpec& f : flows) weights.push_back(std::max(f.rho.bps(), 1.0));
+  return std::make_unique<WfqScheduler>(manager, rate, std::move(weights));
+}
+
+namespace {
+
+/// The one multiplexer of the run, built from the flows' declared
+/// envelopes; only regulated flows may borrow under selective sharing.
+PortPipeline build_experiment_port(const ExperimentConfig& config) {
+  const std::vector<FlowSpec> specs = flow_specs(config.flows);
+  std::vector<bool> regulated;
+  for (const auto& f : config.flows) regulated.push_back(f.regulated);
+  return build_port(config.scheme, PortSpec{.buffer = config.buffer,
+                                            .rate = config.link_rate,
+                                            .flows = specs,
+                                            .may_borrow = std::move(regulated),
+                                            .seed = config.seed,
+                                            .packet_bytes = config.packet_bytes});
 }
 
 /// The single-multiplexer pipeline as a RunModel.  Construction wires the
@@ -181,7 +189,7 @@ class ExperimentModel final : public RunModel {
  public:
   ExperimentModel(const ExperimentConfig& config, Simulator& sim)
       : config_{config},
-        pipeline_{build_pipeline(config)},
+        pipeline_{build_experiment_port(config)},
         link_{sim, *pipeline_.discipline, config.link_rate},
         stats_{config.flows.size()},
         delays_{config.flows.size()},
@@ -254,7 +262,7 @@ class ExperimentModel final : public RunModel {
 
  private:
   const ExperimentConfig& config_;
-  Pipeline pipeline_;
+  PortPipeline pipeline_;
   LazyLink link_;
   StatsCollector stats_;
   DelayRecorder delays_;

@@ -1,17 +1,12 @@
 #include "fabric/fabric.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/invariants.h"
-#include "core/dynamic_threshold.h"
-#include "core/sharing.h"
-#include "core/threshold.h"
-#include "sched/fifo.h"
-#include "sched/wfq.h"
 #include "sim/checkpoint.h"
 #include "util/annotations.h"
 
@@ -22,31 +17,6 @@ namespace {
 constexpr ByteSize kSharingHeadroom = ByteSize::kilobytes(100.0);
 constexpr double kDtAlpha = 1.0;
 
-std::unique_ptr<BufferManager> make_manager(const FabricScheme& scheme, const LinkParams& params,
-                                            std::vector<std::int64_t> thresholds) {
-  switch (scheme.manager) {
-    case FabricManager::kTailDrop:
-      return std::make_unique<TailDropManager>(params.buffer, thresholds.size());
-    case FabricManager::kThreshold:
-      return std::make_unique<ThresholdManager>(params.buffer, std::move(thresholds));
-    case FabricManager::kSharing:
-      return std::make_unique<BufferSharingManager>(params.buffer, thresholds, kSharingHeadroom);
-    case FabricManager::kDynamicThreshold:
-      return std::make_unique<DynamicThresholdManager>(params.buffer, thresholds.size(), kDtAlpha);
-  }
-  return nullptr;  // unreachable
-}
-
-std::unique_ptr<QueueDiscipline> make_discipline(const FabricScheme& scheme,
-                                                 BufferManager& manager,
-                                                 const LinkParams& params,
-                                                 const std::vector<double>& weights) {
-  if (scheme.scheduler == FabricScheduler::kWfq) {
-    return std::make_unique<WfqScheduler>(manager, params.rate, weights);
-  }
-  return std::make_unique<FifoScheduler>(manager);
-}
-
 }  // namespace
 
 Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
@@ -54,30 +24,37 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
                const FabricScheme& scheme, const FabricShardScope* scope)
     : sim_{sim},
       topo_{topo},
-      scheme_{scheme},
       stats_{plan.flows.size()},
       delays_{plan.flows.size()},
-      enforce_delay_bound_{scheme.scheduler == FabricScheduler::kFifo} {
+      enforce_delay_bound_{scheme.scheduler == SchedulerKind::kFifo} {
   static_cast<void>(routes);  // paths were pinned into `plan` already
+  // The planner provisions thresholds for FIFO and WFQ hops only, so
+  // hybrid queues and the single-link managers are refused.
+  const ManagerKind m = scheme.manager;
+  if (scheme.scheduler == SchedulerKind::kHybrid || m == ManagerKind::kSelectiveSharing ||
+      m == ManagerKind::kRed || m == ManagerKind::kFred) {
+    throw std::invalid_argument(std::string{"a fabric port cannot run "} +
+                                to_string(scheme.scheduler) + " with " + to_string(m));
+  }
+  const SchemeConfig ports{.scheduler = scheme.scheduler,
+                           .manager = m,
+                           .headroom = kSharingHeadroom,
+                           .dt_alpha = kDtAlpha};
   const std::size_t flow_count = plan.flows.size();
 
   flow_dst_.assign(flow_count, -1);
   flow_src_.assign(flow_count, -1);
   flow_bound_.assign(flow_count, Time::zero());
+  // Declared envelopes by global flow id (the WFQ weights); unbound flows
+  // keep rho = 0.
+  std::vector<FlowSpec> specs(flow_count);
   for (const FlowBinding& b : bindings) {
     const auto f = static_cast<std::size_t>(b.flow);
     assert(f < flow_count);
     flow_dst_[f] = b.dst;
     flow_src_[f] = b.src;
     flow_bound_[f] = Time::from_seconds(plan.flows[f].delay_bound_s);
-  }
-
-  // WFQ weights by global flow id: declared token rates, floored at one
-  // bit per second because WfqScheduler requires positive weights (a
-  // best-effort flow with rho = 0 still needs a class).
-  std::vector<double> weights(flow_count, 1.0);
-  for (const FlowBinding& b : bindings) {
-    weights[static_cast<std::size_t>(b.flow)] = std::max(b.spec.rho.bps(), 1.0);
+    specs[f] = b.spec;
   }
 
   const auto in_scope = [scope](NodeId n) {
@@ -124,9 +101,11 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
         downstream = scope->boundary(l);
         propagation = Time::zero();
       }
-      auto manager =
-          make_manager(scheme_, link.params, plan.thresholds_for(l, flow_count));
-      auto discipline = make_discipline(scheme_, *manager, link.params, weights);
+      auto [manager, discipline] =
+          build_port(ports, PortSpec{.buffer = link.params.buffer,
+                                     .rate = link.params.rate,
+                                     .flows = specs,
+                                     .thresholds = plan.thresholds_for(l, flow_count)});
       auto port = std::make_unique<OutputPort>(sim_, link.params.rate, propagation,
                                                std::move(manager), std::move(discipline),
                                                downstream);

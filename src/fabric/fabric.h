@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "expt/experiment.h"
 #include "fabric/planner.h"
 #include "fabric/routing.h"
 #include "fabric/topology.h"
@@ -32,23 +33,19 @@
 
 namespace bufq::fabric {
 
-enum class FabricScheduler {
-  kFifo,  ///< the paper's scheme: FIFO + buffer management
-  kWfq,   ///< per-flow WFQ, weights = declared token rates
-};
-
-enum class FabricManager {
-  kTailDrop,          ///< shared tail drop (no management)
-  kThreshold,         ///< planner thresholds, fixed partition (Section 3.2)
-  kSharing,           ///< planner thresholds + holes/headroom (Section 3.3)
-  kDynamicThreshold,  ///< Choudhury-Hahne DT
-};
-
-/// The scheduler/manager pair every hop of the fabric runs.
+/// The scheduler/manager pair every hop of the fabric runs, in the shared
+/// scheme vocabulary.  Hybrid queues, selective sharing, RED and FRED are
+/// single-link schemes: the Fabric constructor rejects them with
+/// std::invalid_argument.
 struct FabricScheme {
-  FabricScheduler scheduler{FabricScheduler::kFifo};
-  FabricManager manager{FabricManager::kThreshold};
+  SchedulerKind scheduler{SchedulerKind::kFifo};
+  ManagerKind manager{ManagerKind::kThreshold};
 };
+
+/// Former names of the shared enums, kept only because the benchmark
+/// package still spells them (perfbench/src/workloads.cpp).
+using FabricScheduler = SchedulerKind;
+using FabricManager = ManagerKind;
 
 /// Restriction of a Fabric build to one shard of a partition (the
 /// parallel engine, fabric/parallel.h).  Nodes assigned to other shards
@@ -128,7 +125,6 @@ class Fabric {
 
   Simulator& sim_;
   const Topology& topo_;
-  FabricScheme scheme_;
   StatsCollector stats_;
   DelayRecorder delays_;
   Time measure_from_{Time::zero()};

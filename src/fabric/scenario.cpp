@@ -1,10 +1,10 @@
 #include "fabric/scenario.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "expt/run_harness.h"
@@ -49,6 +49,10 @@ void bind_host_pairs(const std::vector<NodeId>& hosts, FabricScenario& sc) {
   }
 }
 
+void require_shape(bool ok, const char* rule, int got) {
+  if (!ok) throw std::invalid_argument(std::string{rule} + ", got " + std::to_string(got));
+}
+
 }  // namespace
 
 FabricScenario build_fabric_scenario(const FabricConfig& config) {
@@ -59,7 +63,7 @@ FabricScenario build_fabric_scenario(const FabricConfig& config) {
 
   switch (config.topology) {
     case FabricTopologyKind::kParkingLot: {
-      assert(config.size >= 2);
+      require_shape(config.size >= 2, "parking_lot needs size >= 2", config.size);
       ParkingLotFabric f = make_parking_lot(config.size, lp, lp);
       sc.bindings.push_back(FlowBinding{
           .flow = 0, .src = f.routers.front(), .dst = f.sink, .spec = premium_spec,
@@ -86,8 +90,9 @@ FabricScenario build_fabric_scenario(const FabricConfig& config) {
       break;
     }
     case FabricTopologyKind::kLeafSpine: {
-      assert(config.size >= 2);
-      assert(config.hosts_per_leaf >= 1);
+      require_shape(config.size >= 2, "leaf_spine needs size >= 2", config.size);
+      require_shape(config.hosts_per_leaf >= 1, "leaf_spine needs hosts_per_leaf >= 1",
+                    config.hosts_per_leaf);
       LeafSpineFabric f = make_leaf_spine(config.size, config.size, config.hosts_per_leaf, lp, lp);
       sc.bindings.push_back(FlowBinding{.flow = 0,
                                         .src = f.hosts.front(),
@@ -99,7 +104,8 @@ FabricScenario build_fabric_scenario(const FabricConfig& config) {
       break;
     }
     case FabricTopologyKind::kFatTree: {
-      assert(config.size >= 2 && config.size % 2 == 0);
+      require_shape(config.size >= 2 && config.size % 2 == 0, "fat_tree needs an even size >= 2",
+                    config.size);
       FatTreeFabric f = make_fat_tree(config.size, lp, lp);
       sc.bindings.push_back(FlowBinding{.flow = 0,
                                         .src = f.hosts.front(),
@@ -111,7 +117,7 @@ FabricScenario build_fabric_scenario(const FabricConfig& config) {
       break;
     }
     case FabricTopologyKind::kWanRing: {
-      assert(config.size >= 3);
+      require_shape(config.size >= 3, "wan_ring needs size >= 3", config.size);
       WanRingFabric f = make_wan_ring(config.size, lp, lp);
       sc.bindings.push_back(
           FlowBinding{.flow = 0,

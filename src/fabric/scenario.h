@@ -93,6 +93,9 @@ struct FabricScenario {
   std::vector<FlowId> cross;
 };
 
+/// Throws std::invalid_argument for a shape the generators cannot build:
+/// parking_lot or leaf_spine below size 2, leaf_spine without hosts, a
+/// fat_tree k that is odd or below 2, a wan_ring below 3 routers.
 [[nodiscard]] FabricScenario build_fabric_scenario(const FabricConfig& config);
 
 /// Builds and starts the sources of the flows `lives_here` accepts, in the

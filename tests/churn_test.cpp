@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "invariant_audit.h"
 
 namespace bufq {
@@ -98,6 +100,18 @@ TEST(ChurnTest, WfqChurnAlsoHonorsItsAllocations) {
   const ChurnResult r = run_churn_experiment(base_config(ChurnScheme::kWfq, 3));
   EXPECT_GT(r.counters.admitted, 0u);
   EXPECT_EQ(r.counters.conformant_drops, 0u);
+}
+
+TEST(ChurnTest, MalformedConfigsAreRefused) {
+  auto no_slots = base_config(ChurnScheme::kFifoThreshold, 1);
+  no_slots.max_flows = 0;
+  EXPECT_THROW(static_cast<void>(run_churn_experiment(no_slots)), std::invalid_argument);
+  auto no_mix = base_config(ChurnScheme::kFifoThreshold, 1);
+  no_mix.churn.mix.clear();
+  EXPECT_THROW(static_cast<void>(run_churn_experiment(no_mix)), std::invalid_argument);
+  auto no_time = base_config(ChurnScheme::kWfq, 1);
+  no_time.duration = Time::zero();
+  EXPECT_THROW(static_cast<void>(run_churn_experiment(no_time)), std::invalid_argument);
 }
 
 TEST(ChurnTest, TrajectoryIsPinnedPerScheme) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "expt/workloads.h"
 
 namespace bufq {
@@ -194,6 +196,23 @@ TEST(ExperimentTest, Table2WorkloadRuns) {
   const auto result = run_experiment(config);
   EXPECT_EQ(result.per_flow.size(), 30u);
   EXPECT_GT(result.aggregate_throughput_mbps(), 20.0);
+}
+
+TEST(SchemeNamesTest, ParseAndPrintOneVocabulary) {
+  for (const auto kind : {SchedulerKind::kFifo, SchedulerKind::kWfq, SchedulerKind::kHybrid}) {
+    EXPECT_EQ(parse_scheduler(to_string(kind)), kind);
+  }
+  for (const auto kind :
+       {ManagerKind::kNone, ManagerKind::kThreshold, ManagerKind::kSharing,
+        ManagerKind::kSelectiveSharing, ManagerKind::kDynamicThreshold, ManagerKind::kRed,
+        ManagerKind::kFred}) {
+    EXPECT_EQ(parse_manager(to_string(kind)), kind);
+  }
+  // Both CLIs' historical spellings of "no buffer management".
+  EXPECT_EQ(parse_manager("none"), ManagerKind::kNone);
+  EXPECT_EQ(parse_manager("taildrop"), ManagerKind::kNone);
+  EXPECT_THROW(static_cast<void>(parse_scheduler("wqf")), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(parse_manager("")), std::invalid_argument);
 }
 
 }  // namespace

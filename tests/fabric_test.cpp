@@ -6,7 +6,9 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "expt/sweep.h"
@@ -180,8 +182,8 @@ TEST(FabricE2ETest, SaturatedParkingLotHonorsGuarantee) {
   config.topology = FabricTopologyKind::kParkingLot;
   config.size = 5;
   config.load = 2.0;
-  config.scheme.scheduler = FabricScheduler::kFifo;
-  config.scheme.manager = FabricManager::kThreshold;
+  config.scheme.scheduler = SchedulerKind::kFifo;
+  config.scheme.manager = ManagerKind::kThreshold;
   config.warmup = Time::seconds(1);
   config.duration = Time::seconds(8);
 
@@ -207,12 +209,50 @@ TEST(FabricE2ETest, TailDropStarvesThePremiumFlow) {
   config.topology = FabricTopologyKind::kParkingLot;
   config.size = 5;
   config.load = 2.0;
-  config.scheme.manager = FabricManager::kTailDrop;
+  config.scheme.manager = ManagerKind::kNone;
   config.warmup = Time::seconds(1);
   config.duration = Time::seconds(4);
 
   const ExperimentResult result = run_fabric_experiment(config);
   EXPECT_GT(result.per_flow.front().loss_ratio(), 0.2);
+}
+
+/// The planner provisions FIFO and WFQ hops only: the hybrid scheduler
+/// and the single-link managers are refused, not built.
+TEST(FabricSchemeTest, SingleLinkSchemesAreRefused) {
+  const std::vector<FabricScheme> refused = {
+      {.scheduler = SchedulerKind::kHybrid, .manager = ManagerKind::kThreshold},
+      {.scheduler = SchedulerKind::kFifo, .manager = ManagerKind::kSelectiveSharing},
+      {.scheduler = SchedulerKind::kFifo, .manager = ManagerKind::kRed},
+      {.scheduler = SchedulerKind::kWfq, .manager = ManagerKind::kFred},
+  };
+  for (const FabricScheme& scheme : refused) {
+    FabricConfig config;
+    config.size = 3;
+    config.scheme = scheme;
+    EXPECT_THROW(static_cast<void>(run_fabric_experiment(config)), std::invalid_argument)
+        << to_string(scheme.scheduler) << " with " << to_string(scheme.manager);
+  }
+}
+
+TEST(FabricScenarioTest, ShapesTheGeneratorsCannotBuildAreRefused) {
+  const std::vector<std::pair<FabricTopologyKind, int>> shapes = {
+      {FabricTopologyKind::kParkingLot, 1}, {FabricTopologyKind::kLeafSpine, 0},
+      {FabricTopologyKind::kFatTree, 3},    {FabricTopologyKind::kFatTree, 0},
+      {FabricTopologyKind::kWanRing, 2},
+  };
+  for (const auto& [kind, size] : shapes) {
+    FabricConfig config;
+    config.topology = kind;
+    config.size = size;
+    EXPECT_THROW(static_cast<void>(build_fabric_scenario(config)), std::invalid_argument)
+        << to_string(kind) << " size " << size;
+  }
+  FabricConfig hostless;
+  hostless.topology = FabricTopologyKind::kLeafSpine;
+  hostless.size = 2;
+  hostless.hosts_per_leaf = 0;
+  EXPECT_THROW(static_cast<void>(build_fabric_scenario(hostless)), std::invalid_argument);
 }
 
 TEST(FabricSweepTest, CsvBitIdenticalAcrossJobCounts) {
