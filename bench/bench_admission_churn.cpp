@@ -12,6 +12,8 @@
 //   3. A small churn simulation per scheme: blocking probability,
 //      achieved utilization, and guarantee violations under Poisson
 //      arrivals (see bench_fig* for the figure-series counterparts).
+//      Exits non-zero if any run's invariant audit records a violation
+//      (-DBUFQ_CHECKS=ON builds).
 //   4. Metrics overhead: view 1 repeated with an obs::ScopedMetrics
 //      installed so every admission counter records.  Both passes must
 //      clear the 100k decisions/sec floor and the instrumented pass may
@@ -25,6 +27,7 @@
 // as BENCH_million_flow.json when --metrics-out is given.
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -296,6 +299,7 @@ int main(int argc, char** argv) {
   CsvWriter churn{std::cout,
                   {"scheme", "blocking", "utilization", "mean_active",
                    "conformant_drops", "nonconformant_drops"}};
+  std::uint64_t churn_violations = 0;
   for (ChurnScheme scheme :
        {ChurnScheme::kFifoThreshold, ChurnScheme::kFifoSharing, ChurnScheme::kWfq}) {
     ChurnConfig config{
@@ -321,6 +325,7 @@ int main(int argc, char** argv) {
                format_double(r.utilization), format_double(r.mean_active_flows),
                std::to_string(r.counters.conformant_drops),
                std::to_string(r.counters.nonconformant_drops)});
+    churn_violations += r.check_violations;
   }
 
   std::cout << "\n# 4) metrics overhead: view 1 with live obs handles\n";
@@ -346,6 +351,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", metrics_out.c_str());
   }
 
+  if (churn_violations > 0) {
+    std::fprintf(stderr, "FAIL: %llu invariant violations in the churn runs\n",
+                 static_cast<unsigned long long>(churn_violations));
+    return 1;
+  }
   if (per_sec < kRequiredDecisionsPerSec) {
     std::fprintf(stderr, "FAIL: %.0f decisions/sec < required %.0f\n", per_sec,
                  kRequiredDecisionsPerSec);

@@ -87,15 +87,7 @@ std::map<std::string, Summary> replicate(
   if (!row.error.empty()) {
     throw std::runtime_error("replication failed: " + row.error);
   }
-  std::map<std::string, Summary> summaries;
-  for (const auto& [name, metric] : row.metrics) {
-    Summary s;
-    s.mean = metric.mean;
-    s.half_width_95 = metric.ci95;
-    s.n = metric.n;
-    summaries[name] = s;
-  }
-  return summaries;
+  return row.metrics;
 }
 
 std::map<std::string, double> throughput_metric(const ExperimentResult& result) {

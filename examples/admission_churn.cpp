@@ -10,13 +10,15 @@
 // Flows arrive Poisson at rate lambda, hold for an exponential time, and
 // are admitted or blocked by the scheme's test (eq. 6 / eq. 10).  The mix
 // offers small (rho = 1 Mb/s, sigma = 16 KB) and large (rho = 4 Mb/s,
-// sigma = 64 KB) leaky-bucket-regulated flows.  Exits non-zero if any
-// admitted conformant flow loses a packet — the guarantee the thresholds
-// exist to keep.
+// sigma = 64 KB) leaky-bucket-regulated flows.  Exits 1 if any admitted
+// conformant flow loses a packet — the guarantee the thresholds exist to
+// keep — or, in a -DBUFQ_CHECKS=ON build, if the run's invariant audit
+// (the `audit:` line) records a violation.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 
+#include "check/invariants.h"
 #include "expt/churn_experiment.h"
 #include "util/flags.h"
 
@@ -95,9 +97,20 @@ int run(int argc, char** argv) {
   std::printf("link utilization    : %.1f%% (delivered)\n", r.utilization * 100.0);
   std::printf("conformant drops    : %llu\n",
               static_cast<unsigned long long>(r.counters.conformant_drops));
+  if (BUFQ_CHECKS_ENABLED) {
+    std::printf("audit:     %llu checks, %llu violations\n",
+                static_cast<unsigned long long>(r.checks_run),
+                static_cast<unsigned long long>(r.check_violations));
+  } else {
+    std::printf("audit:     off (build with -DBUFQ_CHECKS=ON to run it)\n");
+  }
 
   if (r.counters.conformant_drops > 0) {
     std::fprintf(stderr, "FAIL: admitted conformant flows lost packets\n");
+    return 1;
+  }
+  if (r.check_violations > 0) {
+    std::fprintf(stderr, "FAIL: the invariant audit recorded violations\n");
     return 1;
   }
   std::printf("\nOK: every admitted conformant flow was served losslessly.\n");

@@ -2,7 +2,9 @@
 // *fixed* flow set, this runner lets the ChurnDriver admit and tear down
 // flows while the simulation is running, and reports the teletraffic
 // metrics the paper's admission story implies — blocking probability,
-// achieved utilization, and guarantee violations.
+// achieved utilization, and guarantee violations.  It runs on the same
+// RunHarness lifecycle as the single-link and fabric runs (run-private
+// checker and metrics, warmup snapshot, settle at the horizon).
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,9 @@ struct ChurnResult {
   double mean_reserved_utilization{0.0};
   /// Flows still holding or draining when the horizon was reached.
   std::size_t active_at_end{0};
+  /// Invariant audit of this run alone (see ExperimentResult).
+  std::uint64_t checks_run{0};
+  std::uint64_t check_violations{0};
 };
 
 /// Runs one churn experiment to completion.  Throws std::invalid_argument

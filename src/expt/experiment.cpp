@@ -230,13 +230,7 @@ class ExperimentModel final : public RunModel {
   }
   [[nodiscard]] const DelayRecorder& delays() const override { return delays_; }
 
-  void settle(Time t, bool through) override {
-    if (through) {
-      link_.advance_through(t);
-    } else {
-      link_.advance_to(t);
-    }
-  }
+  void settle(Time t, bool through) override { settle_link(link_, t, through); }
 
   /// Registry order: manager, discipline, link, stats, delays, shapers,
   /// sources.

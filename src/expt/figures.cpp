@@ -79,9 +79,9 @@ std::vector<std::string> echo_cells(const SweepRow& row) {
 
 /// Metric summary lookup tolerant of failed rows (all-zero fallback keeps
 /// the CSV well-formed; the driver reports the row's error separately).
-MetricSummary metric(const SweepRow& row, const std::string& name) {
+Summary metric(const SweepRow& row, const std::string& name) {
   const auto it = row.metrics.find(name);
-  return it != row.metrics.end() ? it->second : MetricSummary{};
+  return it != row.metrics.end() ? it->second : Summary{};
 }
 
 MetricExtractor throughput_extractor() {
@@ -115,7 +115,7 @@ FigureSweep throughput_figure(std::string name, std::string what, int table,
   fig.cases = std::move(cases);
   fig.extract = throughput_extractor();
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary s = metric(row, "throughput_mbps");
+    const Summary s = metric(row, "throughput_mbps");
     auto cells = echo_cells(row);
     cells.push_back(format_double(s.mean));
     cells.push_back(format_double(s.ci95));
@@ -135,7 +135,7 @@ FigureSweep loss_figure(std::string name, std::string what, int table,
   fig.cases = std::move(cases);
   fig.extract = conformant_loss_extractor(std::move(conformant));
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary s = metric(row, "loss_ratio");
+    const Summary s = metric(row, "loss_ratio");
     auto cells = echo_cells(row);
     cells.push_back(format_double(s.mean));
     cells.push_back(format_double(s.ci95));
@@ -155,8 +155,8 @@ FigureSweep excess_figure(std::string name, std::string what, int table,
   fig.cases = std::move(cases);
   fig.extract = excess_flows_extractor();
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary f6 = metric(row, "flow6_mbps");
-    const MetricSummary f8 = metric(row, "flow8_mbps");
+    const Summary f6 = metric(row, "flow6_mbps");
+    const Summary f8 = metric(row, "flow8_mbps");
     auto cells = echo_cells(row);
     cells.push_back(format_double(f6.mean));
     cells.push_back(format_double(f6.ci95));
@@ -201,7 +201,7 @@ FigureSweep headroom_figure(const FigureParams& params, const std::vector<double
     };
   };
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary loss = metric(row, "loss_ratio");
+    const Summary loss = metric(row, "loss_ratio");
     auto cells = echo_cells(row);
     cells.push_back(format_double(loss.mean));
     cells.push_back(format_double(loss.ci95));
@@ -227,8 +227,8 @@ FigureSweep hybrid2_loss_figure(std::vector<SweepCase> cases) {
     };
   };
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary c = metric(row, "conformant_loss");
-    const MetricSummary m = metric(row, "moderate_loss");
+    const Summary c = metric(row, "conformant_loss");
+    const Summary m = metric(row, "moderate_loss");
     auto cells = echo_cells(row);
     cells.push_back(format_double(c.mean));
     cells.push_back(format_double(c.ci95));
@@ -258,8 +258,8 @@ FigureSweep hybrid2_excess_figure(std::vector<SweepCase> cases) {
     };
   };
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary a = metric(row, "aggressive_mbps");
-    const MetricSummary m = metric(row, "moderate_mbps");
+    const Summary a = metric(row, "aggressive_mbps");
+    const Summary m = metric(row, "moderate_mbps");
     auto cells = echo_cells(row);
     cells.push_back(format_double(a.mean));
     cells.push_back(format_double(a.ci95));

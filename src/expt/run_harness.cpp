@@ -8,14 +8,12 @@
 
 namespace bufq {
 
-std::vector<FlowCounters> per_flow_deltas(const std::vector<FlowCounters>& at_end,
+std::vector<FlowCounters> per_flow_deltas(std::vector<FlowCounters> at_end,
                                           const std::vector<FlowCounters>& at_warmup) {
-  std::vector<FlowCounters> deltas;
-  deltas.reserve(at_end.size());
-  for (std::size_t f = 0; f < at_end.size(); ++f) {
-    deltas.push_back(at_end[f] - (f < at_warmup.size() ? at_warmup[f] : FlowCounters{}));
+  for (std::size_t f = 0; f < at_end.size() && f < at_warmup.size(); ++f) {
+    at_end[f] = at_end[f] - at_warmup[f];
   }
-  return deltas;
+  return at_end;
 }
 
 std::vector<DelaySummary> summarize_delays(const DelayRecorder& delays) {
@@ -32,6 +30,14 @@ std::vector<DelaySummary> summarize_delays(const DelayRecorder& delays) {
     });
   }
   return summaries;
+}
+
+void settle_link(LazyLink& link, Time t, bool through) {
+  if (through) {
+    link.advance_through(t);
+  } else {
+    link.advance_to(t);
+  }
 }
 
 auto RunHarness::warmup_action() {

@@ -15,9 +15,9 @@
 //   * finish(): sim.wall_ns, per-flow warmup deltas and the DelaySummary
 //     assembly.
 //
-// A scenario family (the single-link pipeline, the fabric) supplies only
-// a RunModel: its components, their save/restore, a stats snapshot and a
-// delay recorder.
+// A scenario family (the single-link pipeline, the fabric, flow churn)
+// supplies only a RunModel: its components, their save/restore, a stats
+// snapshot and a delay recorder.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +31,7 @@
 #include "expt/experiment.h"
 #include "obs/metrics.h"
 #include "sim/checkpoint.h"
+#include "sim/link.h"
 #include "sim/simulator.h"
 #include "stats/collector.h"
 #include "stats/delay.h"
@@ -38,10 +39,11 @@
 
 namespace bufq {
 
-/// Per-flow counter deltas `at_end - at_warmup`.  A flow missing from
-/// `at_warmup` (no snapshot entry yet) counts from zero.
+/// Per-flow counter deltas `at_end - at_warmup`, computed in place in
+/// `at_end`.  A flow missing from `at_warmup` (no snapshot entry yet)
+/// counts from zero.
 [[nodiscard]] std::vector<FlowCounters> per_flow_deltas(
-    const std::vector<FlowCounters>& at_end, const std::vector<FlowCounters>& at_warmup);
+    std::vector<FlowCounters> at_end, const std::vector<FlowCounters>& at_warmup);
 
 /// One DelaySummary per flow of `delays`, in flow order.
 [[nodiscard]] std::vector<DelaySummary> summarize_delays(const DelayRecorder& delays);
@@ -69,6 +71,9 @@ class RunModel : public Checkpointable {
   /// state.
   virtual void settle(Time /*t*/, bool /*through*/) {}
 };
+
+/// RunModel::settle for a model whose only lazy state is `link`.
+void settle_link(LazyLink& link, Time t, bool through);
 
 /// What the harness needs to know about a run besides its model.
 struct RunSpec {

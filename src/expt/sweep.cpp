@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <exception>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
-#include "stats/replication.h"
 #include "util/annotations.h"
 #include "util/csv.h"
 #include "util/flags.h"
@@ -193,17 +191,7 @@ SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extra
       if (samples.size() != succeeded && row.error.empty()) {
         row.error = "metric '" + name + "' missing from some replications";
       }
-      const Summary s = summarize(samples);
-      MetricSummary m;
-      m.mean = s.mean;
-      m.ci95 = s.half_width_95;
-      m.n = s.n;
-      if (samples.size() > 1) {
-        double ss = 0.0;
-        for (double x : samples) ss += (x - s.mean) * (x - s.mean);
-        m.stddev = std::sqrt(ss / static_cast<double>(samples.size() - 1));
-      }
-      row.metrics[name] = m;
+      row.metrics[name] = summarize(samples);
     }
     result.rows.push_back(std::move(row));
   }

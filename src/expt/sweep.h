@@ -25,6 +25,7 @@
 #include "expt/experiment.h"
 #include "sim/checkpoint.h"
 #include "stats/collector.h"
+#include "stats/replication.h"
 
 namespace bufq {
 
@@ -164,14 +165,6 @@ struct SweepOptions {
   SweepCheckpoint checkpoint;
 };
 
-/// Mean / sample stddev / 95% Student-t half-width over the replications.
-struct MetricSummary {
-  double mean{0.0};
-  double stddev{0.0};
-  double ci95{0.0};
-  std::size_t n{0};
-};
-
 /// One case folded over its replications.
 struct SweepRow {
   std::size_t index{0};  ///< position in the input case vector
@@ -181,7 +174,7 @@ struct SweepRow {
   std::vector<std::uint64_t> seeds;
   /// Per-replication metric samples (replication order), then summaries.
   std::map<std::string, std::vector<double>> samples;
-  std::map<std::string, MetricSummary> metrics;
+  std::map<std::string, Summary> metrics;
   /// Per-flow counters summed over the replications (flow-indexed; sized
   /// to the widest replication, shorter ones zero-padded).
   std::vector<FlowCounters> per_flow;

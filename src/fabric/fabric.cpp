@@ -19,6 +19,15 @@ constexpr double kDtAlpha = 1.0;
 
 }  // namespace
 
+void require_fabric_scheme(const FabricScheme& scheme) {
+  const ManagerKind m = scheme.manager;
+  if (scheme.scheduler == SchedulerKind::kHybrid || m == ManagerKind::kSelectiveSharing ||
+      m == ManagerKind::kRed || m == ManagerKind::kFred) {
+    throw std::invalid_argument(std::string{"a fabric port cannot run "} +
+                                to_string(scheme.scheduler) + " with " + to_string(m));
+  }
+}
+
 Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
                const ProvisionPlan& plan, const std::vector<FlowBinding>& bindings,
                const FabricScheme& scheme, const FabricShardScope* scope)
@@ -28,16 +37,9 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
       delays_{plan.flows.size()},
       enforce_delay_bound_{scheme.scheduler == SchedulerKind::kFifo} {
   static_cast<void>(routes);  // paths were pinned into `plan` already
-  // The planner provisions thresholds for FIFO and WFQ hops only, so
-  // hybrid queues and the single-link managers are refused.
-  const ManagerKind m = scheme.manager;
-  if (scheme.scheduler == SchedulerKind::kHybrid || m == ManagerKind::kSelectiveSharing ||
-      m == ManagerKind::kRed || m == ManagerKind::kFred) {
-    throw std::invalid_argument(std::string{"a fabric port cannot run "} +
-                                to_string(scheme.scheduler) + " with " + to_string(m));
-  }
+  require_fabric_scheme(scheme);
   const SchemeConfig ports{.scheduler = scheme.scheduler,
-                           .manager = m,
+                           .manager = scheme.manager,
                            .headroom = kSharingHeadroom,
                            .dt_alpha = kDtAlpha};
   const std::size_t flow_count = plan.flows.size();

@@ -35,12 +35,16 @@ namespace bufq::fabric {
 
 /// The scheduler/manager pair every hop of the fabric runs, in the shared
 /// scheme vocabulary.  Hybrid queues, selective sharing, RED and FRED are
-/// single-link schemes: the Fabric constructor rejects them with
-/// std::invalid_argument.
+/// single-link schemes: require_fabric_scheme refuses them.
 struct FabricScheme {
   SchedulerKind scheduler{SchedulerKind::kFifo};
   ManagerKind manager{ManagerKind::kThreshold};
 };
+
+/// Throws std::invalid_argument for a scheme a fabric port cannot run (the
+/// planner provisions thresholds for FIFO and WFQ hops only).  The Fabric
+/// constructor and build_fabric_scenario both call it.
+void require_fabric_scheme(const FabricScheme& scheme);
 
 /// Former names of the shared enums, kept only because the benchmark
 /// package still spells them (perfbench/src/workloads.cpp).

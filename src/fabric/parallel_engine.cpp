@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <exception>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -158,7 +158,7 @@ struct Slot {
   obs::RegistrySnapshot metrics;
   std::uint64_t checks_run{0};
   std::uint64_t violations{0};
-  std::string error;
+  std::exception_ptr error;
 };
 
 void accumulate(std::vector<FlowCounters>& into, const std::vector<FlowCounters>& from) {
@@ -231,21 +231,21 @@ ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
       try {
         slot.model =
             std::make_unique<ShardModel>(config, sc, plan, shard, coord.channel(shard));
-      } catch (const std::exception& e) {
-        slot.error = e.what();
+      } catch (...) {
+        slot.error = std::current_exception();
       }
       // A failed shard still arrives at the next barrier, flagging its
       // failure, which ends the run there for every shard; so the loop
       // body only ever runs while this shard's model is healthy.
       ParallelCoordinator::Window window;
-      while (coord.next_window(shard, window, !slot.error.empty())) {
+      while (coord.next_window(shard, window, slot.error != nullptr)) {
         try {
           slot.model->run_window(window);
-        } catch (const std::exception& e) {
-          slot.error = e.what();
+        } catch (...) {
+          slot.error = std::current_exception();
         }
       }
-      if (slot.error.empty()) slot.out = slot.model->collect();
+      if (slot.error == nullptr) slot.out = slot.model->collect();
       slot.model.reset();  // tear down on the owning thread, scopes still live
       slot.metrics = shard_metrics.registry().snapshot();
     }
@@ -256,11 +256,9 @@ ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
   BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the determinism contract");
   const auto wall_end = std::chrono::steady_clock::now();
 
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (!slots[s].error.empty()) {
-      throw std::runtime_error("parallel fabric shard " + std::to_string(s) +
-                               " failed: " + slots[s].error);
-    }
+  // The lowest-numbered failing shard's exception, unchanged in type.
+  for (const Slot& slot : slots) {
+    if (slot.error != nullptr) std::rethrow_exception(slot.error);
   }
 
   // Run-level metrics, published from the main thread in deterministic
@@ -296,7 +294,7 @@ ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
     accumulate(at_end, slot.out.at_end);
     accumulate(at_warmup, slot.at_warmup);
   }
-  result.per_flow = per_flow_deltas(at_end, at_warmup);
+  result.per_flow = per_flow_deltas(std::move(at_end), at_warmup);
 
   if (config.record_delays) {
     DelayRecorder delays{flow_count};

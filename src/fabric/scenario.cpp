@@ -56,6 +56,7 @@ void require_shape(bool ok, const char* rule, int got) {
 }  // namespace
 
 FabricScenario build_fabric_scenario(const FabricConfig& config) {
+  require_fabric_scheme(config.scheme);
   const LinkParams lp{config.link_rate, config.propagation, config.buffer};
   FabricScenario sc;
   const FlowSpec premium_spec{config.premium_rate,

@@ -93,7 +93,8 @@ struct FabricScenario {
   std::vector<FlowId> cross;
 };
 
-/// Throws std::invalid_argument for a shape the generators cannot build:
+/// Throws std::invalid_argument for a scheme a fabric port cannot run
+/// (require_fabric_scheme) and for a shape the generators cannot build:
 /// parking_lot or leaf_spine below size 2, leaf_spine without hosts, a
 /// fat_tree k that is odd or below 2, a wan_ring below 3 routers.
 [[nodiscard]] FabricScenario build_fabric_scenario(const FabricConfig& config);

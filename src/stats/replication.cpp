@@ -7,10 +7,6 @@
 
 namespace bufq {
 
-double Summary::relative_half_width() const {
-  return mean != 0.0 ? std::abs(half_width_95 / mean) : 0.0;
-}
-
 double t_critical_95(std::size_t df) {
   // Two-sided 95% quantiles of the t distribution; beyond the table the
   // normal approximation is within 0.5%.
@@ -29,12 +25,12 @@ Summary summarize(const std::vector<double>& samples) {
   const auto n = samples.size();
   const double mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
                       static_cast<double>(n);
-  if (n == 1) return Summary{mean, 0.0, 1};
+  if (n == 1) return Summary{mean, 0.0, 0.0, 1};
   double ss = 0.0;
   for (double x : samples) ss += (x - mean) * (x - mean);
   const double stddev = std::sqrt(ss / static_cast<double>(n - 1));
   const double half = t_critical_95(n - 1) * stddev / std::sqrt(static_cast<double>(n));
-  return Summary{mean, half, n};
+  return Summary{mean, stddev, half, n};
 }
 
 }  // namespace bufq

@@ -9,22 +9,18 @@
 
 namespace bufq {
 
-/// Mean and 95% confidence half-width of a sample.
+/// Mean, sample stddev and 95% Student-t half-width of a sample.
 struct Summary {
   double mean{0.0};
-  double half_width_95{0.0};
+  double stddev{0.0};
+  double ci95{0.0};
   std::size_t n{0};
-
-  [[nodiscard]] double lower() const { return mean - half_width_95; }
-  [[nodiscard]] double upper() const { return mean + half_width_95; }
-  /// Half-width as a fraction of the mean (the paper quotes "within 2%").
-  [[nodiscard]] double relative_half_width() const;
 };
 
 /// Two-sided 95% Student-t critical value for `df` degrees of freedom.
 [[nodiscard]] double t_critical_95(std::size_t df);
 
-/// Sample mean / CI.  n == 1 yields a zero half-width.
+/// Sample mean / stddev / CI.  n == 1 yields a zero stddev and half-width.
 [[nodiscard]] Summary summarize(const std::vector<double>& samples);
 
 }  // namespace bufq

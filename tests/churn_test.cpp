@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 
+#include "check/invariants.h"
 #include "invariant_audit.h"
 
 namespace bufq {
@@ -100,6 +101,21 @@ TEST(ChurnTest, WfqChurnAlsoHonorsItsAllocations) {
   const ChurnResult r = run_churn_experiment(base_config(ChurnScheme::kWfq, 3));
   EXPECT_GT(r.counters.admitted, 0u);
   EXPECT_EQ(r.counters.conformant_drops, 0u);
+}
+
+TEST(ChurnTest, ResultCarriesItsOwnRunsAudit) {
+  if (!BUFQ_CHECKS_ENABLED) GTEST_SKIP() << "the churn audit needs -DBUFQ_CHECKS=ON";
+  // Each run audits under its own checker, which folds into the enclosing
+  // one when the run ends: the result counts that run's checks, no more.
+  check::ScopedChecker enclosing;
+  const ChurnConfig config = base_config(ChurnScheme::kWfq, 2);
+  const ChurnResult first = run_churn_experiment(config);
+  EXPECT_GT(first.checks_run, 0u);
+  EXPECT_EQ(first.check_violations, 0u);
+  EXPECT_EQ(enclosing.checker().checks_run(), first.checks_run);
+  const ChurnResult second = run_churn_experiment(config);
+  EXPECT_EQ(second.checks_run, first.checks_run);
+  EXPECT_EQ(enclosing.checker().checks_run(), 2 * first.checks_run);
 }
 
 TEST(ChurnTest, MalformedConfigsAreRefused) {

@@ -255,6 +255,19 @@ TEST(FabricScenarioTest, ShapesTheGeneratorsCannotBuildAreRefused) {
   EXPECT_THROW(static_cast<void>(build_fabric_scenario(hostless)), std::invalid_argument);
 }
 
+/// The scenario builder runs the Fabric constructor's scheme check too, so
+/// a CLI refuses the scheme before it prints the topology or the plan.
+TEST(FabricScenarioTest, SingleLinkSchemesAreRefusedBeforeTheScenarioIsBuilt) {
+  for (const FabricScheme& scheme : std::vector<FabricScheme>{
+           {.scheduler = SchedulerKind::kHybrid, .manager = ManagerKind::kSharing},
+           {.scheduler = SchedulerKind::kWfq, .manager = ManagerKind::kRed}}) {
+    FabricConfig config;
+    config.scheme = scheme;
+    EXPECT_THROW(static_cast<void>(build_fabric_scenario(config)), std::invalid_argument)
+        << to_string(scheme.scheduler) << " with " << to_string(scheme.manager);
+  }
+}
+
 TEST(FabricSweepTest, CsvBitIdenticalAcrossJobCounts) {
   auto make_cases = [] {
     std::vector<SweepCase> cases;

@@ -292,6 +292,19 @@ TEST(ParallelRun, PublishesWindowDiagnostics) {
             result.metrics.counters.end());
 }
 
+TEST(ParallelRun, ShardFailureKeepsItsExceptionType) {
+  FabricConfig config = small_config();
+  config.shards = 2;
+  const FabricScenario sc = build_fabric_scenario(config);
+  const ShardPlan plan = shard_plan(sc.topo, config.shards);
+  ASSERT_TRUE(parallel_viability(config, plan).viable);
+  // build_fabric_scenario refuses RED itself, so only the shards' Fabric
+  // constructors see it: each throws std::invalid_argument on its worker.
+  config.scheme.manager = ManagerKind::kRed;
+  EXPECT_THROW(static_cast<void>(run_parallel_fabric_experiment(config, sc, plan)),
+               std::invalid_argument);
+}
+
 // --- checkpoint x sharding -----------------------------------------------
 
 TEST(CheckpointSharding, CheckpointOfShardedRunThrowsTypedError) {

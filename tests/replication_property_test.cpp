@@ -33,7 +33,7 @@ MetricExtractor loss_extractor() {
   };
 }
 
-MetricSummary replicated_loss(std::size_t k) {
+Summary replicated_loss(std::size_t k) {
   SweepCase c;
   c.label = "fig2-point";
   c.config = lossy_config();
@@ -46,8 +46,8 @@ MetricSummary replicated_loss(std::size_t k) {
 }
 
 TEST(ReplicationPropertyTest, ConfidenceIntervalShrinksWithReplications) {
-  const MetricSummary at4 = replicated_loss(4);
-  const MetricSummary at16 = replicated_loss(16);
+  const Summary at4 = replicated_loss(4);
+  const Summary at16 = replicated_loss(16);
 
   ASSERT_GT(at4.ci95, 0.0) << "no loss variance at k=4; the point is not stochastic enough";
   ASSERT_GT(at16.ci95, 0.0);
@@ -86,7 +86,7 @@ TEST(ReplicationPropertyTest, ReplicatedMeanRespectsProposition2Bound) {
   const SweepResult result = run_sweep({c}, loss_extractor(), options);
   ASSERT_TRUE(result.ok());
 
-  const MetricSummary& loss = result.rows.front().metrics.at("loss_ratio");
+  const Summary& loss = result.rows.front().metrics.at("loss_ratio");
   EXPECT_LE(loss.mean, 1e-3) << "conformant loss " << loss.mean
                              << " above the Proposition 2 closed-form bound of 0";
   for (double sample : result.rows.front().samples.at("loss_ratio")) {

@@ -70,29 +70,25 @@ TEST(CollectorTest, ThroughputFromDelta) {
 TEST(SummarizeTest, SingleSampleHasZeroHalfWidth) {
   const auto s = summarize({5.0});
   EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  EXPECT_DOUBLE_EQ(s.half_width_95, 0.0);
+  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
+  EXPECT_DOUBLE_EQ(s.ci95, 0.0);
   EXPECT_EQ(s.n, 1u);
 }
 
 TEST(SummarizeTest, IdenticalSamplesHaveZeroHalfWidth) {
   const auto s = summarize({2.0, 2.0, 2.0, 2.0, 2.0});
   EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.half_width_95, 0.0);
+  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
+  EXPECT_DOUBLE_EQ(s.ci95, 0.0);
 }
 
 TEST(SummarizeTest, KnownFiveSampleCase) {
   // Samples 1..5: mean 3, sd sqrt(2.5), t(4) = 2.776.
   const auto s = summarize({1.0, 2.0, 3.0, 4.0, 5.0});
   EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  const double expected = 2.776 * std::sqrt(2.5) / std::sqrt(5.0);
-  EXPECT_NEAR(s.half_width_95, expected, 1e-9);
-  EXPECT_NEAR(s.lower(), 3.0 - expected, 1e-9);
-  EXPECT_NEAR(s.upper(), 3.0 + expected, 1e-9);
-}
-
-TEST(SummarizeTest, RelativeHalfWidth) {
-  Summary s{10.0, 0.2, 5};
-  EXPECT_DOUBLE_EQ(s.relative_half_width(), 0.02);
+  EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
+  EXPECT_NEAR(s.ci95, 2.776 * std::sqrt(2.5) / std::sqrt(5.0), 1e-9);
+  EXPECT_EQ(s.n, 5u);
 }
 
 TEST(TCriticalTest, TableValuesAndTail) {

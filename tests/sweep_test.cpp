@@ -142,10 +142,10 @@ TEST(SweepEngineTest, SummaryMatchesManualComputation) {
   ASSERT_TRUE(result.ok());
   for (const SweepRow& row : result.rows) {
     const auto& samples = row.samples.at("throughput_mbps");
-    const MetricSummary& m = row.metrics.at("throughput_mbps");
+    const Summary& m = row.metrics.at("throughput_mbps");
     const Summary expected = summarize(samples);
     EXPECT_DOUBLE_EQ(m.mean, expected.mean);
-    EXPECT_DOUBLE_EQ(m.ci95, expected.half_width_95);
+    EXPECT_DOUBLE_EQ(m.ci95, expected.ci95);
     EXPECT_EQ(m.n, samples.size());
     double ss = 0.0;
     for (double x : samples) ss += (x - expected.mean) * (x - expected.mean);
