@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     duration = Time::from_seconds(flags.get_double("duration", 4.0));
     loads = flags.get_list<double>("loads", {0.6, 1.0});
     jobs = flags.get_count("jobs", 0);
-    shards = static_cast<int>(flags.get_int("shards", 1));
+    shards = static_cast<int>(flags.get_count("shards", 1));
     progress = flags.get_bool("progress", false);
     metrics_out = flags.get_string("metrics-out", "");
     if (const auto unused = flags.unused(); !unused.empty()) {

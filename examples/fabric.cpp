@@ -16,7 +16,7 @@
 //   --link_mbps / --buffer_kb / --prop_ms   uniform link parameters
 //   --warmup / --duration  seconds
 //   --seed       root seed (also the ECMP salt)
-//   --shards     partition the run across N workers (conservative
+//   --shards     partition the run across N >= 1 workers (conservative
 //                lookahead, output bit-identical to serial; unshardable
 //                configs fall back to serial with a warning — see
 //                DESIGN.md §16; incompatible with the checkpoint flags)
@@ -29,8 +29,9 @@
 //                           (default: end of warmup)
 //
 // Exits 2 on an unknown flag, and with "error: ..." on an unknown or
-// refused scheme name or a shape the topology cannot take (say
-// --topology=leaf_spine --size=0).
+// refused scheme name, a shape the topology cannot take (say
+// --topology=leaf_spine --size=0), --shards below 1, a non-positive
+// --duration or a negative --warmup.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -72,7 +73,7 @@ int main(int argc, char** argv) try {
   config.warmup = Time::from_seconds(flags.get_double("warmup", 1.0));
   config.duration = Time::from_seconds(flags.get_double("duration", 4.0));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.shards = static_cast<int>(flags.get_int("shards", 1));
+  config.shards = static_cast<int>(flags.get_count("shards", 1));
   const bool report = flags.get_bool("report", true);
   // The sweep's checkpoint flags, with a file path where the sweep takes a
   // directory.
@@ -84,6 +85,10 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
+  // Run first, so a refused config prints nothing on stdout.
+  const ExperimentResult result =
+      run_checkpoint_request(config, request, run_fabric_experiment,
+                             run_fabric_experiment_with_checkpoint, resume_fabric_experiment);
   const FabricScenario scenario = build_fabric_scenario(config);
   std::printf("%s (size %d): %zu nodes (%zu switches, %zu hosts), %zu links, %zu flows\n",
               to_string(config.topology), config.size, scenario.topo.node_count(),
@@ -91,9 +96,6 @@ int main(int argc, char** argv) try {
               scenario.topo.link_count(), scenario.bindings.size());
   if (report) std::printf("\n%s\n", scenario.plan.report(scenario.topo).c_str());
 
-  const ExperimentResult result =
-      run_checkpoint_request(config, request, run_fabric_experiment,
-                             run_fabric_experiment_with_checkpoint, resume_fabric_experiment);
   const auto metrics = fabric_metrics(result);
   std::printf("premium:   %.2f Mb/s delivered (declared %.2f), loss %.4f%%\n",
               metrics.at("premium_mbps"), config.premium_rate.mbps(),

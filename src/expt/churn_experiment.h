@@ -55,7 +55,8 @@ struct ChurnResult {
 };
 
 /// Runs one churn experiment to completion.  Throws std::invalid_argument
-/// for an empty flow mix, a non-positive duration or max_flows == 0.
+/// for an empty flow mix or max_flows == 0, and (from the run harness) for
+/// a non-positive duration or a negative warmup.
 [[nodiscard]] ChurnResult run_churn_experiment(const ChurnConfig& config);
 
 }  // namespace bufq

@@ -1,7 +1,7 @@
 #include "expt/run_harness.h"
 
-#include <cassert>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 
 #include "util/annotations.h"
@@ -50,10 +50,13 @@ auto RunHarness::warmup_action() {
 }
 
 RunHarness::RunHarness(const RunSpec& spec, const ModelFactory& build)
-    : spec_{spec},
-      model_{build(sim_, metrics_.registry())},
-      horizon_{spec.warmup + spec.duration} {
-  assert(spec.duration > Time::zero());
+    : spec_{spec}, horizon_{spec.warmup + spec.duration} {
+  if (spec.duration <= Time::zero() || spec.warmup < Time::zero()) {
+    throw std::invalid_argument("a run needs a positive duration and a non-negative warmup, got "
+                                "duration " + spec.duration.to_string() + " and warmup " +
+                                spec.warmup.to_string());
+  }
+  model_ = build(sim_, scope_.metrics.registry());
   warmup_pending_ = true;
   warmup_seq_ = sim_.at(spec.warmup, warmup_action());
 }
@@ -61,7 +64,7 @@ RunHarness::RunHarness(const RunSpec& spec, const ModelFactory& build)
 ExperimentResult RunHarness::finish() {
   BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the CSV determinism contract");
   const auto wall_start = std::chrono::steady_clock::now();
-  sim_.run_until(horizon_);
+  model_->run(sim_, horizon_);
   model_->settle(horizon_, true);
   BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the CSV determinism contract");
   const auto wall_end = std::chrono::steady_clock::now();
@@ -71,8 +74,8 @@ ExperimentResult RunHarness::finish() {
 
   ExperimentResult result;
   result.interval = spec_.duration;
-  result.checks_run = checker_.checker().checks_run();
-  result.check_violations = checker_.checker().violation_count();
+  result.checks_run = scope_.checker.checker().checks_run();
+  result.check_violations = scope_.checker.checker().violation_count();
   result.metrics = registry().snapshot();
   result.per_flow = per_flow_deltas(model_->stats_snapshot(), at_warmup_);
   if (spec_.record_delays) result.delays = summarize_delays(model_->delays());
@@ -118,12 +121,12 @@ std::vector<std::byte> RunHarness::save() const {
   w.end_section();
 
   w.begin_section("registry");
-  save_registry_snapshot(w, metrics_.registry().snapshot());
+  save_registry_snapshot(w, scope_.metrics.registry().snapshot());
   w.end_section();
 
   w.begin_section("checker");
-  w.write_u64(checker_.checker().checks_run());
-  w.write_u64(checker_.checker().violation_count());
+  w.write_u64(scope_.checker.checker().checks_run());
+  w.write_u64(scope_.checker.checker().violation_count());
   w.end_section();
 
   return w.finish(spec_.fingerprint);
@@ -149,14 +152,14 @@ void RunHarness::restore(std::span<const std::byte> blob) {
   r.end_section();
 
   r.begin_section("registry");
-  metrics_.registry().restore(load_registry_snapshot(r));
+  scope_.metrics.registry().restore(load_registry_snapshot(r));
   r.end_section();
 
   r.begin_section("checker");
   const std::uint64_t checks_run = r.read_u64();
   const std::uint64_t violations = r.read_u64();
   r.end_section();
-  checker_.checker().restore_tallies(checks_run, violations);
+  scope_.checker.checker().restore_tallies(checks_run, violations);
 
   if (!r.exhausted()) {
     throw CheckpointFormatError("checkpoint has trailing bytes after the last section");

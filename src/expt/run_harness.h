@@ -2,9 +2,11 @@
 // (Section 3) is many independent runs of one measured interval; this
 // harness is that interval, written once:
 //
-//   * a run-private check::ScopedChecker and obs::ScopedMetrics,
-//     constructed before the Simulator and the model so every handle
-//     resolves against them;
+//   * refusing a non-positive duration or a negative warmup before the
+//     model is built;
+//   * a run-private check::ScopedChecker and obs::ScopedMetrics (a
+//     RunScope), constructed before the Simulator and the model so every
+//     handle resolves against them;
 //   * the warmup snapshot event and its (time, seq) re-arm on restore;
 //   * settling the model's lazy state before each read: at the warmup
 //     snapshot, before a checkpoint and at the horizon;
@@ -15,9 +17,11 @@
 //   * finish(): sim.wall_ns, per-flow warmup deltas and the DelaySummary
 //     assembly.
 //
-// A scenario family (the single-link pipeline, the fabric, flow churn)
-// supplies only a RunModel: its components, their save/restore, a stats
-// snapshot and a delay recorder.
+// A scenario family supplies only a RunModel: its components, their
+// save/restore, a stats snapshot and a delay recorder.  The families are
+// the single-link pipeline, the serial fabric, the sharded fabric (whose
+// model runs per-shard clocks on worker threads and hands the warmup
+// barrier back to the harness's clock) and flow churn.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +68,13 @@ class RunModel : public Checkpointable {
   /// delays.
   [[nodiscard]] virtual const DelayRecorder& delays() const = 0;
 
+  /// Runs the model from the clock's present to `horizon`, inclusive.
+  /// `sim` is the harness's clock, on the harness's thread and inside its
+  /// checker and metrics scope; its calendar holds the warmup snapshot,
+  /// which must fire at its instant.  The default runs the model on that
+  /// clock.
+  virtual void run(Simulator& sim, Time horizon) { sim.run_until(horizon); }
+
   /// Brings state the model keeps lazily (a LazyLink's departures) up to
   /// `t` before the harness reads or saves it: everything that ended
   /// before `t`, and with `through` also what ends exactly at `t` — for a
@@ -74,6 +85,17 @@ class RunModel : public Checkpointable {
 
 /// RunModel::settle for a model whose only lazy state is `link`.
 void settle_link(LazyLink& link, Time t, bool through);
+
+/// A run's private invariant checker and metrics registry: while alive,
+/// BUFQ_CHECK sites and metric handles on the constructing thread resolve
+/// against them, so no two pool or shard workers share a mutable sink;
+/// their tallies fold into the enclosing scopes on destruction.  Open it
+/// before the Simulator and the model.  One per RunHarness, and one per
+/// shard of a sharded run, on the shard's thread.
+struct RunScope {
+  check::ScopedChecker checker;
+  obs::ScopedMetrics metrics;
+};
 
 /// What the harness needs to know about a run besides its model.
 struct RunSpec {
@@ -93,14 +115,17 @@ class RunHarness {
   using ModelFactory =
       std::function<std::unique_ptr<RunModel>(Simulator&, obs::MetricsRegistry&)>;
 
+  /// Throws std::invalid_argument, before the model is built, for a
+  /// non-positive duration or a negative warmup.
   RunHarness(const RunSpec& spec, const ModelFactory& build);
   // Scheduled events capture `this`.
   RunHarness(const RunHarness&) = delete;
   RunHarness& operator=(const RunHarness&) = delete;
 
-  [[nodiscard]] obs::MetricsRegistry& registry() { return metrics_.registry(); }
+  [[nodiscard]] obs::MetricsRegistry& registry() { return scope_.metrics.registry(); }
 
-  /// Runs to the horizon and assembles the result.
+  /// Runs the model to the horizon (RunModel::run) and assembles the
+  /// result.
   [[nodiscard]] ExperimentResult finish();
 
   /// Runs until `trigger` fires, snapshots, then finishes.  The trigger
@@ -119,13 +144,7 @@ class RunHarness {
   void restore(std::span<const std::byte> blob);
 
   RunSpec spec_;
-  // Confine the invariant audit and the metrics to this run: BUFQ_CHECK
-  // sites and metric handles resolve against these run-private sinks (no
-  // shared sink between pool workers), which is why they precede the
-  // simulator and the model; tallies fold into the enclosing scopes on
-  // destruction.
-  check::ScopedChecker checker_;
-  obs::ScopedMetrics metrics_;
+  RunScope scope_;
   Simulator sim_;
   std::unique_ptr<RunModel> model_;
   Time horizon_;

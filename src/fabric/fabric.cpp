@@ -59,10 +59,7 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
     specs[f] = b.spec;
   }
 
-  const auto in_scope = [scope](NodeId n) {
-    return scope == nullptr ||
-           (*scope->node_shard)[static_cast<std::size_t>(n)] == scope->shard;
-  };
+  const auto in_scope = [scope](NodeId n) { return scope == nullptr || scope->holds(n); };
 
   // Phase 1: nodes and egress sinks, so every link's downstream exists
   // before any port is constructed (the graph may have cycles).  Out-of-
@@ -141,11 +138,6 @@ PacketSink& Fabric::ingress(FlowId flow) {
   return *tap;
 }
 
-Node& Fabric::node(NodeId id) {
-  assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
-  return *nodes_[static_cast<std::size_t>(id)];
-}
-
 PacketSink& Fabric::arrival_sink(LinkId link) {
   assert(link >= 0 && static_cast<std::size_t>(link) < topo_.link_count());
   const NodeId head = topo_.link(link).to;
@@ -155,11 +147,6 @@ PacketSink& Fabric::arrival_sink(LinkId link) {
   }
   assert(nodes_[static_cast<std::size_t>(head)] != nullptr);
   return *nodes_[static_cast<std::size_t>(head)];
-}
-
-double Fabric::delay_bound_s(FlowId flow) const {
-  assert(flow >= 0 && static_cast<std::size_t>(flow) < flow_bound_.size());
-  return flow_bound_[static_cast<std::size_t>(flow)].to_seconds();
 }
 
 void Fabric::save_state(CheckpointWriter& w) const {

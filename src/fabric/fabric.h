@@ -52,7 +52,7 @@ using FabricScheduler = SchedulerKind;
 using FabricManager = ManagerKind;
 
 /// Restriction of a Fabric build to one shard of a partition (the
-/// parallel engine, fabric/parallel.h).  Nodes assigned to other shards
+/// parallel engine, fabric/parallel_engine.h).  Nodes assigned to other shards
 /// are not instantiated; ports serving cut links (head in another shard)
 /// are built with zero propagation feeding `boundary(link)` — the
 /// channel seam — instead of a simulated wire.  Zero propagation makes
@@ -68,6 +68,11 @@ struct FabricShardScope {
   /// Sink absorbing packets that leave the shard over `link`; must
   /// outlive the fabric.
   std::function<PacketSink*(LinkId)> boundary;
+
+  /// Whether `node` is built in this shard.
+  [[nodiscard]] bool holds(NodeId node) const {
+    return (*node_shard)[static_cast<std::size_t>(node)] == shard;
+  }
 };
 
 class Fabric {
@@ -77,8 +82,8 @@ class Fabric {
   /// installed routes).  Construct any ScopedMetrics/ScopedChecker before
   /// the fabric so metric handles resolve.  All references must outlive
   /// the fabric.  With a `scope`, only that shard's slice is built (see
-  /// FabricShardScope); node()/ingress() may then only be
-  /// called for in-shard ids.
+  /// FabricShardScope); ingress() may then only be called for flows
+  /// whose source node is in the shard.
   Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
          const ProvisionPlan& plan, const std::vector<FlowBinding>& bindings,
          const FabricScheme& scheme, const FabricShardScope* scope = nullptr);
@@ -94,20 +99,15 @@ class Fabric {
   /// and drop *counters* always run; only DelayRecorder entries are gated.
   void set_measure_from(Time t) { measure_from_ = t; }
 
-  [[nodiscard]] StatsCollector& stats() { return stats_; }
   [[nodiscard]] const StatsCollector& stats() const { return stats_; }
-  [[nodiscard]] DelayRecorder& delays() { return delays_; }
   [[nodiscard]] const DelayRecorder& delays() const { return delays_; }
 
-  [[nodiscard]] Node& node(NodeId id);
   /// Where a packet arriving over `link` is delivered: the head host's
   /// egress sink, or the head node.  This is the receiving end of the
   /// boundary seam — the parallel engine dispatches cross-shard packets
   /// here, which is byte-for-byte the sink a serial wire would feed.
   /// The head node must be in scope.
   [[nodiscard]] PacketSink& arrival_sink(LinkId link);
-  /// Planner delay bound for `flow` (seconds); 0 for unrouted flows.
-  [[nodiscard]] double delay_bound_s(FlowId flow) const;
 
   /// Checkpointable: end-to-end stats/delays, then every node (and its
   /// ports, managers, disciplines and links) in NodeId order.

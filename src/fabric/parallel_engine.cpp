@@ -1,24 +1,27 @@
 #include "fabric/parallel_engine.h"
 
-#include <algorithm>
-#include <cassert>
-#include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "check/invariants.h"
-#include "expt/run_harness.h"
+#include "sim/checkpoint.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
-#include "traffic/sources.h"
-#include "util/annotations.h"
 #include "util/task_pool.h"
 
 namespace bufq::fabric {
 namespace {
+
+constexpr const char* kNoCheckpoint =
+    "a sharded run cannot checkpoint: per-shard calendars and boundary-channel state are not "
+    "serialized";
 
 /// The tail end of a cut link: receives what the port "transmits onto the
 /// wire" and stamps it into the channel with the arrival time the serial
@@ -51,119 +54,215 @@ class BoundarySender final : public PacketSink {
   Time propagation_;
 };
 
-/// What a finished shard hands back to the merge step.
-struct ShardOutcome {
-  std::vector<FlowCounters> at_end;
-  DelayRecorder delays{0};
-  std::uint64_t events{0};
-  std::uint64_t boundary_delivered{0};
-  std::uint64_t stall_windows{0};
-};
+/// Boundary senders by LinkId for the cut links whose tail is in `shard`.
+std::vector<std::unique_ptr<BoundarySender>> make_senders(Simulator& sim,
+                                                          BoundaryChannel& channel,
+                                                          const FabricScenario& sc,
+                                                          const ShardPlan& plan,
+                                                          std::int32_t shard) {
+  std::vector<std::unique_ptr<BoundarySender>> senders(sc.topo.link_count());
+  for (const LinkId l : plan.cut_links) {
+    const TopoLink& link = sc.topo.link(l);
+    if (plan.node_shard[static_cast<std::size_t>(link.from)] != shard) continue;
+    senders[static_cast<std::size_t>(l)] = std::make_unique<BoundarySender>(
+        sim, channel, plan.node_shard[static_cast<std::size_t>(link.to)], l,
+        link.params.propagation);
+  }
+  return senders;
+}
 
-/// One shard's slice of the scenario: a private Simulator, the scoped
-/// Fabric, and the sources whose ingress node lives here.  Constructed
-/// ON the worker thread so every metric/checker handle resolves against
-/// that thread's scoped registries.  Sources come from the serial run's
-/// builder, so the per-shard event trajectory is the serial trajectory
-/// restricted to this shard.
-class ShardModel {
+/// Executes one lookahead window on a shard's clock: interleave boundary
+/// deliveries (in their stamped (time, src_shard, seq) order) with local
+/// events, then run out the window — exclusive for interior windows,
+/// inclusive for the drain round (matching serial run_until(horizon)).
+/// Returns false for a stall: a window with nothing to do.
+bool run_window(Simulator& sim, Fabric& fabric, const ParallelCoordinator::Window& w) {
+  const std::uint64_t before = sim.events_processed();
+  for (const BoundaryEvent& ev : w.incoming) {
+    if (ev.time > sim.now()) sim.run_until(ev.time - Time::nanoseconds(1));
+    sim.dispatch_external(ev.time, [&] { fabric.arrival_sink(ev.dest).accept(ev.packet); });
+  }
+  sim.run_until(w.final ? w.end : w.end - Time::nanoseconds(1));
+  return sim.events_processed() != before || !w.incoming.empty();
+}
+
+/// Hands the warmup barrier to the harness's thread.  The coordinator's
+/// sync hook runs on the last shard to reach the warmup barrier, with
+/// every other shard asleep in it, and parks (kParked) until the harness's
+/// thread has run the harness's warmup event over the stopped shards
+/// (kReleased).  A run that ends before the barrier — a shard failed —
+/// reaches kOver instead; so does every run, once its shards leave.
+class WarmupHandoff {
  public:
-  ShardModel(const FabricConfig& config, const FabricScenario& sc, const ShardPlan& plan,
-             std::int32_t shard, BoundaryChannel& channel)
-      : senders_{make_senders(sim_, channel, sc, plan, shard)},
-        scope_{&plan.node_shard, shard,
-               [this](LinkId l) { return senders_[static_cast<std::size_t>(l)].get(); }},
-        fabric_{sim_, sc.topo, sc.routes, sc.plan, sc.bindings, config.scheme, &scope_} {
-    fabric_.set_measure_from(config.warmup);
-    sources_ = make_fabric_sources(sim_, fabric_, config, sc, [&](FlowId flow) {
-      const NodeId src = sc.bindings[static_cast<std::size_t>(flow)].src;
-      return plan.node_shard[static_cast<std::size_t>(src)] == shard;
-    });
+  enum class Stage { kRunning, kParked, kReleased, kOver };
 
-    if (shard == 0) {
-      // Serial runs carry exactly one warmup event (the stats snapshot).
-      // The sharded run snapshots at the warmup barrier instead, so shard
-      // 0 schedules a no-op at the same instant to keep the merged
-      // sim.events count — and the at() check tally — identical.
-      const auto warmup_parity = [] {};
-      static_cast<void>(sim_.at(config.warmup, warmup_parity));
-    }
+  void enter(Stage stage) {
+    const std::lock_guard<std::mutex> lock{mu_};
+    stage_ = stage;
+    cv_.notify_all();
   }
 
-  /// Executes one lookahead window: interleave boundary deliveries (in
-  /// their stamped (time, src_shard, seq) order) with local events, then
-  /// run out the window — exclusive for interior windows, inclusive for
-  /// the drain round (matching serial run_until(horizon)).
-  void run_window(const ParallelCoordinator::Window& w) {
-    const std::uint64_t before = sim_.events_processed();
-    for (const BoundaryEvent& ev : w.incoming) {
-      if (ev.time > sim_.now()) sim_.run_until(ev.time - Time::nanoseconds(1));
-      sim_.dispatch_external(ev.time,
-                             [&] { fabric_.arrival_sink(ev.dest).accept(ev.packet); });
-      ++boundary_delivered_;
-    }
-    sim_.run_until(w.final ? w.end : w.end - Time::nanoseconds(1));
-    if (sim_.events_processed() == before && w.incoming.empty()) ++stall_windows_;
-  }
-
-  /// Warmup-barrier hook: the serial snapshot point, reproduced exactly
-  /// (all events < warmup applied, none at >= warmup).
-  [[nodiscard]] std::vector<FlowCounters> stats_snapshot() const {
-    return fabric_.stats().snapshot();
-  }
-
-  [[nodiscard]] ShardOutcome collect() const {
-    ShardOutcome out;
-    out.at_end = fabric_.stats().snapshot();
-    out.delays = fabric_.delays();
-    out.events = sim_.events_processed();
-    out.boundary_delivered = boundary_delivered_;
-    out.stall_windows = stall_windows_;
-    return out;
+  /// Waits until the stage is no longer `stage`; returns the new one.
+  Stage await_past(Stage stage) {
+    std::unique_lock<std::mutex> lock{mu_};
+    cv_.wait(lock, [&] { return stage_ != stage; });
+    return stage_;
   }
 
  private:
-  static std::vector<std::unique_ptr<BoundarySender>> make_senders(Simulator& sim,
-                                                                   BoundaryChannel& channel,
-                                                                   const FabricScenario& sc,
-                                                                   const ShardPlan& plan,
-                                                                   std::int32_t shard) {
-    std::vector<std::unique_ptr<BoundarySender>> senders(sc.topo.link_count());
-    for (const LinkId l : plan.cut_links) {
-      const TopoLink& link = sc.topo.link(l);
-      if (plan.node_shard[static_cast<std::size_t>(link.from)] != shard) continue;
-      senders[static_cast<std::size_t>(l)] = std::make_unique<BoundarySender>(
-          sim, channel, plan.node_shard[static_cast<std::size_t>(link.to)], l,
-          link.params.propagation);
+  std::mutex mu_;
+  std::condition_variable cv_;
+  Stage stage_{Stage::kRunning};
+};
+
+/// The sharded run make_sharded_fabric_model returns.
+class ShardedFabricModel final : public RunModel {
+ public:
+  ShardedFabricModel(const FabricConfig& config, const FabricScenario& sc, ShardPlan plan,
+                     obs::MetricsRegistry& registry)
+      : config_{config},
+        sc_{sc},
+        plan_{std::move(plan)},
+        registry_{registry},
+        shards_(static_cast<std::size_t>(plan_.shards)),
+        delays_{sc.plan.flows.size()} {}
+
+  /// The shards' counters summed: live at the warmup barrier, their end
+  /// state once run() has returned.
+  [[nodiscard]] std::vector<FlowCounters> stats_snapshot() const override {
+    std::vector<FlowCounters> total(sc_.plan.flows.size());
+    for (const Shard& shard : shards_) {
+      const std::vector<FlowCounters> part =
+          shard.model != nullptr ? shard.model->stats_snapshot() : shard.at_end;
+      for (std::size_t f = 0; f < part.size(); ++f) total[f] += part[f];
     }
-    return senders;
+    return total;
+  }
+  [[nodiscard]] const DelayRecorder& delays() const override { return delays_; }
+
+  void run(Simulator& sim, Time horizon) override;
+
+  void save_state(CheckpointWriter& /*w*/) const override {
+    throw CheckpointShardingError(kNoCheckpoint);
+  }
+  void restore_state(CheckpointReader& /*r*/) override {
+    throw CheckpointShardingError(kNoCheckpoint);
   }
 
-  Simulator sim_;
-  std::vector<std::unique_ptr<BoundarySender>> senders_;  ///< by LinkId, cut links with tail here
-  FabricShardScope scope_;
-  Fabric fabric_;
-  std::vector<std::unique_ptr<Source>> sources_;
-  std::uint64_t boundary_delivered_{0};
-  std::uint64_t stall_windows_{0};
+ private:
+  /// One shard.  Its clock, scopes and FabricModel live on the shard's
+  /// worker thread; what the harness's thread folds after the join is
+  /// left here.
+  struct Shard {
+    std::unique_ptr<FabricModel> model;  ///< between build and teardown
+    std::vector<FlowCounters> at_end;
+    DelayRecorder delays{0};
+    obs::RegistrySnapshot metrics;
+    check::InvariantChecker checker;
+    std::exception_ptr error;
+  };
+
+  void run_shard(std::int32_t id, ParallelCoordinator& coord);
+
+  FabricConfig config_;
+  const FabricScenario& sc_;
+  ShardPlan plan_;
+  obs::MetricsRegistry& registry_;
+  std::vector<Shard> shards_;
+  DelayRecorder delays_;
 };
 
-/// Per-shard result slot, pre-sized by the main thread; each worker
-/// writes only its own slot (plus the warmup hook, which runs inside the
-/// barrier with every worker parked).
-struct Slot {
-  std::unique_ptr<ShardModel> model;
-  std::vector<FlowCounters> at_warmup;
-  ShardOutcome out;
-  obs::RegistrySnapshot metrics;
-  std::uint64_t checks_run{0};
-  std::uint64_t violations{0};
-  std::exception_ptr error;
-};
+void ShardedFabricModel::run(Simulator& sim, Time horizon) {
+  const auto n = static_cast<std::size_t>(plan_.shards);
+  using Stage = WarmupHandoff::Stage;
+  WarmupHandoff handoff;
+  ParallelCoordinator coord{{.shards = plan_.shards,
+                             .lookahead = plan_.lookahead,
+                             .horizon = horizon,
+                             .sync_point = config_.warmup},
+                            [&handoff] {
+                              handoff.enter(Stage::kParked);
+                              static_cast<void>(handoff.await_past(Stage::kParked));
+                            }};
+  std::exception_ptr warmup_error;
+  // Exactly one thread per shard: shard workers live at the barrier for
+  // the whole run, so they must not share threads (a worker parked in
+  // arrive_and_wait() would starve the shard whose turn it is holding).
+  parallel_for(
+      n, n,
+      [&](std::size_t s) {
+        run_shard(static_cast<std::int32_t>(s), coord);
+        handoff.enter(Stage::kOver);
+      },
+      [&] {
+        if (handoff.await_past(Stage::kRunning) != Stage::kParked) return;
+        // Caught, not propagated: the barrier stays parked until released.
+        try {
+          sim.run_until(config_.warmup);
+        } catch (...) {
+          warmup_error = std::current_exception();
+        }
+        handoff.enter(Stage::kReleased);
+      });
 
-void accumulate(std::vector<FlowCounters>& into, const std::vector<FlowCounters>& from) {
-  if (into.size() < from.size()) into.resize(from.size());
-  for (std::size_t f = 0; f < from.size(); ++f) into[f] += from[f];
+  // The fold, on the harness's thread into the harness's sinks, in shard
+  // order.  Checker tallies fold even for a failed run, as a serial run's
+  // scope would fold them.
+  obs::RegistrySnapshot folded = registry_.snapshot();
+  for (const Shard& shard : shards_) {
+    check::InvariantChecker::current().absorb(shard.checker);
+    folded.merge(shard.metrics);
+  }
+  folded.counters["parallel.windows"] += coord.windows();
+  folded.counters["parallel.boundary_events"] += coord.boundary_events();
+  registry_.restore(folded);
+  // The lowest-numbered failing shard's exception, unchanged in type.
+  for (const Shard& shard : shards_) {
+    if (shard.error != nullptr) std::rethrow_exception(shard.error);
+  }
+  if (warmup_error != nullptr) std::rethrow_exception(warmup_error);
+  for (const Shard& shard : shards_) delays_.merge(shard.delays);
+  sim.run_until(horizon);
+}
+
+void ShardedFabricModel::run_shard(std::int32_t id, ParallelCoordinator& coord) {
+  Shard& shard = shards_[static_cast<std::size_t>(id)];
+  RunScope run;
+  Simulator sim;
+  const auto senders = make_senders(sim, coord.channel(id), sc_, plan_, id);
+  const FabricShardScope scope{&plan_.node_shard, id, [&senders](LinkId l) {
+                                 return senders[static_cast<std::size_t>(l)].get();
+                               }};
+  try {
+    shard.model = std::make_unique<FabricModel>(config_, sc_, sim, &scope);
+  } catch (...) {
+    shard.error = std::current_exception();
+  }
+  // A failed shard still arrives at the next barrier, flagging its
+  // failure, which ends the run there for every shard; so the loop body
+  // only ever runs while this shard's model is healthy.
+  std::uint64_t stalls = 0;
+  ParallelCoordinator::Window window;
+  while (coord.next_window(id, window, shard.error != nullptr)) {
+    try {
+      if (!run_window(sim, shard.model->fabric(), window)) ++stalls;
+    } catch (...) {
+      shard.error = std::current_exception();
+    }
+  }
+  if (shard.error == nullptr) {
+    shard.at_end = shard.model->stats_snapshot();
+    shard.delays = shard.model->delays();
+  }
+  shard.model.reset();  // tear down on the owning thread, scopes still live
+  obs::MetricsRegistry& registry = run.metrics.registry();
+  registry.counter("parallel.horizon_stalls").add(stalls);
+  registry.counter("parallel.shard." + std::to_string(id) + ".events").add(sim.events_processed());
+  shard.metrics = registry.snapshot();
+  // The tallies reach the harness's checker through shard.checker, so the
+  // scope hands nothing to this thread's enclosing checker.
+  shard.checker.absorb(run.checker.checker());
+  run.checker.checker().clear();
 }
 
 }  // namespace
@@ -181,127 +280,13 @@ ParallelViability parallel_viability(const FabricConfig& config, const ShardPlan
   if (config.warmup <= Time::zero()) {
     return {false, "parallel runs need a positive warmup (the warmup barrier is the stats sync point)"};
   }
-  if (config.duration <= Time::zero()) {
-    return {false, "duration must be positive"};
-  }
   return {true, ""};
 }
 
-ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
-                                                const FabricScenario& sc,
-                                                const ShardPlan& plan) {
-  assert(parallel_viability(config, plan).viable);
-
-  // Same confinement discipline as the serial engine: a run-private
-  // checker and registry on the calling thread for run-level metrics;
-  // each shard adds its own thread-confined pair on its worker.
-  check::ScopedChecker run_checker;
-  obs::ScopedMetrics run_metrics;
-  publish_plan_gauges(run_metrics.registry(), sc.plan);
-
-  const Time horizon = config.warmup + config.duration;
-  const auto shard_count = static_cast<std::size_t>(plan.shards);
-  std::vector<Slot> slots(shard_count);
-
-  ParallelCoordinator::Config cc;
-  cc.shards = plan.shards;
-  cc.lookahead = plan.lookahead;
-  cc.horizon = horizon;
-  cc.sync_point = config.warmup;
-  ParallelCoordinator coord{cc, [&] {
-                              for (auto& slot : slots) {
-                                if (slot.model != nullptr) {
-                                  slot.at_warmup = slot.model->stats_snapshot();
-                                }
-                              }
-                            }};
-
-  BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the determinism contract");
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  // Exactly one thread per shard: shard workers live at the barrier for
-  // the whole run, so they must not share threads (a worker parked in
-  // arrive_and_wait() would starve the shard whose turn it is holding).
-  parallel_for(shard_count, shard_count, [&](std::size_t s) {
-    Slot& slot = slots[s];
-    const auto shard = static_cast<std::int32_t>(s);
-    check::ScopedChecker shard_checker;
-    {
-      obs::ScopedMetrics shard_metrics;
-      try {
-        slot.model =
-            std::make_unique<ShardModel>(config, sc, plan, shard, coord.channel(shard));
-      } catch (...) {
-        slot.error = std::current_exception();
-      }
-      // A failed shard still arrives at the next barrier, flagging its
-      // failure, which ends the run there for every shard; so the loop
-      // body only ever runs while this shard's model is healthy.
-      ParallelCoordinator::Window window;
-      while (coord.next_window(shard, window, slot.error != nullptr)) {
-        try {
-          slot.model->run_window(window);
-        } catch (...) {
-          slot.error = std::current_exception();
-        }
-      }
-      if (slot.error == nullptr) slot.out = slot.model->collect();
-      slot.model.reset();  // tear down on the owning thread, scopes still live
-      slot.metrics = shard_metrics.registry().snapshot();
-    }
-    slot.checks_run = shard_checker.checker().checks_run();
-    slot.violations = shard_checker.checker().violation_count();
-  });
-
-  BUFQ_LINT_SUPPRESS("determinism-wall-clock", "sim.wall_ns is a wall-only metric excluded from the determinism contract");
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  // The lowest-numbered failing shard's exception, unchanged in type.
-  for (const Slot& slot : slots) {
-    if (slot.error != nullptr) std::rethrow_exception(slot.error);
-  }
-
-  // Run-level metrics, published from the main thread in deterministic
-  // order before merging the shard snapshots.
-  auto& reg = run_metrics.registry();
-  const auto wall_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall_end - wall_start).count();
-  reg.counter("sim.wall_ns").add(static_cast<std::uint64_t>(wall_ns));
-  reg.counter("parallel.windows").add(coord.windows());
-  reg.counter("parallel.boundary_events").add(coord.boundary_events());
-  std::uint64_t stalls = 0;
-  for (const Slot& slot : slots) stalls += slot.out.stall_windows;
-  reg.counter("parallel.horizon_stalls").add(stalls);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    reg.counter("parallel.shard." + std::to_string(s) + ".events").add(slots[s].out.events);
-  }
-
-  ExperimentResult result;
-  result.interval = config.duration;
-  result.checks_run = run_checker.checker().checks_run();
-  result.check_violations = run_checker.checker().violation_count();
-  for (const Slot& slot : slots) {
-    result.checks_run += slot.checks_run;
-    result.check_violations += slot.violations;
-  }
-  result.metrics = reg.snapshot();
-  for (const Slot& slot : slots) result.metrics.merge(slot.metrics);
-
-  const std::size_t flow_count = sc.plan.flows.size();
-  std::vector<FlowCounters> at_end(flow_count);
-  std::vector<FlowCounters> at_warmup(flow_count);
-  for (const Slot& slot : slots) {
-    accumulate(at_end, slot.out.at_end);
-    accumulate(at_warmup, slot.at_warmup);
-  }
-  result.per_flow = per_flow_deltas(std::move(at_end), at_warmup);
-
-  if (config.record_delays) {
-    DelayRecorder delays{flow_count};
-    for (const Slot& slot : slots) delays.merge(slot.out.delays);
-    result.delays = summarize_delays(delays);
-  }
-  return result;
+std::unique_ptr<RunModel> make_sharded_fabric_model(const FabricConfig& config,
+                                                    const FabricScenario& sc, ShardPlan plan,
+                                                    obs::MetricsRegistry& registry) {
+  return std::make_unique<ShardedFabricModel>(config, sc, std::move(plan), registry);
 }
 
 }  // namespace bufq::fabric

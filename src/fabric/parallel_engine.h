@@ -1,18 +1,28 @@
 // Parallel (sharded) execution of one fabric scenario.
 //
-// run_parallel_fabric_experiment() runs the exact scenario
-// run_fabric_experiment() runs serially, but partitioned by a
-// fabric::ShardPlan: each shard owns a private Simulator and a Fabric
-// built under a FabricShardScope (only that shard's nodes/ports exist),
-// runs on its own thread (util/task_pool's parallel_for), and advances in
-// conservative lookahead windows coordinated by sim/parallel.h.
-// Cross-shard packets ride sim/shard.h BoundaryChannels: the cut link's
-// tail port transmits into a BoundarySender (zero-propagation seam, no
-// calendar event), the coordinator exchanges and orders the events at the
-// window barrier, and the destination shard injects each one with
-// Simulator::dispatch_external at its stamped arrival time — the same
-// single event, the same clock advance, the same kEventClock check the
-// serial wire arrival would have produced.
+// A sharded run is the serial run's RunModel contract met by many
+// clocks: run_fabric_experiment's harness factory builds a sharded model
+// when config.shards > 1 and the partition is viable, and
+// RunHarness::finish() completes it like every other run.  Each shard of
+// a fabric::ShardPlan is the serial FabricModel restricted by its
+// FabricShardScope (only that shard's nodes/ports and sources exist),
+// built over the one FabricScenario on a private Simulator, checker and
+// registry, on its own thread (util/task_pool's parallel_for), and the
+// shards advance in conservative lookahead windows coordinated by
+// sim/parallel.h.  Cross-shard packets ride sim/shard.h BoundaryChannels:
+// the cut link's tail port transmits into a BoundarySender
+// (zero-propagation seam, no calendar event), the coordinator exchanges
+// and orders the events at the window barrier, and the destination shard
+// injects each one with Simulator::dispatch_external at its stamped
+// arrival time — the same single event, the same clock advance, the same
+// kEventClock check the serial wire arrival would have produced.
+//
+// The warmup barrier is handed to the calling thread, which runs the
+// harness's own warmup event — the one a serial run has — while every
+// shard is parked at exactly the serial snapshot point.  After the join
+// the calling thread folds the shards' registries, checker tallies, flow
+// counters and delay recorders into the harness's; no shard thread ever
+// records into them.
 //
 // Contract: for the built-in scenarios (uniform per-link propagation,
 // so every pair of wire arrivals converging at equal timestamps was
@@ -26,11 +36,13 @@
 // sim.calendar_depth histogram are outside the contract.
 #pragma once
 
+#include <memory>
 #include <string>
 
-#include "expt/experiment.h"
+#include "expt/run_harness.h"
 #include "fabric/scenario.h"
 #include "fabric/shard_plan.h"
+#include "obs/metrics.h"
 
 namespace bufq::fabric {
 
@@ -43,16 +55,21 @@ struct ParallelViability {
 
 /// A sharded run needs: shards >= 2 after clamping, a positive conservative
 /// lookahead (no zero-propagation cut links, at least one cut link), and a
-/// positive warmup (the warmup barrier doubles as the stats sync point).
+/// positive warmup (the warmup barrier is where the harness snapshots).
 [[nodiscard]] ParallelViability parallel_viability(const FabricConfig& config,
                                                    const ShardPlan& plan);
 
-/// Runs `config`'s scenario on plan.shards workers.  `sc` must be
-/// build_fabric_scenario(config) and `plan` shard_plan(sc.topo,
-/// config.shards); parallel_viability(config, plan).viable must hold.
-/// Throws std::runtime_error when a shard worker fails.
-[[nodiscard]] ExperimentResult run_parallel_fabric_experiment(const FabricConfig& config,
-                                                              const FabricScenario& sc,
-                                                              const ShardPlan& plan);
+/// The sharded run of `config` over `sc` as a RunModel for a RunHarness
+/// whose registry is `registry`: one scoped FabricModel per shard of
+/// `plan`, built, run and torn down on that shard's worker thread inside
+/// RunModel::run.  A shard's exception reaches the caller of
+/// RunHarness::finish() unchanged in type (the lowest-numbered failing
+/// shard's).  `sc` must outlive the model, `plan` must be
+/// shard_plan(sc.topo, config.shards) and parallel_viability(config,
+/// plan).viable must hold.  Cannot checkpoint: save_state / restore_state
+/// throw CheckpointShardingError.
+[[nodiscard]] std::unique_ptr<RunModel> make_sharded_fabric_model(
+    const FabricConfig& config, const FabricScenario& sc, ShardPlan plan,
+    obs::MetricsRegistry& registry);
 
 }  // namespace bufq::fabric

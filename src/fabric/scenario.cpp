@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "expt/run_harness.h"
 #include "fabric/parallel_engine.h"
 #include "fabric/shard_plan.h"
 #include "sim/checkpoint.h"
@@ -138,6 +138,14 @@ FabricScenario build_fabric_scenario(const FabricConfig& config) {
   return sc;
 }
 
+namespace {
+
+/// Builds and starts the sources of the flows `lives_here` accepts, in the
+/// one construction order serial and sharded runs share: the premium CBR
+/// source, then the cross flows in binding order (all built, then all
+/// started).  ON-OFF sources fork the seed's stream by flow id, so a
+/// source's arrival process is a pure function of (seed, flow), never of
+/// the shard layout.
 std::vector<std::unique_ptr<Source>> make_fabric_sources(
     Simulator& sim, Fabric& fabric, const FabricConfig& config, const FabricScenario& sc,
     const std::function<bool(FlowId)>& lives_here) {
@@ -176,57 +184,69 @@ std::vector<std::unique_ptr<Source>> make_fabric_sources(
   return sources;
 }
 
+/// Exports the planner's verdict so sweep extractors (and the bench JSON)
+/// can compare measured p100 against it without re-planning.
 void publish_plan_gauges(obs::MetricsRegistry& registry, const ProvisionPlan& plan) {
   registry.gauge("fabric.premium_delay_bound_us")
       .set(std::llround(plan.flows[0].delay_bound_s * 1e6));
   registry.gauge("fabric.plan_feasible").set(plan.feasible ? 1 : 0);
 }
 
+}  // namespace
+
+FabricModel::FabricModel(const FabricConfig& config, const FabricScenario& sc, Simulator& sim,
+                         const FabricShardScope* scope)
+    : fabric_{sim, sc.topo, sc.routes, sc.plan, sc.bindings, config.scheme, scope} {
+  fabric_.set_measure_from(config.warmup);
+  sources_ = make_fabric_sources(sim, fabric_, config, sc, [&](FlowId flow) {
+    return scope == nullptr || scope->holds(sc.bindings[static_cast<std::size_t>(flow)].src);
+  });
+}
+
+void FabricModel::save_state(CheckpointWriter& w) const {
+  fabric_.save_state(w);
+  for (const auto& source : sources_) source->save_state(w);
+}
+
+void FabricModel::restore_state(CheckpointReader& r) {
+  fabric_.restore_state(r);
+  for (const auto& source : sources_) source->restore_state(r);
+}
+
 namespace {
 
-/// The serial fabric as a RunModel: the scenario, its Fabric and every
-/// source.
-class FabricModel final : public RunModel {
- public:
-  FabricModel(const FabricConfig& config, Simulator& sim, obs::MetricsRegistry& registry)
-      : sc_{build_fabric_scenario(config)},
-        fabric_{sim, sc_.topo, sc_.routes, sc_.plan, sc_.bindings, config.scheme} {
-    fabric_.set_measure_from(config.warmup);
-    publish_plan_gauges(registry, sc_.plan);
-    sources_ = make_fabric_sources(sim, fabric_, config, sc_, [](FlowId) { return true; });
+/// The harness of one run over `sc`, which must outlive it.  Its factory
+/// picks the engine: sharded when asked for and viable, else serial.
+RunHarness fabric_harness(const FabricConfig& config, const FabricScenario& sc) {
+  if (config.shards < 1) {
+    throw std::invalid_argument("a fabric run needs shards >= 1, got " +
+                                std::to_string(config.shards));
   }
-
-  [[nodiscard]] std::vector<FlowCounters> stats_snapshot() const override {
-    return fabric_.stats().snapshot();
-  }
-  [[nodiscard]] const DelayRecorder& delays() const override { return fabric_.delays(); }
-
-  /// Registry order: the fabric, then the sources.
-  void save_state(CheckpointWriter& w) const override {
-    fabric_.save_state(w);
-    for (const auto& source : sources_) source->save_state(w);
-  }
-
-  void restore_state(CheckpointReader& r) override {
-    fabric_.restore_state(r);
-    for (const auto& source : sources_) source->restore_state(r);
-  }
-
- private:
-  FabricScenario sc_;
-  Fabric fabric_;
-  std::vector<std::unique_ptr<Source>> sources_;
-};
-
-RunHarness fabric_harness(const FabricConfig& config) {
   return RunHarness{
       RunSpec{.warmup = config.warmup,
               .duration = config.duration,
               .record_delays = config.record_delays,
               .section = "fabric",
               .fingerprint = fabric_fingerprint(config)},
-      [&config](Simulator& sim, obs::MetricsRegistry& registry) {
-        return std::make_unique<FabricModel>(config, sim, registry);
+      [&](Simulator& sim, obs::MetricsRegistry& registry) -> std::unique_ptr<RunModel> {
+        publish_plan_gauges(registry, sc.plan);
+        if (config.shards > 1) {
+          ShardPlan plan = shard_plan(sc.topo, config.shards);
+          const ParallelViability viability = parallel_viability(config, plan);
+          if (viability.viable) {
+            return make_sharded_fabric_model(config, sc, std::move(plan), registry);
+          }
+          // Loud fallback, never a silent wrong answer: conservative
+          // windows need positive lookahead on every cut link.
+          std::fprintf(stderr,
+                       "bufq: --shards=%d requested for %s/size=%d but the run falls back to "
+                       "the serial engine: %s\n",
+                       config.shards, to_string(config.topology), config.size,
+                       viability.reason.c_str());
+          // Counted so sweeps and benches can alert on silent de-scaling.
+          registry.counter("parallel.serial_fallback").add();
+        }
+        return std::make_unique<FabricModel>(config, sc, sim);
       }};
 }
 
@@ -257,26 +277,8 @@ std::uint64_t fabric_fingerprint(const FabricConfig& config) {
 }
 
 ExperimentResult run_fabric_experiment(const FabricConfig& config) {
-  if (config.shards > 1) {
-    const FabricScenario sc = build_fabric_scenario(config);
-    const ShardPlan plan = shard_plan(sc.topo, config.shards);
-    const ParallelViability viability = parallel_viability(config, plan);
-    if (viability.viable) {
-      return run_parallel_fabric_experiment(config, sc, plan);
-    }
-    // Loud fallback, never a silent wrong answer: conservative windows
-    // need positive lookahead on every cut link.
-    std::fprintf(stderr,
-                 "bufq: --shards=%d requested for %s/size=%d but the run falls back to the "
-                 "serial engine: %s\n",
-                 config.shards, to_string(config.topology), config.size,
-                 viability.reason.c_str());
-    RunHarness harness = fabric_harness(config);
-    // Counted so sweeps and benches can alert on silent de-scaling.
-    harness.registry().counter("parallel.serial_fallback").add();
-    return harness.finish();
-  }
-  return fabric_harness(config).finish();
+  const FabricScenario sc = build_fabric_scenario(config);
+  return fabric_harness(config, sc).finish();
 }
 
 CheckpointedRun run_fabric_experiment_with_checkpoint(const FabricConfig& config,
@@ -287,7 +289,8 @@ CheckpointedRun run_fabric_experiment_with_checkpoint(const FabricConfig& config
         ") is not supported: per-shard calendars and boundary-channel state are not "
         "serialized; run serial (shards=1) to checkpoint");
   }
-  return fabric_harness(config).finish_with_checkpoint(trigger);
+  const FabricScenario sc = build_fabric_scenario(config);
+  return fabric_harness(config, sc).finish_with_checkpoint(trigger);
 }
 
 ExperimentResult resume_fabric_experiment(const FabricConfig& config,
@@ -297,7 +300,8 @@ ExperimentResult resume_fabric_experiment(const FabricConfig& config,
         "resuming into a sharded run (--shards=" + std::to_string(config.shards) +
         ") is not supported; resume serial (shards=1)");
   }
-  return fabric_harness(config).resume(checkpoint);
+  const FabricScenario sc = build_fabric_scenario(config);
+  return fabric_harness(config, sc).resume(checkpoint);
 }
 
 std::map<std::string, double> fabric_metrics(const ExperimentResult& result) {

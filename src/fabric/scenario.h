@@ -8,16 +8,17 @@
 // use greedy per-hop cross flows (the chain analogue of Example 1);
 // the datacenter/WAN shapes use Markov ON-OFF host pairs.
 //
-// run_fabric_experiment runs the fabric as a model of expt::RunHarness —
-// the same ScopedChecker + ScopedMetrics confinement, warmup snapshot,
-// measured interval and checkpoint framing as expt::run_experiment — and
-// returns the same ExperimentResult, so fabric scenarios ride the sweep
-// engine via SweepCase::runner (see fabric_sweep_case) with the same
+// run_fabric_experiment builds the scenario once and runs it on
+// expt::RunHarness — the same ScopedChecker + ScopedMetrics confinement,
+// warmup snapshot, measured interval and checkpoint framing as
+// expt::run_experiment — with a FabricModel, or with one FabricModel per
+// shard under the sharded engine (fabric/parallel_engine.h).  It returns
+// the same ExperimentResult, so fabric scenarios ride the sweep engine via
+// SweepCase::runner (see fabric_sweep_case) with the same
 // bit-identical-CSV determinism contract.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,12 +26,12 @@
 #include <vector>
 
 #include "expt/experiment.h"
+#include "expt/run_harness.h"
 #include "expt/sweep.h"
 #include "fabric/fabric.h"
 #include "fabric/planner.h"
 #include "fabric/routing.h"
 #include "fabric/topology.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "traffic/sources.h"
 
@@ -99,27 +100,42 @@ struct FabricScenario {
 /// fat_tree k that is odd or below 2, a wan_ring below 3 routers.
 [[nodiscard]] FabricScenario build_fabric_scenario(const FabricConfig& config);
 
-/// Builds and starts the sources of the flows `lives_here` accepts, in the
-/// one construction order serial and sharded runs share: the premium CBR
-/// source, then the cross flows in binding order (all built, then all
-/// started).  ON-OFF sources fork the seed's stream by flow id, so a
-/// source's arrival process is a pure function of (seed, flow), never of
-/// the shard layout.
-[[nodiscard]] std::vector<std::unique_ptr<Source>> make_fabric_sources(
-    Simulator& sim, Fabric& fabric, const FabricConfig& config, const FabricScenario& sc,
-    const std::function<bool(FlowId)>& lives_here);
+/// One fabric run as a RunModel: a Fabric over `sc` and the sources of its
+/// flows.  With a `scope` it is one shard's slice (see FabricShardScope):
+/// that shard's nodes and the sources whose ingress node lives there, on
+/// the shard's own clock — the sharded engine builds one per shard.  `sc`
+/// and `scope` must outlive the model.
+class FabricModel final : public RunModel {
+ public:
+  FabricModel(const FabricConfig& config, const FabricScenario& sc, Simulator& sim,
+              const FabricShardScope* scope = nullptr);
 
-/// Exports the planner's verdict so sweep extractors (and the bench JSON)
-/// can compare measured p100 against it without re-planning: the premium
-/// flow's composed bound as `fabric.premium_delay_bound_us`, and
-/// `fabric.plan_feasible`.
-void publish_plan_gauges(obs::MetricsRegistry& registry, const ProvisionPlan& plan);
+  [[nodiscard]] Fabric& fabric() { return fabric_; }
+
+  [[nodiscard]] std::vector<FlowCounters> stats_snapshot() const override {
+    return fabric_.stats().snapshot();
+  }
+  [[nodiscard]] const DelayRecorder& delays() const override { return fabric_.delays(); }
+
+  /// Registry order: the fabric, then the sources.
+  void save_state(CheckpointWriter& w) const override;
+  void restore_state(CheckpointReader& r) override;
+
+ private:
+  Fabric fabric_;
+  std::vector<std::unique_ptr<Source>> sources_;
+};
 
 /// Runs one fabric scenario to completion and packages the measured
-/// interval as an ExperimentResult.  Extra observability: the
-/// `fabric.premium_delay_bound_us` gauge carries the planner's composed
-/// bound for flow 0, and `fabric.e2e_delay_us` the delivered-delay
-/// histogram.
+/// interval as an ExperimentResult: sharded when config.shards > 1 and the
+/// partition is viable (parallel_viability), else serial — after a loud
+/// stderr warning and a `parallel.serial_fallback` count when shards were
+/// asked for.  Extra observability: the `fabric.premium_delay_bound_us`
+/// gauge carries the planner's composed bound for flow 0,
+/// `fabric.plan_feasible` the planner's verdict, and `fabric.e2e_delay_us`
+/// the delivered-delay histogram.  Throws std::invalid_argument for
+/// shards < 1, a refused scheme or shape (build_fabric_scenario), and a
+/// non-positive duration or negative warmup (RunHarness).
 [[nodiscard]] ExperimentResult run_fabric_experiment(const FabricConfig& config);
 
 /// Scenario fingerprint mirroring experiment_fingerprint: every

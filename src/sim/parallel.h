@@ -52,9 +52,10 @@ class ParallelCoordinator {
     Time lookahead{Time::zero()};
     /// End of simulated time; the drain round runs it inclusively.
     Time horizon{Time::zero()};
-    /// Forced window edge in (0, horizon); zero means none.  The engine
-    /// sets the warmup instant so the on_sync hook can snapshot
-    /// statistics at exactly the serial snapshot point.
+    /// Forced window edge in (0, horizon); zero means none.  The fabric
+    /// engine sets the warmup instant, and its on_sync hook hands the
+    /// parked barrier to the harness's warmup snapshot at exactly the
+    /// serial snapshot point.
     Time sync_point{Time::zero()};
   };
 
@@ -68,9 +69,10 @@ class ParallelCoordinator {
     std::vector<BoundaryEvent> incoming;
   };
 
-  /// `on_sync()` runs inside the barrier (single-threaded, all workers
-  /// parked) once the completed windows exactly cover [0, sync_point).
-  /// May read any shard state the workers left behind.
+  /// `on_sync()` runs inside the barrier (on the last arriver, all other
+  /// workers parked) once the completed windows exactly cover
+  /// [0, sync_point).  Until it returns no shard moves, so it may read, or
+  /// let another thread read, any shard state the workers left behind.
   using SyncHook = std::function<void()>;
 
   ParallelCoordinator(Config config, SyncHook on_sync = {});

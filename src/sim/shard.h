@@ -71,9 +71,6 @@ class BoundaryChannel {
     return out_[dst_shard];
   }
 
-  [[nodiscard]] std::size_t shard_count() const { return out_.size(); }
-  [[nodiscard]] std::int32_t src_shard() const { return src_shard_; }
-
  private:
   std::int32_t src_shard_;
   std::uint64_t next_seq_{0};

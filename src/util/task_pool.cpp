@@ -16,9 +16,11 @@ std::size_t default_thread_count() {
 }
 
 void parallel_for(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& body) {
+                  const std::function<void(std::size_t)>& body,
+                  const std::function<void()>& host) {
   if (threads <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
+    if (host) host();
     return;
   }
   const std::size_t workers = std::min(threads, count);
@@ -46,6 +48,7 @@ void parallel_for(std::size_t count, std::size_t threads,
     throw;
   }
   start.count_down();
+  if (host) host();
 }
 
 PhaseBarrier::PhaseBarrier(std::size_t parties, std::function<void()> on_completion)

@@ -20,17 +20,21 @@ namespace bufq {
 [[nodiscard]] std::size_t default_thread_count();
 
 /// Runs body(i) once for every i in [0, count).  With threads <= 1 the
-/// bodies run on the caller, in index order.  Otherwise min(threads,
-/// count) fresh threads run them while the caller only waits: thread w
-/// starts with index w and then claims the rest from a shared counter,
-/// so with threads >= count every body has a thread of its own (bodies
-/// that wait for each other at a PhaseBarrier rely on this).  Returns
-/// once every body has finished.  If a thread cannot be started, no body
+/// bodies run on the caller, in index order, and then `host` if set.
+/// Otherwise min(threads, count) fresh threads run them while the caller
+/// runs `host`, if set, and then waits: thread w starts with index w and
+/// then claims the rest from a shared counter, so with threads >= count
+/// every body has a thread of its own (bodies that wait for each other at
+/// a PhaseBarrier rely on this, and on the caller being free to serve
+/// them through `host`).  Returns once `host` and every body have
+/// finished.  If a thread cannot be started, neither a body nor `host`
 /// runs and the std::system_error propagates.  On the threaded path an
-/// exception escaping a body calls std::terminate: record failures in
+/// exception escaping a body calls std::terminate, and one escaping
+/// `host` propagates once the bodies have finished: record failures in
 /// the index's own result slot instead.
 void parallel_for(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& body);
+                  const std::function<void(std::size_t)>& body,
+                  const std::function<void()>& host = {});
 
 /// Reusable synchronization barrier for long-lived phased workloads (the
 /// parallel fabric engine's lookahead windows).  `parties` threads call

@@ -128,6 +128,13 @@ TEST(ChurnTest, MalformedConfigsAreRefused) {
   auto no_time = base_config(ChurnScheme::kWfq, 1);
   no_time.duration = Time::zero();
   EXPECT_THROW(static_cast<void>(run_churn_experiment(no_time)), std::invalid_argument);
+  // The run harness refuses the interval, after churn's own checks.
+  auto negative = base_config(ChurnScheme::kFifoSharing, 1);
+  negative.duration = Time::seconds(-1);
+  EXPECT_THROW(static_cast<void>(run_churn_experiment(negative)), std::invalid_argument);
+  auto early = base_config(ChurnScheme::kFifoThreshold, 1);
+  early.warmup = Time::seconds(-1);
+  EXPECT_THROW(static_cast<void>(run_churn_experiment(early)), std::invalid_argument);
 }
 
 TEST(ChurnTest, TrajectoryIsPinnedPerScheme) {

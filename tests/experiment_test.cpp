@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "expt/workloads.h"
 
@@ -117,6 +119,27 @@ TEST(ExperimentTest, HybridRequiresGroups) {
 TEST(ExperimentTest, HybridRejectsNoManager) {
   auto config = base_config(SchedulerKind::kHybrid, ManagerKind::kNone, 1.0);
   EXPECT_THROW((void)run_experiment(config), std::invalid_argument);
+}
+
+/// The run harness refuses an interval it cannot measure before building
+/// the model: a non-positive duration or a negative warmup.
+TEST(ExperimentTest, RunDurationsAreValidated) {
+  for (const auto& [warmup, duration] : std::vector<std::pair<Time, Time>>{
+           {Time::seconds(1), Time::zero()},
+           {Time::zero(), Time::seconds(-1)},
+           {Time::seconds(-1), Time::seconds(1)}}) {
+    auto config = base_config(SchedulerKind::kFifo, ManagerKind::kThreshold, 1.0);
+    config.warmup = warmup;
+    config.duration = duration;
+    EXPECT_THROW((void)run_experiment(config), std::invalid_argument)
+        << "warmup " << warmup.to_string() << ", duration " << duration.to_string();
+    EXPECT_THROW((void)run_experiment_with_checkpoint(config), std::invalid_argument);
+  }
+  // A zero warmup measures from the start.
+  auto config = base_config(SchedulerKind::kFifo, ManagerKind::kThreshold, 1.0);
+  config.warmup = Time::zero();
+  config.duration = Time::milliseconds(200);
+  EXPECT_GT(run_experiment(config).aggregate_throughput_mbps(), 0.0);
 }
 
 TEST(ExperimentTest, DeterministicForSameSeed) {

@@ -268,6 +268,27 @@ TEST(FabricScenarioTest, SingleLinkSchemesAreRefusedBeforeTheScenarioIsBuilt) {
   }
 }
 
+/// The run harness refuses the interval before any fabric is built, on
+/// the serial, sharded and checkpoint paths alike.
+TEST(FabricScenarioTest, RunDurationsAreValidated) {
+  for (const int shards : {1, 2}) {
+    FabricConfig zero;
+    zero.shards = shards;
+    zero.duration = Time::zero();
+    EXPECT_THROW(static_cast<void>(run_fabric_experiment(zero)), std::invalid_argument)
+        << "shards " << shards;
+    FabricConfig early;
+    early.shards = shards;
+    early.warmup = Time::seconds(-1);
+    EXPECT_THROW(static_cast<void>(run_fabric_experiment(early)), std::invalid_argument)
+        << "shards " << shards;
+  }
+  FabricConfig negative;
+  negative.duration = Time::seconds(-1);
+  EXPECT_THROW(static_cast<void>(run_fabric_experiment_with_checkpoint(negative)),
+               std::invalid_argument);
+}
+
 TEST(FabricSweepTest, CsvBitIdenticalAcrossJobCounts) {
   auto make_cases = [] {
     std::vector<SweepCase> cases;

@@ -1,14 +1,18 @@
 // Unit tests for the parallel-engine building blocks: the deterministic
 // topology partitioner (fabric/shard_plan), the conservative-lookahead
 // window coordinator (sim/parallel), viability gating with its serial
-// fallback, and the checkpoint x sharding rejection.  The end-to-end
+// fallback, the sharded run's errors and audit, and the checkpoint x
+// sharding rejection.  The end-to-end
 // bit-identical contract lives in parallel_diff_test.cpp.
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
+#include "expt/run_harness.h"
 #include "fabric/parallel_engine.h"
 #include "fabric/scenario.h"
 #include "fabric/shard_plan.h"
@@ -16,6 +20,7 @@
 #include "sim/checkpoint.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
+#include "sim/simulator.h"
 #include "util/task_pool.h"
 #include "util/units.h"
 
@@ -301,8 +306,36 @@ TEST(ParallelRun, ShardFailureKeepsItsExceptionType) {
   // build_fabric_scenario refuses RED itself, so only the shards' Fabric
   // constructors see it: each throws std::invalid_argument on its worker.
   config.scheme.manager = ManagerKind::kRed;
-  EXPECT_THROW(static_cast<void>(run_parallel_fabric_experiment(config, sc, plan)),
-               std::invalid_argument);
+  RunHarness harness{RunSpec{.warmup = config.warmup, .duration = config.duration},
+                     [&](Simulator&, obs::MetricsRegistry& registry) {
+                       return make_sharded_fabric_model(config, sc, plan, registry);
+                     }};
+  EXPECT_THROW(static_cast<void>(harness.finish()), std::invalid_argument);
+}
+
+TEST(ParallelRun, ShardCountBelowOneIsRefused) {
+  FabricConfig config = small_config();
+  config.shards = 0;
+  EXPECT_THROW(static_cast<void>(run_fabric_experiment(config)), std::invalid_argument);
+  config.shards = -3;
+  EXPECT_THROW(static_cast<void>(run_fabric_experiment(config)), std::invalid_argument);
+}
+
+TEST(ParallelRun, AuditFoldsOnceIntoTheEnclosingChecker) {
+  if (!BUFQ_CHECKS_ENABLED) GTEST_SKIP() << "the run audit needs -DBUFQ_CHECKS=ON";
+  // The shards audit on their own threads; their tallies reach the
+  // harness's checker, and through it the enclosing one, exactly once.
+  FabricConfig config = small_config();
+  const ExperimentResult serial = run_fabric_experiment(config);
+  config.shards = 2;
+  const std::uint64_t global_before = check::InvariantChecker::global().checks_run();
+  check::ScopedChecker enclosing;
+  const ExperimentResult sharded = run_fabric_experiment(config);
+  EXPECT_GT(sharded.checks_run, 0u);
+  EXPECT_EQ(sharded.checks_run, serial.checks_run);
+  EXPECT_EQ(enclosing.checker().checks_run(), sharded.checks_run);
+  // Nothing bypassed the enclosing checker on a worker thread.
+  EXPECT_EQ(check::InvariantChecker::global().checks_run(), global_before);
 }
 
 // --- checkpoint x sharding -----------------------------------------------

@@ -1,6 +1,7 @@
 // parallel_for and PhaseBarrier unit tests: every index runs once, the
-// one-thread path stays on the caller in order, and a batch with one
-// thread per body lets the bodies meet at a barrier.
+// one-thread path stays on the caller in order, a batch with one thread
+// per body lets the bodies meet at a barrier, and the host callback runs
+// on the caller while they do.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -58,6 +59,35 @@ TEST(ParallelForTest, ThreadsEqualToCountRunEveryBodyConcurrently) {
     through.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(through.load(), kBodies);
+}
+
+TEST(ParallelForTest, HostRunsOnTheCallerWhileTheBodiesRun) {
+  // The sharded engine's warmup handoff: the bodies wait for the caller,
+  // which would deadlock if the caller only ran `host` after the join.
+  constexpr std::size_t kBodies = 2;
+  const std::thread::id caller = std::this_thread::get_id();
+  PhaseBarrier barrier{kBodies + 1};
+  bool host_on_caller = false;
+  std::atomic<std::size_t> through{0};
+  parallel_for(
+      kBodies, kBodies,
+      [&](std::size_t) {
+        barrier.arrive_and_wait();
+        through.fetch_add(1, std::memory_order_relaxed);
+      },
+      [&] {
+        host_on_caller = std::this_thread::get_id() == caller;
+        barrier.arrive_and_wait();
+      });
+  EXPECT_TRUE(host_on_caller);
+  EXPECT_EQ(through.load(), kBodies);
+
+  // One thread: the bodies run first, in order, then the host.
+  std::vector<int> order;
+  parallel_for(
+      2, 1, [&order](std::size_t i) { order.push_back(static_cast<int>(i)); },
+      [&order] { order.push_back(-1); });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, -1}));
 }
 
 TEST(PhaseBarrierTest, SinglePartyAdvancesGenerationAndRunsCompletion) {
