@@ -90,15 +90,6 @@ std::map<std::string, Summary> replicate(
   return row.metrics;
 }
 
-std::map<std::string, double> throughput_metric(const ExperimentResult& result) {
-  return {{"throughput_mbps", result.aggregate_throughput_mbps()}};
-}
-
-std::map<std::string, double> conformant_loss_metric(const ExperimentResult& result,
-                                                     const std::vector<FlowId>& conformant) {
-  return {{"loss_ratio", result.loss_ratio(conformant)}};
-}
-
 namespace {
 
 void print_profile_table(std::ostream& out, const std::vector<TrafficProfile>& flows,

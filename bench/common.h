@@ -86,11 +86,6 @@ std::map<std::string, Summary> replicate(
     ExperimentConfig config, const BenchOptions& options,
     const std::function<std::map<std::string, double>(const ExperimentResult&)>& extract);
 
-/// Standard extractors.
-std::map<std::string, double> throughput_metric(const ExperimentResult& result);
-std::map<std::string, double> conformant_loss_metric(const ExperimentResult& result,
-                                                     const std::vector<FlowId>& conformant);
-
 /// Prints the workload tables so every figure binary is self-describing.
 void print_table1(std::ostream& out);
 void print_table2(std::ostream& out);

@@ -74,12 +74,13 @@ int run(int argc, char** argv) {
     return 2;
   }
 
+  const ChurnResult r = run_churn_experiment(config);
+
+  // Printed only after the run, so a refused run leaves stdout empty.
   std::printf("Churn on %s / %s buffer, scheme=%s: lambda=%.0f/s, 1/mu=%.0f ms\n\n",
               config.link_rate.to_string().c_str(), config.buffer.to_string().c_str(),
               scheme_name.c_str(), config.churn.arrival_rate_hz,
               config.churn.mean_holding.to_seconds() * 1e3);
-
-  const ChurnResult r = run_churn_experiment(config);
 
   std::printf("arrivals            : %llu\n",
               static_cast<unsigned long long>(r.counters.arrivals));
@@ -122,9 +123,8 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
-  } catch (const std::invalid_argument& e) {
-    // Malformed or negative flag values.
-    std::fprintf(stderr, "%s\n", e.what());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 }

@@ -96,11 +96,6 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("unknown flag --" + unknown.front());
     }
 
-    std::printf("workload=%s scheduler=%s manager=%s buffer=%s seeds=%zu\n\n",
-                workload.c_str(), to_string(config.scheme.scheduler),
-                to_string(config.scheme.manager),
-                config.buffer.to_string().c_str(), seeds);
-
     // Per-flow metrics across replications.
     const bool with_delays = config.record_delays;
     const std::size_t flow_count = config.flows.size();
@@ -130,6 +125,12 @@ int main(int argc, char** argv) {
     const SweepRow& row = result.rows.front();
     if (!row.error.empty()) throw std::runtime_error(row.error);
     const auto& metrics = row.metrics;
+
+    // Printed only after the run, so a refused run leaves stdout empty.
+    std::printf("workload=%s scheduler=%s manager=%s buffer=%s seeds=%zu\n\n",
+                workload.c_str(), to_string(config.scheme.scheduler),
+                to_string(config.scheme.manager),
+                config.buffer.to_string().c_str(), seeds);
 
     TextTable table{with_delays
                         ? std::vector<std::string>{"flow", "reserved(Mb/s)",

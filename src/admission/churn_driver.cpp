@@ -19,7 +19,8 @@ ChurnDriver::ChurnDriver(Simulator& sim, AdmissionController& controller, FlowTa
       table_{table},
       ingress_{ingress},
       config_{std::move(config)},
-      rng_{rng} {
+      rng_{rng},
+      slots_(table.slot_count()) {
   assert(config_.arrival_rate_hz > 0.0);
   assert(config_.mean_holding > Time::zero());
   assert(!config_.mix.empty() && "churn needs at least one mix entry");
@@ -37,7 +38,6 @@ ChurnDriver::ChurnDriver(Simulator& sim, AdmissionController& controller, FlowTa
     const FlowSpec spec{.rho = entry.profile.token_rate, .sigma = entry.profile.bucket};
     mix_class_.push_back(table_.classes().intern(spec, controller_.threshold_bytes(spec)));
   }
-  slots_.resize(table_.slot_count());
 }
 
 ChurnDriver::~ChurnDriver() = default;
@@ -81,7 +81,7 @@ void ChurnDriver::on_arrival() {
   const TrafficProfile& profile = config_.mix[index].profile;
   const FlowSpec spec{.rho = profile.token_rate, .sigma = profile.bucket};
 
-  if (table_.active_count() >= config_.max_concurrent) {
+  if (table_.active_count() >= std::min(config_.max_concurrent, table_.slot_count())) {
     ++counters_.rejected_capacity;
     schedule_next_arrival();
     return;
@@ -102,7 +102,6 @@ void ChurnDriver::on_arrival() {
 
   advance_integrals();
   const FlowHandle handle = table_.admit_class(mix_class_[index]);
-  if (slots_.size() < table_.slot_count()) slots_.resize(table_.slot_count());
   Slot& slot = slots_[handle.slot];
   assert(!slot.source && "recycled slot still owns a live source");
 
@@ -116,8 +115,6 @@ void ChurnDriver::on_arrival() {
   slot.source = std::make_unique<MarkovOnOffSource>(
       sim_, *entry, MarkovOnOffSource::params_from_profile(flow_id, profile),
       rng_.fork(counters_.admitted));
-  slot.handle = handle;
-  slot.spec = spec;
   slot.regulated = profile.regulated;
   slot.draining = false;
   slot.source->start();
@@ -160,7 +157,7 @@ void ChurnDriver::try_reap(FlowHandle handle) {
     return;
   }
   advance_integrals();
-  controller_.release(slot.spec);
+  controller_.release(table_.spec(handle.slot));
   table_.teardown(handle);
   // Safe to destroy: the source is quiescent and the shaper has no event
   // outstanding.

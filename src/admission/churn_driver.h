@@ -51,7 +51,8 @@ class ChurnDriver {
     /// Mean flow holding time 1/mu.
     Time mean_holding{Time::seconds(1)};
     std::vector<MixEntry> mix;
-    /// Hard cap on concurrent slots (e.g. a WFQ scheduler's class count).
+    /// Hard cap on concurrent slots below the FlowTable's capacity, which
+    /// caps them in any case.
     std::size_t max_concurrent{std::numeric_limits<std::size_t>::max()};
   };
 
@@ -60,7 +61,8 @@ class ChurnDriver {
     std::uint64_t admitted{0};
     std::uint64_t rejected_bandwidth{0};
     std::uint64_t rejected_buffer{0};
-    /// Rejected because max_concurrent slots were in use.
+    /// Rejected because max_concurrent slots, or every FlowTable slot,
+    /// were in use.
     std::uint64_t rejected_capacity{0};
     /// Holding time expired; the flow entered the draining state.
     std::uint64_t departures{0};
@@ -123,8 +125,6 @@ class ChurnDriver {
   struct Slot {
     std::unique_ptr<LeakyBucketShaper> shaper;
     std::unique_ptr<MarkovOnOffSource> source;
-    FlowHandle handle;
-    FlowSpec spec;
     bool regulated{false};
     bool draining{false};
   };

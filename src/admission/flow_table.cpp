@@ -2,40 +2,24 @@
 
 #include <cassert>
 #include <limits>
+#include <string>
 
 #include "check/invariants.h"
 #include "sim/checkpoint.h"
 
 namespace bufq::admission {
 
-FlowTable::FlowTable(std::size_t initial_slots) {
-  if (initial_slots == 0) initial_slots = 1;
-  assert(initial_slots <= std::numeric_limits<std::uint32_t>::max());
-  occupancy_.resize(initial_slots, 0);
-  class_.resize(initial_slots, 0);
-  generation_.resize(initial_slots, 0);
-  free_slots_.reserve(initial_slots);
+FlowTable::FlowTable(std::size_t capacity) {
+  if (capacity == 0) capacity = 1;
+  assert(capacity <= std::numeric_limits<std::uint32_t>::max());
+  occupancy_.resize(capacity, 0);
+  class_.resize(capacity, 0);
+  generation_.resize(capacity, 0);
+  free_slots_.reserve(capacity);
   // Push in reverse so slot 0 is recycled first: small FlowIds stay dense.
-  for (std::size_t s = initial_slots; s-- > 0;) {
+  for (std::size_t s = capacity; s-- > 0;) {
     free_slots_.push_back(static_cast<std::uint32_t>(s));
   }
-}
-
-std::uint32_t FlowTable::take_slot() {
-  if (free_slots_.empty()) {
-    const std::size_t old = generation_.size();
-    const std::size_t grown = old * 2;
-    occupancy_.resize(grown, 0);
-    class_.resize(grown, 0);
-    generation_.resize(grown, 0);
-    for (std::size_t s = grown; s-- > old + 1;) {
-      free_slots_.push_back(static_cast<std::uint32_t>(s));
-    }
-    return static_cast<std::uint32_t>(old);
-  }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  return slot;
 }
 
 FlowHandle FlowTable::admit(const FlowSpec& spec, std::int64_t threshold_bytes) {
@@ -45,7 +29,9 @@ FlowHandle FlowTable::admit(const FlowSpec& spec, std::int64_t threshold_bytes) 
 
 FlowHandle FlowTable::admit_class(ClassId cls) {
   assert(cls < classes_.class_count());
-  const std::uint32_t slot = take_slot();
+  assert(!free_slots_.empty() && "admit into a full flow table");
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
   assert((generation_[slot] & 1u) == 0 && "free slot must have an even generation");
   occupancy_[slot] = 0;
   class_[slot] = cls;
@@ -89,6 +75,7 @@ void FlowTable::save_state(CheckpointWriter& w) const {
 
 void FlowTable::restore_state(CheckpointReader& r) {
   r.begin_section("flow_table");
+  const std::size_t slots = slot_count();
   occupancy_ = r.read_i64_vector();
   class_.assign(static_cast<std::size_t>(r.read_u64()), 0);
   for (ClassId& c : class_) c = r.read_u32();
@@ -99,8 +86,9 @@ void FlowTable::restore_state(CheckpointReader& r) {
   active_count_ = static_cast<std::size_t>(r.read_u64());
   r.end_section();
   classes_.restore_state(r);
-  if (occupancy_.size() != generation_.size() || class_.size() != generation_.size()) {
-    throw CheckpointFormatError("flow table array sizes disagree");
+  if (occupancy_.size() != slots || class_.size() != slots || generation_.size() != slots) {
+    throw CheckpointFormatError("flow table section does not match the table's " +
+                                std::to_string(slots) + " slots");
   }
   for (std::size_t s = 0; s < class_.size(); ++s) {
     if ((generation_[s] & 1u) != 0 && class_[s] >= classes_.class_count()) {

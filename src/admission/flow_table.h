@@ -6,7 +6,8 @@
 // that claim made concrete: structure-of-arrays storage sized for 1e5-1e6
 // concurrent flows, O(1) admit/teardown/lookup, and LIFO free-slot
 // recycling so a hot admit/teardown loop keeps touching the same cache
-// lines.
+// lines.  The capacity is fixed when the table is built: every
+// FlowId-indexed structure of a run is sized to it once.
 //
 // Slots are reused: a torn-down flow's slot index is handed to the next
 // admitted flow.  Handles carry a generation counter so a stale handle to
@@ -51,18 +52,18 @@ struct FlowHandle {
 
 class FlowTable {
  public:
-  /// `initial_slots` slots are pre-allocated; the table grows by doubling
-  /// when admits outrun teardowns, so admit stays amortized O(1).
-  explicit FlowTable(std::size_t initial_slots = 1024);
+  /// A table of `capacity` slots (at least one), all allocated here.
+  explicit FlowTable(std::size_t capacity);
 
   /// Registers a flow with its declared envelope and the occupancy
   /// threshold (Prop 1/2) assigned by admission control.  Interns the
   /// (sigma, rho, threshold) triple into the class registry; amortized
-  /// O(1), and an exact hash hit for every repeat profile.
+  /// O(1), and an exact hash hit for every repeat profile.  Requires a
+  /// free slot (active_count() < slot_count()).
   FlowHandle admit(const FlowSpec& spec, std::int64_t threshold_bytes);
 
   /// Hot-path admit for a pre-interned class (see classes().intern):
-  /// pure slot recycling, no hash lookup.  O(1).
+  /// pure slot recycling, no hash lookup.  O(1).  Requires a free slot.
   FlowHandle admit_class(ClassId cls);
 
   /// Frees the flow's slot for recycling.  The slot's occupancy must have
@@ -94,11 +95,13 @@ class FlowTable {
   }
 
   [[nodiscard]] std::size_t active_count() const { return active_count_; }
+  /// The table's fixed capacity.
   [[nodiscard]] std::size_t slot_count() const { return generation_.size(); }
 
   /// Checkpointable: the class registry, every per-slot array, the free
   /// list (order matters — LIFO recycling is part of the deterministic
-  /// trajectory), and the active count.
+  /// trajectory), and the active count.  Restore refuses a section saved
+  /// from a table of another capacity with CheckpointFormatError.
   void save_state(CheckpointWriter& w) const;
   void restore_state(CheckpointReader& r);
 
@@ -111,12 +114,10 @@ class FlowTable {
     return sizeof(std::int64_t)     // occupancy counter
            + sizeof(ClassId)        // envelope class
            + sizeof(std::uint32_t)  // generation
-           + sizeof(std::uint32_t); // free-list slot (amortized)
+           + sizeof(std::uint32_t); // free-list slot
   }
 
  private:
-  std::uint32_t take_slot();
-
   // Structure-of-arrays: the admit/teardown/account hot paths touch only
   // the arrays they need.
   std::vector<std::int64_t> occupancy_;

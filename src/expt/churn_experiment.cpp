@@ -1,6 +1,5 @@
 #include "expt/churn_experiment.h"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -16,13 +15,6 @@ namespace bufq {
 namespace {
 
 constexpr const char* kRefusal = "churn runs cannot checkpoint";
-
-/// The driver's limits: at most one holding flow per FlowTable slot.
-admission::ChurnDriver::Config driver_config(const ChurnConfig& config) {
-  auto churn = config.churn;
-  churn.max_concurrent = std::min(churn.max_concurrent, config.max_flows);
-  return churn;
-}
 
 /// One link under flow churn as a RunModel.  Construction builds the
 /// pipeline and files the driver's first arrival; the harness then files
@@ -61,7 +53,7 @@ class ChurnModel final : public RunModel {
         link_{sim, *discipline_, config.link_rate},
         stats_{config.max_flows},
         tap_{stats_, link_},
-        driver_{sim, controller_, table_, tap_, driver_config(config), Rng{config.seed}.fork(0)} {
+        driver_{sim, controller_, table_, tap_, config.churn, Rng{config.seed}.fork(0)} {
     link_.set_delivery_handler([this](const Packet& p, Time t) { stats_.on_delivered(p, t); });
     driver_.set_settle_hook([this, &sim] { link_.advance_to(sim.now()); });
     if (auto* const wfq = dynamic_cast<WfqScheduler*>(discipline_.get())) {

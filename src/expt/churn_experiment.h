@@ -27,7 +27,8 @@ struct ChurnConfig {
   ChurnScheme scheme{ChurnScheme::kFifoThreshold};
   /// Headroom H for ChurnScheme::kFifoSharing.
   ByteSize headroom{ByteSize::kilobytes(100.0)};
-  /// Concurrent-flow ceiling: FlowTable slots (and WFQ classes).
+  /// Concurrent-flow ceiling: the FlowTable's fixed capacity, which also
+  /// sizes the stats collector and the WFQ classes.
   std::size_t max_flows{1024};
   admission::ChurnDriver::Config churn;
   /// Counters before this instant are discarded.

@@ -1,5 +1,6 @@
 #include "expt/run_harness.h"
 
+#include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -10,9 +11,8 @@ namespace bufq {
 
 std::vector<FlowCounters> per_flow_deltas(std::vector<FlowCounters> at_end,
                                           const std::vector<FlowCounters>& at_warmup) {
-  for (std::size_t f = 0; f < at_end.size() && f < at_warmup.size(); ++f) {
-    at_end[f] = at_end[f] - at_warmup[f];
-  }
+  assert(at_end.size() == at_warmup.size());
+  for (std::size_t f = 0; f < at_end.size(); ++f) at_end[f] = at_end[f] - at_warmup[f];
   return at_end;
 }
 
@@ -150,6 +150,9 @@ void RunHarness::restore(std::span<const std::byte> blob) {
   warmup_seq_ = r.read_u64();
   if (warmup_pending_) sim_.rearm(spec_.warmup, warmup_seq_, warmup_action());
   r.end_section();
+  if (!warmup_pending_ && at_warmup_.size() != model_->stats_snapshot().size()) {
+    throw CheckpointFormatError("warmup snapshot does not match the model's flows");
+  }
 
   r.begin_section("registry");
   scope_.metrics.registry().restore(load_registry_snapshot(r));

@@ -44,8 +44,8 @@
 namespace bufq {
 
 /// Per-flow counter deltas `at_end - at_warmup`, computed in place in
-/// `at_end`.  A flow missing from `at_warmup` (no snapshot entry yet)
-/// counts from zero.
+/// `at_end`.  Both snapshots hold the same flows: every per-flow table is
+/// sized when the run is built.
 [[nodiscard]] std::vector<FlowCounters> per_flow_deltas(
     std::vector<FlowCounters> at_end, const std::vector<FlowCounters>& at_warmup);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <exception>
 #include <mutex>
@@ -177,7 +178,9 @@ SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extra
         continue;
       }
       for (const auto& [name, value] : slot.metrics) row.samples[name].push_back(value);
-      if (slot.per_flow.size() > row.per_flow.size()) row.per_flow.resize(slot.per_flow.size());
+      // Replications of a case share its flows.
+      if (row.per_flow.empty()) row.per_flow.resize(slot.per_flow.size());
+      assert(row.per_flow.size() == slot.per_flow.size());
       for (std::size_t f = 0; f < slot.per_flow.size(); ++f) row.per_flow[f] += slot.per_flow[f];
       row.checks_run += slot.checks_run;
       row.check_violations += slot.check_violations;

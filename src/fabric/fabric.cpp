@@ -177,20 +177,16 @@ BUFQ_HOT void Fabric::EgressSink::accept(const Packet& packet) {
   const Time now = f.sim_.now();
   f.stats_.on_delivered(packet, now);
   // FNV-1a over the delivery tuple; counters sum mod 2^64, so the audit
-  // digest is order-independent and shard merges reproduce serial.
-  std::uint64_t digest = 1469598103934665603ULL;
-  const auto mix = [&digest](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      digest ^= (v >> (byte * 8)) & 0xffULL;
-      digest *= 1099511628211ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(packet.flow));
-  mix(static_cast<std::uint64_t>(packet.size_bytes));
-  mix(static_cast<std::uint64_t>(packet.created.ns()));
-  mix(static_cast<std::uint64_t>(now.ns()));
-  mix(static_cast<std::uint64_t>(self_));
-  f.egress_audit_metric_.add(digest);
+  // digest is order-independent and shard merges reproduce serial.  The
+  // audit's basis is FNV's with its last decimal digit dropped, as it has
+  // always been: perfbench/reference_digests.txt pins the sums it gives.
+  FingerprintHasher digest{1469598103934665603ULL};
+  digest.mix_i64(packet.flow);
+  digest.mix_i64(packet.size_bytes);
+  digest.mix_time(packet.created);
+  digest.mix_time(now);
+  digest.mix_i64(self_);
+  f.egress_audit_metric_.add(digest.digest());
   const Time delay = now - packet.created;
   f.e2e_delay_metric_.record(delay.ns() / 1'000);
   if (now >= f.measure_from_) f.delays_.record(packet, now);

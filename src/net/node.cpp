@@ -21,8 +21,6 @@ OutputPort::OutputPort(Simulator& sim, Rate rate, Time propagation_delay,
   assert(discipline_ != nullptr);
   assert(propagation_ >= Time::zero());
   discipline_->set_drop_handler([this](const Packet& p, Time t) {
-    dropped_bytes_ += p.size_bytes;
-    ++dropped_packets_;
     drops_metric_.add();
     drop_bytes_metric_.add(static_cast<std::uint64_t>(p.size_bytes));
     if (drop_tap_) drop_tap_(p, t);
@@ -63,8 +61,6 @@ void OutputPort::deliver_front() {
 
 void OutputPort::save_state(CheckpointWriter& w, const std::string& label) const {
   w.begin_section(label);
-  w.write_i64(dropped_bytes_);
-  w.write_u64(dropped_packets_);
   w.write_u64(in_flight_.size());
   for (const Wire& wire : in_flight_) {
     save_packet(w, wire.packet);
@@ -79,8 +75,6 @@ void OutputPort::save_state(CheckpointWriter& w, const std::string& label) const
 
 void OutputPort::restore_state(CheckpointReader& r, const std::string& label) {
   r.begin_section(label);
-  dropped_bytes_ = r.read_i64();
-  dropped_packets_ = r.read_u64();
   in_flight_.clear();
   const std::uint64_t count = r.read_u64();
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -52,23 +52,20 @@ class OutputPort {
   /// Where upstream hands packets in.
   [[nodiscard]] PacketSink& ingress() { return *link_; }
 
-  /// Counts every packet the discipline refused.
-  [[nodiscard]] std::int64_t dropped_bytes() const { return dropped_bytes_; }
-  [[nodiscard]] std::uint64_t dropped_packets() const { return dropped_packets_; }
   [[nodiscard]] const Link& link() const { return *link_; }
   [[nodiscard]] const BufferManager& manager() const { return *manager_; }
 
-  /// Observer invoked (after the port's own counting) for every packet the
+  /// Observer invoked (after the port's drop metrics) for every packet the
   /// discipline refused — the fabric layer hangs end-to-end per-flow loss
   /// accounting here.  Replaces any previous tap; null clears it.
   void set_drop_tap(std::function<void(const Packet&, Time)> tap) {
     drop_tap_ = std::move(tap);
   }
 
-  /// Checkpointable: drop counters, the propagation wire (each arrival's
-  /// (time, seq); restore re-arms the head), then the owned manager,
-  /// discipline and link in that order.  `label` keeps section names
-  /// unique across a topology ("node.<n>.port.<p>").
+  /// Checkpointable: the propagation wire (each arrival's (time, seq);
+  /// restore re-arms the head), then the owned manager, discipline and
+  /// link in that order.  `label` keeps section names unique across a
+  /// topology ("node.<n>.port.<p>").
   void save_state(CheckpointWriter& w, const std::string& label) const;
   void restore_state(CheckpointReader& r, const std::string& label);
 
@@ -98,8 +95,6 @@ class OutputPort {
   /// the InlineAction buffer) and pops the front.
   std::deque<Wire> in_flight_;
   std::function<void(const Packet&, Time)> drop_tap_;
-  std::int64_t dropped_bytes_{0};
-  std::uint64_t dropped_packets_{0};
   obs::CounterHandle drops_metric_{obs::CounterHandle::lookup("net.drops")};
   obs::CounterHandle drop_bytes_metric_{obs::CounterHandle::lookup("net.drop_bytes")};
   /// Packets currently on propagation wires; the high-water mark sizes the

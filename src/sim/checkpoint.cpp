@@ -58,14 +58,6 @@ std::uint32_t checkpoint_crc32(std::span<const std::byte> data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-void FingerprintHasher::mix_u64(std::uint64_t v) {
-  // FNV-1a over the value's 8 bytes, little-endian.
-  for (int i = 0; i < 8; ++i) {
-    hash_ ^= (v >> (8 * i)) & 0xFFu;
-    hash_ *= 0x100000001B3ull;
-  }
-}
-
 void FingerprintHasher::mix_f64(double v) { mix_u64(std::bit_cast<std::uint64_t>(v)); }
 
 void FingerprintHasher::mix_string(std::string_view s) {

@@ -95,7 +95,7 @@ class CheckpointShardingError : public CheckpointError {
 };
 
 /// Format version stamped into every header; bump on any layout change.
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 /// CRC-32 (IEEE 802.3 polynomial, table-driven — no external deps).
 [[nodiscard]] std::uint32_t checkpoint_crc32(std::span<const std::byte> data);
@@ -106,7 +106,17 @@ inline constexpr std::uint32_t kCheckpointVersion = 7;
 /// bit pattern — the fingerprint is exact, not approximate.
 class FingerprintHasher {
  public:
-  void mix_u64(std::uint64_t v);
+  /// Starts from FNV-1a's 64-bit offset basis, or from `basis`.
+  explicit FingerprintHasher(std::uint64_t basis = 0xCBF29CE484222325ull) : hash_{basis} {}
+
+  /// FNV-1a over the value's 8 bytes, little-endian.  Inline: the fabric
+  /// mixes one delivery tuple per packet into its egress audit.
+  void mix_u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xFFu;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
   void mix_i64(std::int64_t v) { mix_u64(static_cast<std::uint64_t>(v)); }
   void mix_f64(double v);
   void mix_bool(bool v) { mix_u64(v ? 1 : 0); }
@@ -116,7 +126,7 @@ class FingerprintHasher {
   [[nodiscard]] std::uint64_t digest() const { return hash_; }
 
  private:
-  std::uint64_t hash_{0xCBF29CE484222325ull};  // FNV-1a 64 offset basis
+  std::uint64_t hash_;
 };
 
 /// Serializes tagged primitives into named sections.  Single-use: call the

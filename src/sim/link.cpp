@@ -31,8 +31,6 @@ BUFQ_HOT void LazyLink::retire() {
   const Packet packet = in_flight_;
   const Time departed = departs_;
   busy_ = false;
-  bytes_delivered_ += packet.size_bytes;
-  ++packets_delivered_;
   if (on_delivery_) on_delivery_(packet, departed);
   start(departed);
 }
@@ -60,8 +58,6 @@ void LazyLink::save_section(CheckpointWriter& w, const std::uint64_t* completion
     w.write_time(departs_);
     if (completion_seq != nullptr) w.write_u64(*completion_seq);
   }
-  w.write_i64(bytes_delivered_);
-  w.write_u64(packets_delivered_);
   w.end_section();
 }
 
@@ -77,8 +73,6 @@ void LazyLink::restore_section(CheckpointReader& r, std::uint64_t* completion_se
     start_seq_ = 0;
 #endif
   }
-  bytes_delivered_ = r.read_i64();
-  packets_delivered_ = r.read_u64();
   r.end_section();
 }
 

@@ -81,11 +81,9 @@ class LazyLink final : public PacketSink {
   [[nodiscard]] bool busy() const { return busy_; }
   /// When the transmission in progress ends (valid while busy()).
   [[nodiscard]] Time departs() const { return departs_; }
-  [[nodiscard]] std::int64_t bytes_delivered() const { return bytes_delivered_; }
-  [[nodiscard]] std::uint64_t packets_delivered() const { return packets_delivered_; }
 
   /// Checkpointable: the transmission in progress (packet, departure
-  /// time) and the delivery counters.  Settle the link before saving so
+  /// time).  Settle the link before saving so
   /// the queue and manager sections describe the same instant.
   void save_state(CheckpointWriter& w) const { save_section(w, nullptr); }
   void restore_state(CheckpointReader& r) { restore_section(r, nullptr); }
@@ -130,8 +128,6 @@ class LazyLink final : public PacketSink {
   Time started_{Time::zero()};
   std::uint64_t start_seq_{0};
 #endif
-  std::int64_t bytes_delivered_{0};
-  std::uint64_t packets_delivered_{0};
 };
 
 class Link : public PacketSink {
@@ -158,11 +154,9 @@ class Link : public PacketSink {
 
   [[nodiscard]] Rate rate() const { return core_.rate(); }
   [[nodiscard]] bool busy() const { return core_.busy(); }
-  [[nodiscard]] std::int64_t bytes_delivered() const { return core_.bytes_delivered(); }
-  [[nodiscard]] std::uint64_t packets_delivered() const { return core_.packets_delivered(); }
 
   /// Checkpointable: wire state (in-flight packet, pending completion's
-  /// (time, seq)) and delivery counters.  Restore re-arms the completion
+  /// (time, seq)).  Restore re-arms the completion
   /// event under its original sequence number.
   void save_state(CheckpointWriter& w) const;
   void restore_state(CheckpointReader& r);

@@ -1,33 +1,34 @@
 #include "stats/collector.h"
 
 #include <cassert>
+#include <string>
+#include <utility>
 
 #include "sim/checkpoint.h"
+#include "util/annotations.h"
 
 namespace bufq {
 
 StatsCollector::StatsCollector(std::size_t flow_count) : flows_(flow_count) {}
 
-FlowCounters& StatsCollector::at(FlowId id) {
-  assert(id >= 0);
-  const auto index = static_cast<std::size_t>(id);
-  if (index >= flows_.size()) flows_.resize(index + 1);
-  return flows_[index];
+BUFQ_HOT FlowCounters& StatsCollector::at(FlowId id) {
+  assert(id >= 0 && static_cast<std::size_t>(id) < flows_.size());
+  return flows_[static_cast<std::size_t>(id)];
 }
 
-void StatsCollector::on_offered(const Packet& packet) {
+BUFQ_HOT void StatsCollector::on_offered(const Packet& packet) {
   auto& c = at(packet.flow);
   c.offered_bytes += packet.size_bytes;
   ++c.offered_packets;
 }
 
-void StatsCollector::on_delivered(const Packet& packet, Time /*now*/) {
+BUFQ_HOT void StatsCollector::on_delivered(const Packet& packet, Time /*now*/) {
   auto& c = at(packet.flow);
   c.delivered_bytes += packet.size_bytes;
   ++c.delivered_packets;
 }
 
-void StatsCollector::on_dropped(const Packet& packet, Time /*now*/) {
+BUFQ_HOT void StatsCollector::on_dropped(const Packet& packet, Time /*now*/) {
   auto& c = at(packet.flow);
   c.dropped_bytes += packet.size_bytes;
   ++c.dropped_packets;
@@ -50,12 +51,6 @@ FlowCounters StatsCollector::total_delta(const std::vector<FlowCounters>& before
   for (const auto& c : after) sum += c;
   for (const auto& c : before) sum = sum - c;
   return sum;
-}
-
-Rate StatsCollector::throughput(const FlowCounters& delta, Time interval) {
-  assert(interval > Time::zero());
-  return Rate::bits_per_second(static_cast<double>(delta.delivered_bytes) * 8.0 /
-                               interval.to_seconds());
 }
 
 void save_flow_counters(CheckpointWriter& w, const std::vector<FlowCounters>& counters) {
@@ -91,8 +86,13 @@ void StatsCollector::save_state(CheckpointWriter& w) const {
 
 void StatsCollector::restore_state(CheckpointReader& r) {
   r.begin_section("stats");
-  flows_ = load_flow_counters(r);
+  std::vector<FlowCounters> flows = load_flow_counters(r);
   r.end_section();
+  if (flows.size() != flows_.size()) {
+    throw CheckpointFormatError("stats section holds " + std::to_string(flows.size()) +
+                                " flows, the collector " + std::to_string(flows_.size()));
+  }
+  flows_ = std::move(flows);
 }
 
 }  // namespace bufq

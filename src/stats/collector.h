@@ -57,9 +57,9 @@ void save_flow_counters(CheckpointWriter& w, const std::vector<FlowCounters>& co
 
 class StatsCollector {
  public:
-  /// Counters for flows [0, flow_count).  Under churn the flow population
-  /// is open-ended (slot indices grow with the FlowTable), so a packet for
-  /// a flow beyond the current size grows the table instead of asserting.
+  /// Counters for flows [0, flow_count), sized once when the run is
+  /// built: a churn run passes its FlowTable's fixed capacity, so every
+  /// slot index is a flow the collector already holds.
   explicit StatsCollector(std::size_t flow_count);
 
   void on_offered(const Packet& packet);
@@ -74,17 +74,15 @@ class StatsCollector {
   /// interval.
   [[nodiscard]] std::vector<FlowCounters> snapshot() const { return flows_; }
 
-  /// Delivered throughput of one flow over an interval, from snapshots.
-  [[nodiscard]] static Rate throughput(const FlowCounters& delta, Time interval);
-
-  /// Aggregate difference between two totals-of-snapshots taken at
-  /// different times, tolerating snapshots of different lengths (the flow
-  /// table may have grown in between; missing entries count as zero).
+  /// Aggregate difference between two snapshots of the same collector:
+  /// the sum of `after` minus the sum of `before`.  Kept for perfbench's
+  /// traced churn pipeline; the library itself has no caller.
   [[nodiscard]] static FlowCounters total_delta(const std::vector<FlowCounters>& before,
                                                 const std::vector<FlowCounters>& after);
 
-  /// Checkpointable: every per-flow counter (the vector may regrow on
-  /// restore if the checkpoint saw churned flows this instance has not).
+  /// Checkpointable: every per-flow counter.  Restore refuses a section
+  /// whose flow count differs from this collector's with
+  /// CheckpointFormatError.
   void save_state(CheckpointWriter& w) const;
   void restore_state(CheckpointReader& r);
 

@@ -33,8 +33,6 @@ void AimdSource::emit_packet() {
                       .size_bytes = params_.packet_bytes,
                       .seq = next_seq_++,
                       .created = sim_.now()});
-  bytes_emitted_ += params_.packet_bytes;
-  ++packets_emitted_;
   const auto tick = [this] { emit_packet(); };
   const Time gap = rate_.transmission_time(params_.packet_bytes);
   next_emit_ = sim_.now() + gap;
@@ -60,8 +58,6 @@ void AimdSource::save_state(CheckpointWriter& w) const {
   w.write_bool(loss_in_epoch_);
   w.write_u64(decreases_);
   w.write_u64(next_seq_);
-  w.write_i64(bytes_emitted_);
-  w.write_u64(packets_emitted_);
   w.write_bool(started_);
   w.write_time(next_emit_);
   w.write_u64(emit_seq_);
@@ -76,8 +72,6 @@ void AimdSource::restore_state(CheckpointReader& r) {
   loss_in_epoch_ = r.read_bool();
   decreases_ = r.read_u64();
   next_seq_ = r.read_u64();
-  bytes_emitted_ = r.read_i64();
-  packets_emitted_ = r.read_u64();
   started_ = r.read_bool();
   next_emit_ = r.read_time();
   emit_seq_ = r.read_u64();

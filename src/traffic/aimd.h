@@ -46,8 +46,6 @@ class AimdSource final : public Source {
 
   [[nodiscard]] Rate current_rate() const { return rate_; }
   [[nodiscard]] std::uint64_t decreases() const { return decreases_; }
-  [[nodiscard]] std::int64_t bytes_emitted() const override { return bytes_emitted_; }
-  [[nodiscard]] std::uint64_t packets_emitted() const override { return packets_emitted_; }
 
   /// Checkpointable: rate/loss state plus *both* pending events (the
   /// emission tick and the RTT epoch), each re-armed at its saved
@@ -66,8 +64,6 @@ class AimdSource final : public Source {
   bool loss_in_epoch_{false};
   std::uint64_t decreases_{0};
   std::uint64_t next_seq_{0};
-  std::int64_t bytes_emitted_{0};
-  std::uint64_t packets_emitted_{0};
   bool started_{false};
   Time next_emit_{Time::zero()};
   std::uint64_t emit_seq_{0};

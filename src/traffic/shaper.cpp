@@ -18,7 +18,6 @@ void LeakyBucketShaper::accept(const Packet& packet) {
   assert(packet.size_bytes <= bucket_.depth().count() &&
          "packet larger than bucket depth can never be released");
   queue_.push_back(packet);
-  queued_bytes_ += packet.size_bytes;
   release_ready();
 }
 
@@ -33,8 +32,6 @@ void LeakyBucketShaper::release_ready() {
     }
     Packet released = head;
     queue_.pop_front();
-    queued_bytes_ -= released.size_bytes;
-    bytes_forwarded_ += released.size_bytes;
     // Stamp the release time: conformance is a property of the shaped
     // stream, so downstream consumers see the shaped arrival time.
     released.created = now;
@@ -69,8 +66,6 @@ void LeakyBucketShaper::save_state(CheckpointWriter& w, std::size_t index) const
   w.write_time(earliest_next_release_);
   w.write_u64(queue_.size());
   for (const Packet& p : queue_) save_packet(w, p);
-  w.write_i64(queued_bytes_);
-  w.write_i64(bytes_forwarded_);
   w.write_bool(release_pending_);
   w.write_time(release_time_);
   w.write_u64(release_seq_);
@@ -86,8 +81,6 @@ void LeakyBucketShaper::restore_state(CheckpointReader& r, std::size_t index) {
   queue_.clear();
   const std::uint64_t count = r.read_u64();
   for (std::uint64_t i = 0; i < count; ++i) queue_.push_back(load_packet(r));
-  queued_bytes_ = r.read_i64();
-  bytes_forwarded_ = r.read_i64();
   release_pending_ = r.read_bool();
   release_time_ = r.read_time();
   release_seq_ = r.read_u64();

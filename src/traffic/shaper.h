@@ -32,14 +32,12 @@ class LeakyBucketShaper : public PacketSink {
   void accept(const Packet& packet) override;
 
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-  [[nodiscard]] std::int64_t queued_bytes() const { return queued_bytes_; }
-  [[nodiscard]] std::int64_t bytes_forwarded() const { return bytes_forwarded_; }
   /// True while a release event is outstanding on the calendar.  The churn
   /// driver must not destroy a shaper whose event is still pending.
   [[nodiscard]] bool release_pending() const { return release_pending_; }
 
-  /// Checkpointable: bucket level, shaping queue, counters, and the
-  /// pending release event.  `index` disambiguates the section name when
+  /// Checkpointable: bucket level, shaping queue and the pending release
+  /// event.  `index` disambiguates the section name when
   /// an engine owns one shaper per flow.
   void save_state(CheckpointWriter& w, std::size_t index) const;
   void restore_state(CheckpointReader& r, std::size_t index);
@@ -54,8 +52,6 @@ class LeakyBucketShaper : public PacketSink {
   Rate peak_rate_;
   Time earliest_next_release_{Time::zero()};
   std::deque<Packet> queue_;
-  std::int64_t queued_bytes_{0};
-  std::int64_t bytes_forwarded_{0};
   bool release_pending_{false};
   Time release_time_{Time::zero()};
   std::uint64_t release_seq_{0};

@@ -61,8 +61,6 @@ void MarkovOnOffSource::save_state(CheckpointWriter& w) const {
   w.write_time(on_ends_);
   w.write_time(next_event_);
   w.write_u64(next_seq_);
-  w.write_i64(bytes_emitted_);
-  w.write_u64(packets_emitted_);
   w.write_bool(started_);
   w.write_bool(stopped_);
   w.write_u8(static_cast<std::uint8_t>(pending_));
@@ -76,8 +74,6 @@ void MarkovOnOffSource::restore_state(CheckpointReader& r) {
   on_ends_ = r.read_time();
   next_event_ = r.read_time();
   next_seq_ = r.read_u64();
-  bytes_emitted_ = r.read_i64();
-  packets_emitted_ = r.read_u64();
   started_ = r.read_bool();
   stopped_ = r.read_bool();
   pending_ = static_cast<Pending>(r.read_u8());
@@ -120,8 +116,6 @@ void MarkovOnOffSource::emit_packet() {
                       .size_bytes = params_.packet_bytes,
                       .seq = next_seq_++,
                       .created = sim_.now()});
-  bytes_emitted_ += params_.packet_bytes;
-  ++packets_emitted_;
   schedule(packet_gap_, &MarkovOnOffSource::emit_packet);
 }
 
@@ -149,8 +143,6 @@ void CbrSource::emit_packet() {
                       .size_bytes = packet_bytes_,
                       .seq = next_seq_++,
                       .created = sim_.now()});
-  bytes_emitted_ += packet_bytes_;
-  ++packets_emitted_;
   const auto tick = [this] { emit_packet(); };
   next_emit_ = sim_.now() + interval_;
   pending_seq_ = sim_.in(interval_, tick);
@@ -159,8 +151,6 @@ void CbrSource::emit_packet() {
 void CbrSource::save_state(CheckpointWriter& w) const {
   w.begin_section("src.cbr." + std::to_string(flow_));
   w.write_u64(next_seq_);
-  w.write_i64(bytes_emitted_);
-  w.write_u64(packets_emitted_);
   w.write_bool(started_);
   w.write_time(next_emit_);
   w.write_u64(pending_seq_);
@@ -170,8 +160,6 @@ void CbrSource::save_state(CheckpointWriter& w) const {
 void CbrSource::restore_state(CheckpointReader& r) {
   r.begin_section("src.cbr." + std::to_string(flow_));
   next_seq_ = r.read_u64();
-  bytes_emitted_ = r.read_i64();
-  packets_emitted_ = r.read_u64();
   started_ = r.read_bool();
   next_emit_ = r.read_time();
   pending_seq_ = r.read_u64();

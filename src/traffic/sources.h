@@ -31,7 +31,7 @@ class Source {
   /// Begins emitting.  Must be called at most once.
   virtual void start() = 0;
 
-  /// Checkpointable: counters, RNG stream, and the one pending emission
+  /// Checkpointable: sequence number, RNG stream, and the one pending emission
   /// event (time, seq); restore re-arms it so replay is bit-identical.
   virtual void save_state(CheckpointWriter& w) const = 0;
   virtual void restore_state(CheckpointReader& r) = 0;
@@ -42,9 +42,6 @@ class Source {
   /// driver to tear flows down mid-run.  Default: no-op for sources that
   /// are never churned.
   virtual void stop() {}
-
-  [[nodiscard]] virtual std::int64_t bytes_emitted() const = 0;
-  [[nodiscard]] virtual std::uint64_t packets_emitted() const = 0;
 };
 
 /// How ON-period lengths (burst sizes) are drawn.
@@ -84,9 +81,6 @@ class MarkovOnOffSource : public Source {
   /// driver waits for this before destroying the object.
   [[nodiscard]] Time quiescent_after() const { return next_event_; }
 
-  [[nodiscard]] std::int64_t bytes_emitted() const override { return bytes_emitted_; }
-  [[nodiscard]] std::uint64_t packets_emitted() const override { return packets_emitted_; }
-
   void save_state(CheckpointWriter& w) const override;
   void restore_state(CheckpointReader& r) override;
 
@@ -108,8 +102,6 @@ class MarkovOnOffSource : public Source {
   Time packet_gap_{Time::zero()};
   Time next_event_{Time::zero()};
   std::uint64_t next_seq_{0};
-  std::int64_t bytes_emitted_{0};
-  std::uint64_t packets_emitted_{0};
   bool started_{false};
   bool stopped_{false};
   Pending pending_{Pending::kNone};
@@ -126,9 +118,6 @@ class CbrSource : public Source {
 
   void start() override;
 
-  [[nodiscard]] std::int64_t bytes_emitted() const override { return bytes_emitted_; }
-  [[nodiscard]] std::uint64_t packets_emitted() const override { return packets_emitted_; }
-
   void save_state(CheckpointWriter& w) const override;
   void restore_state(CheckpointReader& r) override;
 
@@ -141,8 +130,6 @@ class CbrSource : public Source {
   Time interval_;
   std::int64_t packet_bytes_;
   std::uint64_t next_seq_{0};
-  std::int64_t bytes_emitted_{0};
-  std::uint64_t packets_emitted_{0};
   bool started_{false};
   Time next_emit_{Time::zero()};
   std::uint64_t pending_seq_{0};

@@ -5,14 +5,15 @@
 namespace bufq {
 
 std::string Time::to_string() const {
+  if (ns_ == 0) return "0s";
   char buf[64];
   const double s = to_seconds();
-  if (ns_ != 0 && std::abs(s) < 1e-3) {
+  if (std::abs(s) < 1e-3) {
     std::snprintf(buf, sizeof buf, "%.3fus", static_cast<double>(ns_) * 1e-3);
   } else if (std::abs(s) < 1.0) {
     std::snprintf(buf, sizeof buf, "%.3fms", s * 1e3);
   } else {
-    std::snprintf(buf, sizeof buf, "%.6fs", s);
+    std::snprintf(buf, sizeof buf, "%.3fs", s);
   }
   return buf;
 }

@@ -59,6 +59,8 @@ class Time {
   friend constexpr Time operator*(Time a, std::int64_t k) { return Time{a.ns_ * k}; }
   friend constexpr Time operator*(std::int64_t k, Time a) { return Time{a.ns_ * k}; }
 
+  /// Three decimals in us, ms or s, whichever keeps |t| below 1000 of the
+  /// unit (seconds beyond that); zero prints as "0s".
   [[nodiscard]] std::string to_string() const;
 
  private:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "check/invariants.h"
@@ -180,6 +181,38 @@ TEST(ChurnTest, TrajectoryIsPinnedPerScheme) {
     EXPECT_EQ(r.traffic.delivered_bytes, want.delivered_bytes) << "scheme " << scheme;
     EXPECT_EQ(r.traffic.dropped_packets, want.dropped_packets) << "scheme " << scheme;
   }
+}
+
+/// The FlowTable's capacity caps concurrent flows whatever max_concurrent
+/// says: arrivals beyond it are refused for capacity, never squeezed in.
+TEST(ChurnTest, DriverNeverOutgrowsItsFlowTable) {
+  constexpr std::size_t kSlots = 4;
+  Simulator sim;
+  admission::AdmissionController controller{{.scheme = admission::Scheme::kFifoThreshold,
+                                             .link_rate = Rate::megabits_per_second(10'000.0),
+                                             .buffer = ByteSize::megabytes(1'000.0)}};
+  admission::FlowTable table{kSlots};
+  struct NullSink final : PacketSink {
+    void accept(const Packet&) override {}
+  } sink;
+  admission::ChurnDriver::Config churn;
+  churn.arrival_rate_hz = 1'000.0;
+  churn.mean_holding = Time::seconds(10);
+  churn.mix = {{.profile = regulated_profile(1.0, 16.0), .weight = 1.0}};
+  churn.max_concurrent = 100 * kSlots;
+  admission::ChurnDriver driver{sim, controller, table, sink, churn, Rng{3}};
+  driver.start();
+  std::size_t peak = 0;
+  for (int ms = 1; ms <= 500; ++ms) {
+    sim.run_until(Time::milliseconds(ms));
+    peak = std::max(peak, table.active_count());
+  }
+  EXPECT_EQ(peak, kSlots);
+  EXPECT_EQ(table.slot_count(), kSlots);
+  EXPECT_EQ(driver.counters().admitted, kSlots);
+  EXPECT_GT(driver.counters().rejected_capacity, 0u);
+  EXPECT_EQ(driver.counters().arrivals,
+            driver.counters().admitted + driver.counters().rejected_capacity);
 }
 
 }  // namespace

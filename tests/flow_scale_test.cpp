@@ -81,9 +81,11 @@ TEST(FlowScaleTest, MillionFlowsChurnKeepsGenerationsHonest) {
 TEST(FlowScaleTest, AdmitClassMatchesSpecAdmitExactly) {
   // The interned hot path and the spec-based path must produce the same
   // trajectory: same slots, same generations, same per-slot thresholds
-  // and envelopes, under an identical admit/teardown schedule.
-  FlowTable by_spec{64};
-  FlowTable by_class{64};
+  // and envelopes, under an identical admit/teardown schedule.  Each table
+  // holds one slot per step, the walk's most live flows.
+  constexpr std::size_t kSteps = 20'000;
+  FlowTable by_spec{kSteps};
+  FlowTable by_class{kSteps};
   const auto mix = scale_mix();
   std::vector<ClassId> classes;
   for (const FlowSpec& spec : mix) {
@@ -92,7 +94,7 @@ TEST(FlowScaleTest, AdmitClassMatchesSpecAdmitExactly) {
 
   Rng rng{11};
   std::vector<std::pair<FlowHandle, FlowHandle>> live;
-  for (std::size_t step = 0; step < 20'000; ++step) {
+  for (std::size_t step = 0; step < kSteps; ++step) {
     const bool admit = live.empty() || rng.bernoulli(0.6);
     if (admit) {
       const std::size_t m = rng.uniform_u64(mix.size());
@@ -122,8 +124,10 @@ TEST(FlowScaleTest, CheckpointRoundTripsSoALayoutUnderChurn) {
   // restore into a fresh one, and demand (a) behavioral equality on
   // handles and thresholds and (b) a byte-identical
   // second save — the SoA lanes and LIFO free-list order are part of
-  // the deterministic trajectory.
-  FlowTable original{256};
+  // the deterministic trajectory.  The table holds one slot per step, the
+  // walk's most live flows.
+  constexpr std::size_t kSteps = 5'000;
+  FlowTable original{kSteps};
   const auto mix = scale_mix();
   std::vector<ClassId> classes;
   for (const FlowSpec& spec : mix) {
@@ -132,7 +136,7 @@ TEST(FlowScaleTest, CheckpointRoundTripsSoALayoutUnderChurn) {
 
   Rng rng{13};
   std::vector<FlowHandle> live;
-  for (std::size_t step = 0; step < 5'000; ++step) {
+  for (std::size_t step = 0; step < kSteps; ++step) {
     if (live.empty() || rng.bernoulli(0.55)) {
       const std::size_t m = rng.uniform_u64(classes.size());
       const FlowHandle h = original.admit_class(classes[m]);
@@ -151,7 +155,7 @@ TEST(FlowScaleTest, CheckpointRoundTripsSoALayoutUnderChurn) {
   original.save_state(w1);
   const std::vector<std::byte> blob = w1.finish(0);
 
-  FlowTable restored{1};
+  FlowTable restored{original.slot_count()};
   CheckpointReader r{blob};
   restored.restore_state(r);
 

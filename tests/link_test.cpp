@@ -18,6 +18,7 @@
 #include "sched/wfq.h"
 #include "sim/checkpoint.h"
 #include "sim/simulator.h"
+#include "stats/collector.h"
 #include "traffic/sources.h"
 #include "util/rng.h"
 
@@ -39,6 +40,12 @@ struct Harness {
 
 Packet make_packet(FlowId flow, std::uint64_t seq, std::int64_t size = 500) {
   return Packet{.flow = flow, .size_bytes = size, .seq = seq, .created = Time::zero()};
+}
+
+std::int64_t bytes_of(const std::vector<std::pair<Packet, Time>>& delivered) {
+  std::int64_t bytes = 0;
+  for (const auto& [packet, at] : delivered) bytes += packet.size_bytes;
+  return bytes;
 }
 
 TEST(LinkTest, TransmitsSinglePacketAfterSerializationDelay) {
@@ -84,8 +91,8 @@ TEST(LinkTest, CountsDeliveredBytesAndPackets) {
   Harness h;
   for (std::uint64_t i = 0; i < 7; ++i) h.link.accept(make_packet(0, i, 300));
   h.sim.run();
-  EXPECT_EQ(h.link.packets_delivered(), 7u);
-  EXPECT_EQ(h.link.bytes_delivered(), 2'100);
+  EXPECT_EQ(h.delivered.size(), 7u);
+  EXPECT_EQ(bytes_of(h.delivered), 2'100);
 }
 
 TEST(LinkTest, UtilizationCapsAtLinkRate) {
@@ -95,7 +102,7 @@ TEST(LinkTest, UtilizationCapsAtLinkRate) {
   CbrSource source{h.sim, h.link, 0, Rate::megabits_per_second(12.0), 500};
   source.start();
   h.sim.run_until(Time::seconds(10));
-  const double delivered_bps = static_cast<double>(h.link.bytes_delivered()) * 8.0 / 10.0;
+  const double delivered_bps = static_cast<double>(bytes_of(h.delivered)) * 8.0 / 10.0;
   EXPECT_LE(delivered_bps, 4e6 * 1.001);
   EXPECT_GE(delivered_bps, 4e6 * 0.999);  // and it is fully utilized
 }
@@ -216,8 +223,10 @@ TEST(LazyLinkTest, SingleLinkRunFilesNoCompletionEvents) {
   // Two CBR sources at 3 Mb/s each overload a 4 Mb/s link: it never idles,
   // yet the calendar holds only the sources' next emissions.
   LazyHarness h;
-  CbrSource a{h.sim, h.link, 0, Rate::megabits_per_second(3.0), 500};
-  CbrSource b{h.sim, h.link, 1, Rate::megabits_per_second(3.0), 500};
+  StatsCollector stats{2};
+  OfferedTrafficTap emitted{stats, h.link};
+  CbrSource a{h.sim, emitted, 0, Rate::megabits_per_second(3.0), 500};
+  CbrSource b{h.sim, emitted, 1, Rate::megabits_per_second(3.0), 500};
   a.start();
   b.start();
   std::size_t max_pending = 0;
@@ -227,9 +236,9 @@ TEST(LazyLinkTest, SingleLinkRunFilesNoCompletionEvents) {
   }
   EXPECT_EQ(max_pending, 2u);
   // One event per emission after each source's first, which start() sends.
-  EXPECT_EQ(h.sim.events_processed() + 2, a.packets_emitted() + b.packets_emitted());
+  EXPECT_EQ(h.sim.events_processed() + 2, stats.total().offered_packets);
   h.link.advance_through(h.sim.now());
-  EXPECT_EQ(h.link.packets_delivered(), 200u);  // one per ms, back to back
+  EXPECT_EQ(h.delivered.size(), 200u);  // one per ms, back to back
 }
 
 TEST(LazyLinkTest, CheckpointMidTransmissionResumesIdentically) {
@@ -291,7 +300,7 @@ TEST(LazyLinkTest, CheckpointMidTransmissionResumesIdentically) {
     EXPECT_EQ(before[i].second, ref.delivered[i].second) << i;
   }
   EXPECT_EQ(h.sim.events_processed(), ref.sim.events_processed());
-  EXPECT_EQ(h.link.bytes_delivered(), ref.link.bytes_delivered());
+  EXPECT_EQ(bytes_of(before), bytes_of(ref.delivered));
 }
 
 TEST(LazyLinkTest, TieAuditFlagsAnEventFiledAfterTheTransmissionBegan) {
@@ -454,7 +463,7 @@ Trace run_trace(const PipelineFactory& make, const std::vector<Arrival>& arrival
   const auto probe = [&] {
     if constexpr (std::is_same_v<Sink, LazyLink>) link.advance_to(sim.now());
     std::vector<std::int64_t> g{p.manager->total_occupancy(), p.discipline->backlog_bytes(),
-                                static_cast<std::int64_t>(link.packets_delivered())};
+                                static_cast<std::int64_t>(trace.departures.size())};
     for (std::size_t f = 0; f < kDiffFlows; ++f) {
       g.push_back(p.manager->occupancy(static_cast<FlowId>(f)));
     }

@@ -12,6 +12,7 @@
 #include "sched/fifo.h"
 #include "sim/checkpoint.h"
 #include "sim/simulator.h"
+#include "stats/collector.h"
 #include "traffic/sources.h"
 
 namespace bufq {
@@ -90,13 +91,15 @@ TEST(NodeTest, PortDropAccounting) {
   Node node{"r1"};
   node.add_port(make_port(sim, kLink, Time::zero(), &sink, 4, ByteSize::bytes(1'000)));
   node.route(0, 0);
+  StatsCollector stats{1};
+  node.port(0).set_drop_tap([&stats](const Packet& p, Time t) { stats.on_dropped(p, t); });
   for (std::uint64_t i = 0; i < 10; ++i) {
     node.accept(Packet{.flow = 0, .size_bytes = kPkt, .seq = i, .created = Time::zero()});
   }
   sim.run();
   // One in service + two buffered; seven dropped.
-  EXPECT_EQ(node.port(0).dropped_packets(), 7u);
-  EXPECT_EQ(node.port(0).dropped_bytes(), 7 * kPkt);
+  EXPECT_EQ(stats.flow(0).dropped_packets, 7u);
+  EXPECT_EQ(stats.flow(0).dropped_bytes, 7 * kPkt);
   EXPECT_EQ(sink.packets.size(), 3u);
 }
 
@@ -250,8 +253,8 @@ TEST(NodeTest, MidWireCheckpointResumesIdentically) {
   EXPECT_EQ(sim.events_processed(), ref_sim.events_processed());
 }
 
-/// The drop tap fires once per refused packet, after the port's own
-/// counters update, with the refusal timestamp.
+/// The drop tap fires once per refused packet, with the refusal
+/// timestamp.
 TEST(NodeTest, DropTapObservesEveryRefusal) {
   Simulator sim;
   RecordingSink sink;
@@ -269,9 +272,8 @@ TEST(NodeTest, DropTapObservesEveryRefusal) {
     node.accept(Packet{.flow = 0, .size_bytes = kPkt, .seq = i, .created = Time::zero()});
   }
   sim.run();
-  EXPECT_EQ(taps, node.port(0).dropped_packets());
-  EXPECT_EQ(tap_bytes, node.port(0).dropped_bytes());
   EXPECT_EQ(taps, 7u);
+  EXPECT_EQ(tap_bytes, 7 * kPkt);
 }
 
 /// Ports and nodes export their counters through the obs registry: drops,
@@ -363,7 +365,9 @@ TEST(NodeTest, PerHopThresholdsProtectAcrossTwoHops) {
   r1.route(0, 0);
   r1.route(1, 0);
 
-  CbrSource protected_flow{sim, r1, 0, e2e.rho, kPkt};
+  StatsCollector sent{1};
+  OfferedTrafficTap protected_entry{sent, r1};
+  CbrSource protected_flow{sim, protected_entry, 0, e2e.rho, kPkt};
   CbrSource adversary1{sim, r1, 1, kLink * 2.0, kPkt};
   CbrSource adversary2{sim, r2, 2, kLink * 2.0, kPkt};
   adversary1.start();
@@ -372,7 +376,7 @@ TEST(NodeTest, PerHopThresholdsProtectAcrossTwoHops) {
   sim.run_until(Time::seconds(20));
 
   // The protected flow loses nothing at either hop...
-  std::int64_t flow0_sent = protected_flow.bytes_emitted();
+  const std::int64_t flow0_sent = sent.flow(0).offered_bytes;
   std::int64_t flow0_received = 0;
   for (const auto& p : sink.packets) {
     if (p.flow == 0) flow0_received += p.size_bytes;

@@ -266,6 +266,8 @@ TEST(WorkConservationTest, AllSchedulersDeliverIdenticalTotals) {
             Time::milliseconds(1));
     }
     Link link{sim, *discipline, kLink};
+    std::int64_t delivered_bytes = 0;
+    link.set_delivery_handler([&](const Packet& p, Time) { delivered_bytes += p.size_bytes; });
     std::vector<std::unique_ptr<MarkovOnOffSource>> sources;
     Rng master{555};
     for (FlowId f = 0; f < 3; ++f) {
@@ -279,7 +281,7 @@ TEST(WorkConservationTest, AllSchedulersDeliverIdenticalTotals) {
       sources.back()->start();
     }
     sim.run_until(Time::seconds(10));
-    return link.bytes_delivered();
+    return delivered_bytes;
   };
   const auto fifo = run(0);
   const auto wfq = run(1);

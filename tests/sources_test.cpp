@@ -208,7 +208,7 @@ TEST(MarkovOnOffSourceTest, ParetoBurstsKeepMeanButSpreadWider) {
     MarkovOnOffSource source{sim, sink, params, Rng{66}};
     source.start();
     sim.run_until(Time::seconds(400));
-    return static_cast<double>(source.bytes_emitted()) * 8.0 / 400.0;  // bps
+    return static_cast<double>(sink.total_bytes()) * 8.0 / 400.0;  // bps
   };
   const double exp_rate = measure(BurstDistribution::kExponential);
   const double pareto_rate = measure(BurstDistribution::kPareto);

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
+
+#include "sim/checkpoint.h"
 
 namespace bufq {
 namespace {
@@ -58,11 +62,22 @@ TEST(CollectorTest, LossRatio) {
   EXPECT_DOUBLE_EQ(FlowCounters{}.loss_ratio(), 0.0);
 }
 
-TEST(CollectorTest, ThroughputFromDelta) {
-  FlowCounters delta;
-  delta.delivered_bytes = 1'000'000;
-  const Rate r = StatsCollector::throughput(delta, Time::seconds(2));
-  EXPECT_DOUBLE_EQ(r.mbps(), 4.0);
+TEST(CollectorTest, RestoreRefusesAnotherFlowCount) {
+  StatsCollector saved{3};
+  saved.on_offered(make_packet(2));
+  CheckpointWriter w;
+  saved.save_state(w);
+  const std::vector<std::byte> blob = w.finish(0);
+
+  StatsCollector same{3};
+  CheckpointReader same_reader{blob};
+  same.restore_state(same_reader);
+  EXPECT_EQ(same.flow(2).offered_bytes, 500);
+
+  StatsCollector fewer{2};
+  CheckpointReader reader{blob};
+  EXPECT_THROW(fewer.restore_state(reader), CheckpointFormatError);
+  EXPECT_EQ(fewer.flow_count(), 2u);
 }
 
 // ------------------------------------------------------------ summaries

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
+#include "expt/run_harness.h"
+
 namespace bufq {
 namespace {
 
@@ -108,9 +113,27 @@ TEST(ByteSizeTest, Arithmetic) {
 
 TEST(UnitsTest, ToStringFormats) {
   EXPECT_EQ(Time::milliseconds(3).to_string(), "3.000ms");
+  EXPECT_EQ(Time::zero().to_string(), "0s");
+  EXPECT_EQ(Time::nanoseconds(1'500).to_string(), "1.500us");
+  EXPECT_EQ(Time::seconds(-1).to_string(), "-1.000s");
   EXPECT_EQ(Rate::megabits_per_second(48.0).to_string(), "48.000Mb/s");
   EXPECT_EQ(ByteSize::megabytes(2.0).to_string(), "2.00MB");
   EXPECT_EQ(ByteSize::bytes(500).to_string(), "500B");
+}
+
+TEST(UnitsTest, HarnessRefusalReadsInOnePrecision) {
+  try {
+    const RunHarness harness{RunSpec{.warmup = Time::seconds(1), .duration = Time::zero()},
+                             [](Simulator&, obs::MetricsRegistry&) -> std::unique_ptr<RunModel> {
+                               ADD_FAILURE() << "a refused run builds no model";
+                               return nullptr;
+                             }};
+    ADD_FAILURE() << "a zero duration was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "a run needs a positive duration and a non-negative warmup, got duration 0s "
+                 "and warmup 1.000s");
+  }
 }
 
 }  // namespace
