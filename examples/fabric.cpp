@@ -85,11 +85,10 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  // Run first, so a refused config prints nothing on stdout.
-  const ExperimentResult result =
-      run_checkpoint_request(config, request, run_fabric_experiment,
-                             run_fabric_experiment_with_checkpoint, resume_fabric_experiment);
+  // Build and run first, so a refused config prints nothing on stdout; the
+  // header and plan report come from the scenario the run used.
   const FabricScenario scenario = build_fabric_scenario(config);
+  const ExperimentResult result = run_fabric_checkpoint_request(config, scenario, request);
   std::printf("%s (size %d): %zu nodes (%zu switches, %zu hosts), %zu links, %zu flows\n",
               to_string(config.topology), config.size, scenario.topo.node_count(),
               scenario.topo.switch_count(), scenario.topo.host_count(),

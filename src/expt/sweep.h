@@ -119,15 +119,16 @@ struct SweepCheckpoint {
 [[nodiscard]] SweepCheckpoint parse_sweep_checkpoint(const Flags& flags);
 
 /// Runs `config` under `request` through one scenario family's entry
-/// points: plain, snapshotting and resuming.  The one place the
+/// points: plain, snapshotting and resuming — functions or callables taking
+/// (config), (config, trigger) and (config, checkpoint).  The one place the
 /// kOff/kRoundtrip/kWrite/kRead switch lives, shared by the built-in
 /// run_experiment path and every checkpoint-aware custom runner.
-template <class Config>
-[[nodiscard]] ExperimentResult run_checkpoint_request(
-    const Config& config, const SweepCheckpointRequest& request,
-    ExperimentResult (*run)(const Config&),
-    CheckpointedRun (*run_with_checkpoint)(const Config&, const CheckpointTrigger&),
-    ExperimentResult (*resume)(const Config&, std::span<const std::byte>)) {
+template <class Config, class Run, class RunWithCheckpoint, class Resume>
+[[nodiscard]] ExperimentResult run_checkpoint_request(const Config& config,
+                                                      const SweepCheckpointRequest& request,
+                                                      const Run& run,
+                                                      const RunWithCheckpoint& run_with_checkpoint,
+                                                      const Resume& resume) {
   switch (request.mode) {
     case SweepCheckpointMode::kOff:
       break;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -47,8 +48,8 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
   flow_dst_.assign(flow_count, -1);
   flow_src_.assign(flow_count, -1);
   flow_bound_.assign(flow_count, Time::zero());
-  // Declared envelopes by global flow id (the WFQ weights); unbound flows
-  // keep rho = 0.
+  // Declared envelopes by global flow id; a port's WFQ weights are those
+  // of the flows in its slots.
   std::vector<FlowSpec> specs(flow_count);
   for (const FlowBinding& b : bindings) {
     const auto f = static_cast<std::size_t>(b.flow);
@@ -77,14 +78,16 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
   }
 
   // Phase 2: one OutputPort per directed link, on its tail node, in
-  // out-link order (so port index == position in out_links).  Cut links
-  // keep their port (queueing and transmission are tail-side state) but
-  // swap the wire for the boundary seam: zero propagation into the
-  // scope's boundary sink, so transmission end hands the packet straight
-  // to the channel with no calendar event — the receiving shard's
+  // out-link order (so port index == position in out_links), built over
+  // one slot per flow the plan routes across the link, in flow-id order;
+  // the tail node routes those flows into their slots.  Cut links keep
+  // their port (queueing and transmission are tail-side state) but swap
+  // the wire for the boundary seam: zero propagation into the scope's
+  // boundary sink, so transmission end hands the packet straight to the
+  // channel with no calendar event — the receiving shard's
   // dispatch_external() supplies the arrival event instead.
-  // LinkId -> (node, port index) of the OutputPort serving it.
-  std::vector<std::pair<NodeId, std::size_t>> link_port(topo.link_count(), {-1, 0});
+  std::vector<FlowId> slot_flows;
+  std::vector<FlowSpec> slot_specs;
   for (std::size_t n = 0; n < topo.node_count(); ++n) {
     const auto id = static_cast<NodeId>(n);
     if (!in_scope(id)) continue;
@@ -100,29 +103,29 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
         downstream = scope->boundary(l);
         propagation = Time::zero();
       }
+      const std::span<const LinkFlow> carried = plan.link_flows(l);
+      slot_flows.clear();
+      slot_specs.clear();
+      std::vector<std::int64_t> thresholds;
+      thresholds.reserve(carried.size());
+      for (const LinkFlow& lf : carried) {
+        slot_flows.push_back(lf.flow);
+        slot_specs.push_back(specs[static_cast<std::size_t>(lf.flow)]);
+        thresholds.push_back(lf.threshold_bytes);
+      }
       auto [manager, discipline] =
           build_port(ports, PortSpec{.buffer = link.params.buffer,
                                      .rate = link.params.rate,
-                                     .flows = specs,
-                                     .thresholds = plan.thresholds_for(l, flow_count)});
+                                     .flows = slot_specs,
+                                     .thresholds = std::move(thresholds)});
       auto port = std::make_unique<OutputPort>(sim_, link.params.rate, propagation,
                                                std::move(manager), std::move(discipline),
-                                               downstream);
+                                               downstream, slot_flows);
       // Every hop's drop lands in the shared collector, so per-flow loss
       // is end to end, not per multiplexer.
       port->set_drop_tap([this](const Packet& p, Time t) { stats_.on_dropped(p, t); });
       const std::size_t index = nodes_[n]->add_port(std::move(port));
-      link_port[static_cast<std::size_t>(l)] = {id, index};
-    }
-  }
-
-  // Phase 3: install the pinned paths as per-node routes (only the hops
-  // whose tail node exists in this scope).
-  for (const FlowPlan& fp : plan.flows) {
-    for (const LinkId l : fp.path) {
-      const auto& [node, port] = link_port[static_cast<std::size_t>(l)];
-      if (node < 0) continue;
-      nodes_[static_cast<std::size_t>(node)]->route(fp.flow, port);
+      for (const LinkFlow& lf : carried) nodes_[n]->route(lf.flow, index);
     }
   }
 }
@@ -136,6 +139,11 @@ PacketSink& Fabric::ingress(FlowId flow) {
     tap = std::make_unique<OfferedTrafficTap>(stats_, *nodes_[static_cast<std::size_t>(src)]);
   }
   return *tap;
+}
+
+const Node* Fabric::node(NodeId id) const {
+  assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
+  return nodes_[static_cast<std::size_t>(id)].get();
 }
 
 PacketSink& Fabric::arrival_sink(LinkId link) {
@@ -189,7 +197,7 @@ BUFQ_HOT void Fabric::EgressSink::accept(const Packet& packet) {
   f.egress_audit_metric_.add(digest.digest());
   const Time delay = now - packet.created;
   f.e2e_delay_metric_.record(delay.ns() / 1'000);
-  if (now >= f.measure_from_) f.delays_.record(packet, now);
+  if (f.record_delays_ && now >= f.measure_from_) f.delays_.record(packet, now);
   if (f.enforce_delay_bound_ && f.flow_bound_[flow] > Time::zero()) {
     // The planner's composed FIFO bound holds for every delivered packet,
     // warmup included — no gating.

@@ -4,8 +4,11 @@
 // links): first a Node per topology node and an egress sink per host,
 // then one OutputPort per directed link on its tail node, wired to the
 // head node's ingress — or, for links into hosts, to the host's egress
-// sink.  Route tables from fabric::RouteTable replace hand-written
-// route() calls: every flow is pinned to its ECMP path at build time.
+// sink.  Each port is built over one slot per flow the plan routes across
+// its link (ProvisionPlan::link_flows), and the tail node routes exactly
+// those flows, so every flow is pinned to its ECMP path at build time and
+// per-port and per-node state is O(sum of path lengths), not O(flows) per
+// port.
 //
 // End-to-end tracking: sources stamp packets at ingress (Packet::created);
 // the egress sink records per-flow delivery and delay into a shared
@@ -99,8 +102,15 @@ class Fabric {
   /// and drop *counters* always run; only DelayRecorder entries are gated.
   void set_measure_from(Time t) { measure_from_ = t; }
 
+  /// Whether deliveries are recorded into delays() at all (default on).  A
+  /// run that reports no delays turns it off and keeps no delay records.
+  void set_record_delays(bool on) { record_delays_ = on; }
+
   [[nodiscard]] const StatsCollector& stats() const { return stats_; }
   [[nodiscard]] const DelayRecorder& delays() const { return delays_; }
+
+  /// The live node for `id`, or null when it is out of this build's scope.
+  [[nodiscard]] const Node* node(NodeId id) const;
 
   /// Where a packet arriving over `link` is delivered: the head host's
   /// egress sink, or the head node.  This is the receiving end of the
@@ -132,6 +142,7 @@ class Fabric {
   StatsCollector stats_;
   DelayRecorder delays_;
   Time measure_from_{Time::zero()};
+  bool record_delays_{true};
   /// Per-flow: declared egress node and planner delay bound (ns, 0 = no
   /// bound / unrouted).
   std::vector<NodeId> flow_dst_;

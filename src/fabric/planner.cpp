@@ -83,35 +83,38 @@ ProvisionPlan plan_fabric(const Topology& topo, const RouteTable& routes,
                       budget.reserved_bps <= params.rate.bps();
     if (!budget.feasible) plan.feasible = false;
   }
+
+  // Pass 3: the per-link flow lists.  Pass 1 counted each link's flows,
+  // so the one array is sized exactly; walking the flows in id order
+  // appends each link's flows in ascending id.  A zero reservation (a
+  // guaranteed flow declaring no envelope) falls back to the share.
+  plan.link_flow_offsets.assign(plan.links.size() + 1, 0);
+  for (std::size_t l = 0; l < plan.links.size(); ++l) {
+    const LinkBudget& budget = plan.links[l];
+    plan.link_flow_offsets[l + 1] =
+        plan.link_flow_offsets[l] +
+        static_cast<std::uint32_t>(budget.guaranteed_flows + budget.best_effort_flows);
+  }
+  plan.link_flow_entries.resize(plan.link_flow_offsets.back());
+  std::vector<std::uint32_t> next(plan.link_flow_offsets.begin(),
+                                  plan.link_flow_offsets.end() - 1);
+  for (const FlowPlan& fp : plan.flows) {
+    for (std::size_t h = 0; h < fp.path.size(); ++h) {
+      const auto l = static_cast<std::size_t>(fp.path[h]);
+      assert(next[l] < plan.link_flow_offsets[l + 1]);
+      const std::int64_t reserved = fp.hops.empty() ? 0 : fp.hops[h].threshold_bytes;
+      plan.link_flow_entries[next[l]++] = LinkFlow{
+          fp.flow, reserved > 0 ? reserved : plan.links[l].best_effort_share_bytes};
+    }
+  }
   return plan;
 }
 
-std::vector<std::int64_t> ProvisionPlan::thresholds_for(LinkId link,
-                                                        std::size_t flow_count) const {
-  assert(link >= 0 && static_cast<std::size_t>(link) < links.size());
-  std::vector<std::int64_t> t(flow_count, 0);
-  const LinkBudget& budget = links[static_cast<std::size_t>(link)];
-  for (const FlowPlan& fp : flows) {
-    if (static_cast<std::size_t>(fp.flow) >= flow_count) continue;
-    bool routed_here = false;
-    for (const LinkId l : fp.path) {
-      if (l == link) {
-        routed_here = true;
-        break;
-      }
-    }
-    if (!routed_here) continue;
-    std::int64_t reserved = 0;
-    for (const HopPlan& hop : fp.hops) {
-      if (hop.link == link) {
-        reserved = hop.threshold_bytes;
-        break;
-      }
-    }
-    t[static_cast<std::size_t>(fp.flow)] =
-        reserved > 0 ? reserved : budget.best_effort_share_bytes;
-  }
-  return t;
+std::span<const LinkFlow> ProvisionPlan::link_flows(LinkId link) const {
+  assert(link >= 0 && static_cast<std::size_t>(link) + 1 < link_flow_offsets.size());
+  const std::uint32_t begin = link_flow_offsets[static_cast<std::size_t>(link)];
+  const std::uint32_t end = link_flow_offsets[static_cast<std::size_t>(link) + 1];
+  return std::span<const LinkFlow>{link_flow_entries}.subspan(begin, end - begin);
 }
 
 std::string ProvisionPlan::report(const Topology& topo) const {

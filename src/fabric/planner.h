@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,17 +84,27 @@ struct LinkBudget {
   bool feasible{true};
 };
 
+/// One flow routed over a link, with the threshold provisioned for it
+/// there.
+struct LinkFlow {
+  FlowId flow{0};
+  std::int64_t threshold_bytes{0};
+};
+
 struct ProvisionPlan {
   std::vector<FlowPlan> flows;    ///< indexed by FlowId
   std::vector<LinkBudget> links;  ///< indexed by LinkId
   bool feasible{true};            ///< all links feasible, all flows routed
+  /// Every link's flow list, in one array: link l's flows are
+  /// link_flow_entries[link_flow_offsets[l] .. link_flow_offsets[l + 1]).
+  std::vector<std::uint32_t> link_flow_offsets;
+  std::vector<LinkFlow> link_flow_entries;
 
-  /// Per-flow threshold vector for `link` sized for `flow_count` global
-  /// flow ids: guaranteed flows get their reserved threshold, best-effort
-  /// flows on the link get the leftover share, flows not routed here get
-  /// 0.  Feed to ThresholdManager / BufferSharingManager.
-  [[nodiscard]] std::vector<std::int64_t> thresholds_for(LinkId link,
-                                                         std::size_t flow_count) const;
+  /// The flows routed over `link`, in ascending flow id, each with its
+  /// threshold there: a guaranteed flow gets its reservation, a
+  /// best-effort flow the link's share of the leftover.  This is the
+  /// order of the link's port slots.  Valid while the plan lives.
+  [[nodiscard]] std::span<const LinkFlow> link_flows(LinkId link) const;
 
   /// Human-readable per-hop budget report.
   [[nodiscard]] std::string report(const Topology& topo) const;

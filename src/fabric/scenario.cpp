@@ -198,6 +198,7 @@ FabricModel::FabricModel(const FabricConfig& config, const FabricScenario& sc, S
                          const FabricShardScope* scope)
     : fabric_{sim, sc.topo, sc.routes, sc.plan, sc.bindings, config.scheme, scope} {
   fabric_.set_measure_from(config.warmup);
+  fabric_.set_record_delays(config.record_delays);
   sources_ = make_fabric_sources(sim, fabric_, config, sc, [&](FlowId flow) {
     return scope == nullptr || scope->holds(sc.bindings[static_cast<std::size_t>(flow)].src);
   });
@@ -281,27 +282,53 @@ ExperimentResult run_fabric_experiment(const FabricConfig& config) {
   return fabric_harness(config, sc).finish();
 }
 
-CheckpointedRun run_fabric_experiment_with_checkpoint(const FabricConfig& config,
-                                                      const CheckpointTrigger& trigger) {
+namespace {
+
+/// Sharded runs neither write nor read checkpoints.
+void require_serial_checkpoint(const FabricConfig& config, const char* what) {
   if (config.shards > 1) {
     throw CheckpointShardingError(
-        "checkpointing a sharded run (--shards=" + std::to_string(config.shards) +
+        std::string{what} + " a sharded run (--shards=" + std::to_string(config.shards) +
         ") is not supported: per-shard calendars and boundary-channel state are not "
-        "serialized; run serial (shards=1) to checkpoint");
+        "serialized; run serial (shards=1)");
   }
-  const FabricScenario sc = build_fabric_scenario(config);
+}
+
+CheckpointedRun checkpointed_run(const FabricConfig& config, const FabricScenario& sc,
+                                 const CheckpointTrigger& trigger) {
+  require_serial_checkpoint(config, "checkpointing");
   return fabric_harness(config, sc).finish_with_checkpoint(trigger);
+}
+
+ExperimentResult resumed_run(const FabricConfig& config, const FabricScenario& sc,
+                             std::span<const std::byte> checkpoint) {
+  require_serial_checkpoint(config, "resuming into");
+  return fabric_harness(config, sc).resume(checkpoint);
+}
+
+}  // namespace
+
+CheckpointedRun run_fabric_experiment_with_checkpoint(const FabricConfig& config,
+                                                      const CheckpointTrigger& trigger) {
+  return checkpointed_run(config, build_fabric_scenario(config), trigger);
 }
 
 ExperimentResult resume_fabric_experiment(const FabricConfig& config,
                                           std::span<const std::byte> checkpoint) {
-  if (config.shards > 1) {
-    throw CheckpointShardingError(
-        "resuming into a sharded run (--shards=" + std::to_string(config.shards) +
-        ") is not supported; resume serial (shards=1)");
-  }
-  const FabricScenario sc = build_fabric_scenario(config);
-  return fabric_harness(config, sc).resume(checkpoint);
+  return resumed_run(config, build_fabric_scenario(config), checkpoint);
+}
+
+ExperimentResult run_fabric_checkpoint_request(const FabricConfig& config,
+                                               const FabricScenario& sc,
+                                               const SweepCheckpointRequest& request) {
+  return run_checkpoint_request(
+      config, request, [&sc](const FabricConfig& c) { return fabric_harness(c, sc).finish(); },
+      [&sc](const FabricConfig& c, const CheckpointTrigger& trigger) {
+        return checkpointed_run(c, sc, trigger);
+      },
+      [&sc](const FabricConfig& c, std::span<const std::byte> checkpoint) {
+        return resumed_run(c, sc, checkpoint);
+      });
 }
 
 std::map<std::string, double> fabric_metrics(const ExperimentResult& result) {
@@ -340,9 +367,7 @@ SweepCase fabric_sweep_case(std::string label,
   c.checkpoint_runner = [config](std::uint64_t seed, const SweepCheckpointRequest& request) {
     FabricConfig run = config;
     run.seed = seed;
-    return run_checkpoint_request(run, request, run_fabric_experiment,
-                                  run_fabric_experiment_with_checkpoint,
-                                  resume_fabric_experiment);
+    return run_fabric_checkpoint_request(run, build_fabric_scenario(run), request);
   };
   return c;
 }

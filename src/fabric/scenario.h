@@ -156,6 +156,13 @@ class FabricModel final : public RunModel {
 [[nodiscard]] ExperimentResult resume_fabric_experiment(const FabricConfig& config,
                                                         std::span<const std::byte> checkpoint);
 
+/// The run `request` asks for — plain, snapshot, resume or roundtrip, as
+/// run_checkpoint_request switches them — over `sc`, which must be
+/// build_fabric_scenario(config).  A caller that also prints the scenario
+/// builds it once and hands it in here.
+[[nodiscard]] ExperimentResult run_fabric_checkpoint_request(
+    const FabricConfig& config, const FabricScenario& sc, const SweepCheckpointRequest& request);
+
 /// Metric extractor for fabric sweeps: premium throughput / loss / p100
 /// delay vs. planner bound, aggregate throughput, cross-traffic loss.
 [[nodiscard]] std::map<std::string, double> fabric_metrics(const ExperimentResult& result);

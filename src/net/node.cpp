@@ -1,5 +1,6 @@
 #include "net/node.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <string>
@@ -11,23 +12,27 @@ namespace bufq {
 
 OutputPort::OutputPort(Simulator& sim, Rate rate, Time propagation_delay,
                        std::unique_ptr<BufferManager> manager,
-                       std::unique_ptr<QueueDiscipline> discipline, PacketSink* downstream)
+                       std::unique_ptr<QueueDiscipline> discipline, PacketSink* downstream,
+                       std::vector<FlowId> flows)
     : sim_{sim},
       propagation_{propagation_delay},
       manager_{std::move(manager)},
       discipline_{std::move(discipline)},
-      downstream_{downstream} {
+      downstream_{downstream},
+      flows_{std::move(flows)} {
   assert(manager_ != nullptr);
   assert(discipline_ != nullptr);
   assert(propagation_ >= Time::zero());
+  assert(std::is_sorted(flows_.begin(), flows_.end()));
   discipline_->set_drop_handler([this](const Packet& p, Time t) {
     drops_metric_.add();
     drop_bytes_metric_.add(static_cast<std::uint64_t>(p.size_bytes));
-    if (drop_tap_) drop_tap_(p, t);
+    if (drop_tap_) drop_tap_(to_global(p), t);
   });
   link_ = std::make_unique<Link>(sim_, *discipline_, rate);
   if (downstream_ != nullptr) {
-    link_->set_delivery_handler([this](const Packet& p, Time) {
+    link_->set_delivery_handler([this](const Packet& slotted, Time) {
+      const Packet p = to_global(slotted);
       if (propagation_ == Time::zero()) {
         downstream_->accept(p);
       } else {
@@ -41,6 +46,24 @@ OutputPort::OutputPort(Simulator& sim, Rate rate, Time propagation_delay,
       }
     });
   }
+}
+
+BUFQ_HOT void OutputPort::accept(const Packet& packet, std::uint32_t slot) {
+  assert(slot < flows_.size() && flows_[slot] == packet.flow);
+  Packet slotted = packet;
+  slotted.flow = static_cast<FlowId>(slot);
+  link_->accept(slotted);
+}
+
+BUFQ_HOT Packet OutputPort::to_global(Packet packet) const {
+  assert(packet.flow >= 0 && static_cast<std::size_t>(packet.flow) < flows_.size());
+  packet.flow = flows_[static_cast<std::size_t>(packet.flow)];
+  return packet;
+}
+
+std::int64_t OutputPort::slot_of(FlowId flow) const {
+  const auto it = std::lower_bound(flows_.begin(), flows_.end(), flow);
+  return it != flows_.end() && *it == flow ? it - flows_.begin() : -1;
 }
 
 void OutputPort::arm_front() {
@@ -101,23 +124,69 @@ std::size_t Node::add_port(std::unique_ptr<OutputPort> port) {
 void Node::route(FlowId flow, std::size_t port_index) {
   assert(flow >= 0);
   assert(port_index < ports_.size());
-  if (static_cast<std::size_t>(flow) >= routes_.size()) {
-    routes_.resize(static_cast<std::size_t>(flow) + 1, -1);
+  const std::int64_t slot = ports_[port_index]->slot_of(flow);
+  assert(slot >= 0 && "the port has no slot for the flow");
+  // Keep the table at most half full.
+  if (2 * (routed_ + 1) > hops_.size()) {
+    std::vector<Hop> grown(std::max<std::size_t>(8, 2 * hops_.size()));
+    for (const Hop& hop : hops_) {
+      if (hop.flow >= 0) place(grown, hop);
+    }
+    hops_ = std::move(grown);
+    mask_ = hops_.size() - 1;
   }
-  routes_[static_cast<std::size_t>(flow)] = static_cast<std::int64_t>(port_index);
+  if (place(hops_, Hop{flow, static_cast<std::uint32_t>(port_index),
+                       static_cast<std::uint32_t>(slot)})) {
+    ++routed_;
+  }
+}
+
+BUFQ_HOT std::size_t Node::bucket(FlowId flow, std::size_t mask) {
+  const std::uint64_t h = static_cast<std::uint64_t>(static_cast<std::uint32_t>(flow)) *
+                          0x9E3779B97F4A7C15ull;
+  return static_cast<std::size_t>(h >> 32) & mask;
+}
+
+bool Node::place(std::vector<Hop>& table, const Hop& hop) {
+  const std::size_t mask = table.size() - 1;
+  for (std::size_t i = bucket(hop.flow, mask);; i = (i + 1) & mask) {
+    if (table[i].flow == hop.flow || table[i].flow < 0) {
+      const bool fresh = table[i].flow < 0;
+      table[i] = hop;
+      return fresh;
+    }
+  }
+}
+
+BUFQ_HOT const Node::Hop* Node::find(FlowId flow) const {
+  if (hops_.empty() || flow < 0) return nullptr;
+  for (std::size_t i = bucket(flow, mask_);; i = (i + 1) & mask_) {
+    if (hops_[i].flow == flow) return &hops_[i];
+    if (hops_[i].flow < 0) return nullptr;
+  }
+}
+
+std::int64_t Node::port_of(FlowId flow) const {
+  const Hop* hop = find(flow);
+  return hop == nullptr ? -1 : static_cast<std::int64_t>(hop->port);
 }
 
 BUFQ_HOT void Node::accept(const Packet& packet) {
-  const auto f = static_cast<std::size_t>(packet.flow);
-  if (packet.flow < 0 || f >= routes_.size() || routes_[f] < 0) {
+  const Hop* hop = find(packet.flow);
+  if (hop == nullptr) {
     ++unrouted_packets_;
     unrouted_metric_.add();
     return;
   }
-  ports_[static_cast<std::size_t>(routes_[f])]->ingress().accept(packet);
+  ports_[hop->port]->accept(packet, hop->slot);
 }
 
 OutputPort& Node::port(std::size_t index) {
+  assert(index < ports_.size());
+  return *ports_[index];
+}
+
+const OutputPort& Node::port(std::size_t index) const {
   assert(index < ports_.size());
   return *ports_[index];
 }

@@ -8,6 +8,13 @@
 // front of a Link whose deliveries are handed — after a propagation
 // delay — to the next hop's ingress.
 //
+// Flow slots: a port's manager and discipline hold state only for the
+// flows routed through it, one slot each, so a flow costs a counter and a
+// threshold at the ports that carry it and nothing elsewhere.  The node
+// maps a global flow id to its (port, slot) pair; the port rewrites
+// Packet::flow to the slot on ingress and back to the global id on
+// delivery and on drop, so everything outside the port sees global ids.
+//
 // Composition rule (network calculus, used by tests and the multi_hop
 // example): a (sigma, rho)-conformant flow leaving a FIFO hop with buffer
 // B and rate R is (sigma + rho * B/R, rho)-conformant, because the hop
@@ -19,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,17 +48,26 @@ class CheckpointWriter;
 class OutputPort {
  public:
   /// The port owns its manager and discipline; `discipline` must already
-  /// reference `*manager`.  `downstream` may be null (traffic terminates
-  /// here); it must outlive the port.
+  /// reference `*manager`.  Both are built over slots: `flows[k]` is the
+  /// global id of the flow in slot k, and the ids ascend, so slot order is
+  /// flow-id order.  `downstream` may be null (traffic terminates here);
+  /// it must outlive the port.
   OutputPort(Simulator& sim, Rate rate, Time propagation_delay,
              std::unique_ptr<BufferManager> manager,
-             std::unique_ptr<QueueDiscipline> discipline, PacketSink* downstream);
+             std::unique_ptr<QueueDiscipline> discipline, PacketSink* downstream,
+             std::vector<FlowId> flows);
 
   OutputPort(const OutputPort&) = delete;
   OutputPort& operator=(const OutputPort&) = delete;
 
-  /// Where upstream hands packets in.
-  [[nodiscard]] PacketSink& ingress() { return *link_; }
+  /// Where upstream hands in a packet of the flow in `slot`: the packet
+  /// enters the discipline under the slot id.
+  void accept(const Packet& packet, std::uint32_t slot);
+
+  /// The slot of `flow`, or -1 when the port does not carry it.
+  [[nodiscard]] std::int64_t slot_of(FlowId flow) const;
+  /// The global flow id in each slot.
+  [[nodiscard]] std::span<const FlowId> flows() const { return flows_; }
 
   [[nodiscard]] const Link& link() const { return *link_; }
   [[nodiscard]] const BufferManager& manager() const { return *manager_; }
@@ -78,6 +95,9 @@ class OutputPort {
     std::uint64_t seq;
   };
 
+  /// The packet as the rest of the fabric sees it: its slot id turned
+  /// back into the global flow id.
+  [[nodiscard]] Packet to_global(Packet packet) const;
   /// Files the wire's head arrival under its stored (time, seq).
   void arm_front();
   void deliver_front();
@@ -88,6 +108,7 @@ class OutputPort {
   std::unique_ptr<QueueDiscipline> discipline_;
   std::unique_ptr<Link> link_;
   PacketSink* downstream_;
+  std::vector<FlowId> flows_;  ///< slot -> global flow id, ascending
   /// Packets on the propagation wire, oldest first.  The delay is
   /// constant, so arrivals leave in FIFO order and only the head holds a
   /// calendar event; the rest keep the (time, seq) reserved on transmit
@@ -110,15 +131,23 @@ class Node final : public PacketSink {
   /// Adds a port and returns its index.  The node owns the port.
   std::size_t add_port(std::unique_ptr<OutputPort> port);
 
-  /// Routes `flow` through port `port_index`.  A flow without a route is
-  /// dropped on arrival (counted in unrouted_packets).
+  /// Routes `flow` through port `port_index`, into that port's slot for
+  /// it; the port must carry `flow`.  A flow without a route is dropped on
+  /// arrival (counted in unrouted_packets).
   void route(FlowId flow, std::size_t port_index);
 
   void accept(const Packet& packet) override;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] OutputPort& port(std::size_t index);
+  [[nodiscard]] const OutputPort& port(std::size_t index) const;
+  [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
   [[nodiscard]] std::uint64_t unrouted_packets() const { return unrouted_packets_; }
+  /// How many flows the node routes.
+  [[nodiscard]] std::size_t routed_flows() const { return routed_; }
+  /// The port `flow` is routed through, or -1 when the node does not
+  /// route it.
+  [[nodiscard]] std::int64_t port_of(FlowId flow) const;
 
   /// Checkpointable: own counters, then every port in index order.
   /// Routes are static topology configuration and are not serialized.
@@ -126,9 +155,30 @@ class Node final : public PacketSink {
   void restore_state(CheckpointReader& r, std::size_t node_index);
 
  private:
+  /// A routed flow's port and its slot there.
+  struct Hop {
+    FlowId flow{-1};  ///< -1 marks an empty bucket
+    std::uint32_t port{0};
+    std::uint32_t slot{0};
+  };
+
+  /// The bucket `flow` hashes to in a table of `mask + 1` buckets
+  /// (Fibonacci hashing).
+  [[nodiscard]] static std::size_t bucket(FlowId flow, std::size_t mask);
+  [[nodiscard]] const Hop* find(FlowId flow) const;
+  /// Places `hop` in `table`, whose size is a power of two and which has
+  /// an empty bucket, replacing the flow's previous hop.  Returns whether
+  /// the flow is new to the table.
+  static bool place(std::vector<Hop>& table, const Hop& hop);
+
   std::string name_;
   std::vector<std::unique_ptr<OutputPort>> ports_;
-  std::vector<std::int64_t> routes_;  // flow -> port index, -1 = unrouted
+  /// The routed flows, open addressing with linear probing: a power-of-
+  /// two table at most half full, so a lookup is O(1) expected and the
+  /// node's memory follows the flows it carries, not the run's flow count.
+  std::vector<Hop> hops_;
+  std::size_t mask_{0};  ///< hops_.size() - 1 once the table exists
+  std::size_t routed_{0};
   std::uint64_t unrouted_packets_{0};
   obs::CounterHandle unrouted_metric_{obs::CounterHandle::lookup("net.unrouted_packets")};
 };

@@ -161,14 +161,14 @@ TEST(PlannerTest, ThresholdVectorSplitsLeftoverAcrossBestEffort) {
   config.premium_rate = Rate::megabits_per_second(12.0);
   const FabricScenario scenario = build_fabric_scenario(config);
   const LinkId first_hop = scenario.plan.flows[0].path.front();
-  const std::size_t flows = scenario.bindings.size();
-  const auto thresholds = scenario.plan.thresholds_for(first_hop, flows);
-  ASSERT_EQ(thresholds.size(), flows);
+  const auto carried = scenario.plan.link_flows(first_hop);
   // Premium reservation, then the single local cross flow takes the
   // leftover; the downstream cross flows never touch this link.
-  EXPECT_EQ(thresholds[0], 126'000);
-  EXPECT_EQ(thresholds[1], 500'000 - 126'000);
-  for (std::size_t f = 2; f < flows; ++f) EXPECT_EQ(thresholds[f], 0);
+  ASSERT_EQ(carried.size(), 2u);
+  EXPECT_EQ(carried[0].flow, 0);
+  EXPECT_EQ(carried[0].threshold_bytes, 126'000);
+  EXPECT_EQ(carried[1].flow, 1);
+  EXPECT_EQ(carried[1].threshold_bytes, 500'000 - 126'000);
 }
 
 /// The acceptance property: across a 5-hop parking lot where every trunk

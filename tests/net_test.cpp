@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/threshold.h"
@@ -32,14 +33,17 @@ class RecordingSink final : public PacketSink {
   std::vector<Packet> packets;
 };
 
-/// Builds a FIFO+tail-drop port.
+/// Builds a FIFO+tail-drop port carrying flows 0 .. flows-1 (slot k holds
+/// flow k).
 std::unique_ptr<OutputPort> make_port(Simulator& sim, Rate rate, Time prop,
                                       PacketSink* downstream, std::size_t flows = 4,
                                       ByteSize buffer = ByteSize::megabytes(1.0)) {
   auto manager = std::make_unique<TailDropManager>(buffer, flows);
   auto discipline = std::make_unique<FifoScheduler>(*manager);
+  std::vector<FlowId> carried(flows);
+  std::iota(carried.begin(), carried.end(), 0);
   return std::make_unique<OutputPort>(sim, rate, prop, std::move(manager),
-                                      std::move(discipline), downstream);
+                                      std::move(discipline), downstream, std::move(carried));
 }
 
 TEST(NodeTest, ForwardsByRoute) {
@@ -331,7 +335,8 @@ TEST(NodeTest, PerHopThresholdsProtectAcrossTwoHops) {
   const auto buffer = ByteSize::kilobytes(500.0);
   const FlowSpec e2e{Rate::megabits_per_second(12.0), ByteSize::bytes(2 * kPkt)};
 
-  // Hop 2: flows are {0 = the protected flow, 2 = local adversary}.
+  // Hop 2 carries {0 = the protected flow, 2 = local adversary} in slots
+  // 0 and 1.
   const auto hop2_spec = output_envelope(e2e, buffer, kLink);
   const auto t0_hop2 = hop2_spec.sigma.count() + 2 * kPkt +
                        static_cast<std::int64_t>(
@@ -340,27 +345,27 @@ TEST(NodeTest, PerHopThresholdsProtectAcrossTwoHops) {
   Node r2{"r2"};
   {
     auto manager = std::make_unique<ThresholdManager>(
-        buffer, std::vector<std::int64_t>{t0_hop2, 0, buffer.count() - t0_hop2});
+        buffer, std::vector<std::int64_t>{t0_hop2, buffer.count() - t0_hop2});
     auto discipline = std::make_unique<FifoScheduler>(*manager);
     r2.add_port(std::make_unique<OutputPort>(sim, kLink, Time::milliseconds(1),
                                              std::move(manager), std::move(discipline),
-                                             &sink));
+                                             &sink, std::vector<FlowId>{0, 2}));
   }
   r2.route(0, 0);
   r2.route(2, 0);
 
-  // Hop 1: flows {0, 1 = local adversary}.
+  // Hop 1 carries {0, 1 = local adversary}.
   const auto t0_hop1 =
       e2e.sigma.count() +
       static_cast<std::int64_t>(static_cast<double>(buffer.count()) * (e2e.rho / kLink));
   Node r1{"r1"};
   {
     auto manager = std::make_unique<ThresholdManager>(
-        buffer, std::vector<std::int64_t>{t0_hop1, buffer.count() - t0_hop1, 0});
+        buffer, std::vector<std::int64_t>{t0_hop1, buffer.count() - t0_hop1});
     auto discipline = std::make_unique<FifoScheduler>(*manager);
     r1.add_port(std::make_unique<OutputPort>(sim, kLink, Time::milliseconds(1),
                                              std::move(manager), std::move(discipline),
-                                             &r2));
+                                             &r2, std::vector<FlowId>{0, 1}));
   }
   r1.route(0, 0);
   r1.route(1, 0);
