@@ -264,8 +264,8 @@ void measure_dequeue_latency(QueueDiscipline& queue, const std::vector<FlowId>& 
 }
 
 /// Self-rescheduling event spinner for the pure-kernel measurement: a
-/// fixed population of periodic events with co-prime-ish gaps, so the
-/// calendar stays mixed-depth while nothing but the kernel runs.
+/// fixed population of periodic events, so the calendar stays at a fixed
+/// depth while nothing but the kernel runs.
 struct KernelTicker {
   Simulator* sim{nullptr};
   Time gap{Time::zero()};
@@ -279,24 +279,40 @@ struct KernelTicker {
   }
 };
 
+/// The two ticker populations the kernel is timed on.
+enum class KernelGaps {
+  /// 64 co-prime-ish gaps, one per ticker: no two filings share a delay,
+  /// the worst case for the calendar's constant-delay lanes.
+  kCoprime,
+  /// One gap for all 64 tickers, each at its own phase: the fabric's
+  /// shape (every port completion one transmission time out).
+  kShared,
+};
+
 /// Events/s of the bare calendar + dispatch loop, with no packets, no
 /// schedulers, and no metrics recording in the way.  Each rep runs a few
 /// million events; the reported rate is the median of kKernelReps reps
 /// (bit-identical simulations — only wall time varies), the same
 /// convention events_per_sec uses for the Table-1 scenario.
-double measure_kernel_events_per_sec() {
+double measure_kernel_events_per_sec(KernelGaps gaps) {
   constexpr int kTickers = 64;
   constexpr std::int64_t kEvents = 4'000'000;
   constexpr int kKernelReps = 5;
+  constexpr std::int64_t kSharedGap = 8'333;  // 500 B at 480 Mb/s
   std::vector<double> rates;
   rates.reserve(kKernelReps);
   for (int rep = 0; rep < kKernelReps; ++rep) {
     Simulator sim;
     std::vector<KernelTicker> tickers(kTickers);
     for (int i = 0; i < kTickers; ++i) {
-      tickers[static_cast<std::size_t>(i)] =
-          KernelTicker{&sim, Time::nanoseconds(997 + 13 * i), kEvents / kTickers};
-      tickers[static_cast<std::size_t>(i)].arm();
+      KernelTicker& ticker = tickers[static_cast<std::size_t>(i)];
+      if (gaps == KernelGaps::kCoprime) {
+        ticker = KernelTicker{&sim, Time::nanoseconds(997 + 13 * i), kEvents / kTickers};
+        ticker.arm();
+      } else {
+        ticker = KernelTicker{&sim, Time::nanoseconds(kSharedGap), kEvents / kTickers};
+        sim.at(Time::nanoseconds(kSharedGap * i / kTickers), [&ticker] { ticker.arm(); });
+      }
     }
     const auto begin = std::chrono::steady_clock::now();
     sim.run();
@@ -376,7 +392,9 @@ int run_metrics_mode(const std::string& path) {
     report.derived["events_per_sec"] = rates[rates.size() / 2];
     report.derived["events_per_sec_best"] = rates.back();
   }
-  report.derived["kernel_events_per_sec"] = measure_kernel_events_per_sec();
+  report.derived["kernel_events_per_sec"] = measure_kernel_events_per_sec(KernelGaps::kCoprime);
+  report.derived["kernel_shared_gap_events_per_sec"] =
+      measure_kernel_events_per_sec(KernelGaps::kShared);
   const auto fifo_lat = report.snapshot.histograms.find("bench.fifo_dequeue_ns");
   if (fifo_lat != report.snapshot.histograms.end()) {
     report.derived["fifo_dequeue_p50_ns"] = fifo_lat->second.percentile(0.50);

@@ -1,16 +1,19 @@
 // Route computation over a fabric::Topology.
 //
-// A RouteTable holds, for every (node, destination) pair, the set of
+// A RouteTable answers, for every (node, destination) pair, the set of
 // equal-cost next-hop links on a shortest path (hop-count metric, one BFS
-// per destination over the reversed graph).  All sets live in one flat
-// array indexed by an offsets vector, so the table allocates nothing per
-// node pair.  Multi-path fabrics — leaf-spine uplinks, fat-tree
-// edge/aggregation tiers, even WAN-ring antipodes — naturally yield
-// several next hops; flows are pinned to one by a deterministic flow hash
-// (ECMP), so a flow's packets never reorder across paths and the chosen
-// path depends only on (flow, node, salt) — never on thread count or
-// scheduling, which is what keeps fabric sweeps bit-identical at any
-// --jobs.
+// per destination over the reversed graph).  It stores rows only for
+// nodes with more than one out-link: a node with one out-link (a host
+// and its uplink) always forwards on it, and its distance is one more
+// than its neighbour's, so it is answered from the neighbour's row.  All
+// stored sets live in one flat array indexed by an offsets vector, so the
+// table allocates nothing per node pair.  Multi-path fabrics — leaf-spine
+// uplinks, fat-tree edge/aggregation tiers, even WAN-ring antipodes —
+// naturally yield several next hops; flows are pinned to one by a
+// deterministic flow hash (ECMP), so a flow's packets never reorder
+// across paths and the chosen path depends only on (flow, node, salt) —
+// never on thread count or scheduling, which is what keeps fabric sweeps
+// bit-identical at any --jobs.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +39,21 @@ class RouteTable {
   [[nodiscard]] int distance(NodeId node, NodeId dst) const;
 
  private:
-  [[nodiscard]] std::size_t pair_index(NodeId node, NodeId dst) const;
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+  static constexpr LinkId kNoLink = -1;
+
+  /// Index of (row, dst) in offsets_ and dist_.
+  [[nodiscard]] std::size_t pair_index(std::uint32_t row, NodeId dst) const;
 
   std::size_t nodes_{0};
-  /// The set of pair p = dst * nodes_ + node is
+  std::size_t rows_{0};
+  /// Per node: its row, or kNoRow when it has at most one out-link.
+  std::vector<std::uint32_t> row_;
+  /// Per node without a row: its one out-link and that link's head, or
+  /// kNoLink when it has none.
+  std::vector<LinkId> link_;
+  std::vector<NodeId> neighbour_;
+  /// The set of pair p = dst * rows_ + row is
   /// hops_[offsets_[p] .. offsets_[p + 1]).
   std::vector<std::uint32_t> offsets_;
   std::vector<LinkId> hops_;

@@ -55,9 +55,7 @@ class InlineAction {
                 std::is_invocable_r_v<void, std::remove_cvref_t<F>&> && stores_inline<F>>>
   // NOLINTNEXTLINE(google-explicit-constructor): mirrors std::function.
   BUFQ_HOT InlineAction(F&& f) {
-    using Fn = std::remove_cvref_t<F>;
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = &inline_ops<Fn>;
+    construct(std::forward<F>(f));
   }
 
   BUFQ_HOT InlineAction(InlineAction&& other) noexcept { move_from(other); }
@@ -68,6 +66,21 @@ class InlineAction {
       move_from(other);
     }
     return *this;
+  }
+
+  /// Replaces the stored callable with `f`, built in place: the event
+  /// calendar files an action straight into its slab slot this way.
+  /// Accepts what the converting constructor accepts, or an InlineAction.
+  template <typename F>
+  BUFQ_HOT void assign(F&& f) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineAction>) {
+      *this = std::move(f);
+    } else {
+      static_assert(stores_inline<F> && std::is_invocable_r_v<void, std::remove_cvref_t<F>&>,
+                    "the callable must fit an InlineAction");
+      reset();
+      construct(std::forward<F>(f));
+    }
   }
 
   InlineAction(const InlineAction&) = delete;
@@ -115,6 +128,14 @@ class InlineAction {
       std::is_trivially_copyable_v<Fn> ? nullptr : &relocate_inline<Fn>,
       std::is_trivially_destructible_v<Fn> ? nullptr : &destroy_inline<Fn>,
   };
+
+  /// Builds `f` into the (empty) buffer.
+  template <typename F>
+  BUFQ_HOT void construct(F&& f) {
+    using Fn = std::remove_cvref_t<F>;
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &inline_ops<Fn>;
+  }
 
   BUFQ_HOT void move_from(InlineAction& other) noexcept {
     ops_ = other.ops_;

@@ -17,7 +17,11 @@ BUFQ_HOT void LazyLink::start(Time t) {
   if (!next) return;
   busy_ = true;
   in_flight_ = *next;
-  const Time tx = rate_.transmission_time(in_flight_.size_bytes);
+  if (in_flight_.size_bytes != tx_bytes_) {
+    tx_bytes_ = in_flight_.size_bytes;
+    tx_time_ = rate_.transmission_time(tx_bytes_);
+  }
+  const Time tx = tx_time_;
   BUFQ_CHECK(tx >= Time::zero(), check::Invariant::kEventClock, in_flight_.flow, t,
              tx.to_seconds(), 0.0, "negative transmission time");
   departs_ = t + tx;

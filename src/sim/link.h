@@ -120,6 +120,11 @@ class LazyLink final : public PacketSink {
   Packet in_flight_{};
   bool busy_{false};
   Time departs_{Time::zero()};
+  /// The last (size -> transmission time) pair start() worked out: most
+  /// links send one packet size, so this spares a divide and a rounding
+  /// per packet.  Derived state, not checkpointed.
+  std::int64_t tx_bytes_{-1};
+  Time tx_time_{Time::zero()};
 #if BUFQ_CHECKS_ENABLED
   /// When the transmission in progress began and, if it began at the
   /// clock's own instant, the first seq handed out after it began; a start

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <utility>
 
 namespace bufq {
@@ -21,40 +20,74 @@ ParallelCoordinator::ParallelCoordinator(Config config, SyncHook on_sync)
     channels_.emplace_back(static_cast<std::int32_t>(s), n);
   }
   pending_.resize(n);
-  next_.resize(n);
+  received_.resize(n, 0);
   failed_.resize(n, 0);
 }
 
+std::uint64_t ParallelCoordinator::boundary_events() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t r : received_) total += r;
+  return total;
+}
+
 bool ParallelCoordinator::next_window(std::int32_t shard, Window& out, bool failed) {
-  if (failed) failed_[static_cast<std::size_t>(shard)] = 1;
+  const auto me = static_cast<std::size_t>(shard);
+  if (failed) failed_[me] = 1;
   barrier_.arrive_and_wait();
-  // done_ and next_ were written by the completion callback under the
-  // barrier mutex; the wakeup carries the happens-before edge.
+  // advance() wrote the fields read below under the barrier mutex; the
+  // wakeup carries the happens-before edge.
+  if (aborted_) return false;
+  channels_[me].set_phase((barriers_ + 1) & 1);
+  // Counted also after the drain round, whose emissions are dropped.
+  gather(me, out.incoming);
   if (done_) return false;
-  out = std::move(next_[static_cast<std::size_t>(shard)]);
+  out.end = cur_;
+  out.final = drain_issued_;
   return true;
 }
 
+void ParallelCoordinator::gather(std::size_t shard, std::vector<BoundaryEvent>& incoming) {
+  const bool drain = drain_issued_;
+  const auto due = [&](const BoundaryEvent& ev) { return drain ? ev.time <= cur_ : ev.time < cur_; };
+  auto& queue = pending_[shard];
+  incoming.clear();
+  // Carried events first, then the finished window's in channel order;
+  // the sort below imposes the (time, src_shard, seq) order regardless.
+  auto keep = queue.begin();
+  for (auto& ev : queue) {
+    if (due(ev)) {
+      incoming.push_back(std::move(ev));
+    } else {
+      *keep++ = std::move(ev);
+    }
+  }
+  queue.erase(keep, queue.end());
+  const std::size_t written = barriers_ & 1;
+  for (auto& channel : channels_) {
+    auto& box = channel.outbox(written, shard);
+    received_[shard] += box.size();
+    for (auto& ev : box) {
+      if (due(ev)) {
+        incoming.push_back(std::move(ev));
+      } else {
+        queue.push_back(std::move(ev));
+      }
+    }
+    box.clear();
+  }
+  // In the drain round anything past the horizon is unreachable.
+  if (drain) queue.clear();
+  std::sort(incoming.begin(), incoming.end(), boundary_before);
+}
+
 void ParallelCoordinator::advance() {
+  ++barriers_;
   // A failed shard cannot finish the run, so no other shard should
   // simulate on to the horizon: end every shard at this barrier.
   if (std::find(failed_.begin(), failed_.end(), 1) != failed_.end()) {
+    aborted_ = true;
     done_ = true;
     return;
-  }
-
-  // Drain every channel's outboxes.  Emission order within a channel is
-  // already (time-monotonic per sender, seq-ordered overall); the sort at
-  // delivery planning below imposes the global (time, src_shard, seq)
-  // order regardless.
-  const auto n = static_cast<std::size_t>(config_.shards);
-  for (auto& channel : channels_) {
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      auto& box = channel.outbox(dst);
-      boundary_events_ += box.size();
-      std::move(box.begin(), box.end(), std::back_inserter(pending_[dst]));
-      box.clear();
-    }
   }
 
   // Completed windows now cover exactly [0, cur_); fire the sync hook
@@ -76,29 +109,6 @@ void ParallelCoordinator::advance() {
     }
     if (end > config_.horizon) end = config_.horizon;
   }
-
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    Window& w = next_[dst];
-    w.end = end;
-    w.final = drain;
-    w.incoming.clear();
-    auto& queue = pending_[dst];
-    // Stable partition: due events out, not-yet-due events stay (in the
-    // drain round anything past the horizon is unreachable and dropped).
-    auto keep = queue.begin();
-    for (auto& ev : queue) {
-      const bool due = drain ? ev.time <= end : ev.time < end;
-      if (due) {
-        w.incoming.push_back(std::move(ev));
-      } else {
-        *keep++ = std::move(ev);
-      }
-    }
-    queue.erase(keep, queue.end());
-    if (drain) queue.clear();
-    std::sort(w.incoming.begin(), w.incoming.end(), boundary_before);
-  }
-
   cur_ = end;
   drain_issued_ = drain;
   ++windows_;

@@ -38,10 +38,12 @@
 namespace bufq {
 
 /// Barrier-synchronized window scheduler for a sharded run.  Shard
-/// workers loop on next_window(); the last arriver of each barrier runs
-/// the exchange (drain outboxes, sort, plan the next window) while the
-/// others sleep, so all coordinator state is mutated single-threaded
-/// with happens-before edges through the barrier mutex — no atomics.
+/// workers loop on next_window(); the last arriver of each barrier plans
+/// the next window while the others sleep, and then every worker
+/// gathers, in parallel, the boundary events bound for its own shard.
+/// Shared coordinator state is mutated single-threaded and per-shard
+/// state only by its shard's worker, with happens-before edges through
+/// the barrier mutex — no atomics.
 class ParallelCoordinator {
  public:
   struct Config {
@@ -83,9 +85,10 @@ class ParallelCoordinator {
   }
 
   /// Blocks at the barrier until all shards arrive, then receives the
-  /// next window into `out`.  Returns false when the run is complete
-  /// (after the drain round) or when any shard arrived with `failed`
-  /// set: a failed shard ends the run for every shard at that barrier.
+  /// next window into `out`, reusing its storage.  Returns false when
+  /// the run is complete (after the drain round) or when any shard
+  /// arrived with `failed` set: a failed shard ends the run for every
+  /// shard at that barrier.
   /// Each shard must keep calling this until it returns false — a failed
   /// shard included, passing `failed` — or the barrier deadlocks.
   [[nodiscard]] bool next_window(std::int32_t shard, Window& out, bool failed = false);
@@ -93,29 +96,43 @@ class ParallelCoordinator {
   /// Post-run accounting; read only after every worker has seen
   /// next_window() == false.
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
-  [[nodiscard]] std::uint64_t boundary_events() const { return boundary_events_; }
+  [[nodiscard]] std::uint64_t boundary_events() const;
 
  private:
-  /// Barrier completion callback: drain outboxes, fire the sync hook,
-  /// plan the next window (or the drain round, or completion).
+  /// Barrier completion callback: fire the sync hook, plan the next
+  /// window (or the drain round, or completion).
   void advance();
+
+  /// After a barrier, on `shard`'s worker: moves the boundary events the
+  /// finished window sent to `shard` out of every channel, and the due
+  /// ones, sorted, into `incoming`.
+  void gather(std::size_t shard, std::vector<BoundaryEvent>& incoming);
 
   Config config_;
   SyncHook on_sync_;
   std::vector<BoundaryChannel> channels_;
-  /// Per destination shard: boundary events received but not yet due.
+  /// Per destination shard, touched only by its worker: boundary events
+  /// received but not yet due.
   std::vector<std::vector<BoundaryEvent>> pending_;
-  /// Per shard: the window planned by the latest advance().
-  std::vector<Window> next_;
+  /// Per destination shard, touched only by its worker: boundary events
+  /// received over the run.
+  std::vector<std::uint64_t> received_;
   /// Per shard: set by next_window(failed = true).  Each shard writes only
   /// its own byte (not vector<bool>, whose bits share words) before it
   /// arrives; advance() reads them all under the barrier.
   std::vector<std::uint8_t> failed_;
+  /// End of the window planned by the latest advance(), the same for
+  /// every shard: the completed windows cover [0, cur_) once it has run.
   Time cur_{Time::zero()};
   bool drain_issued_{false};
   bool done_{false};
+  /// A shard failed: the run ends without counting the last exchange.
+  bool aborted_{false};
+  /// Barriers completed.  The outbox set written in a window alternates
+  /// with its parity, so the set a finished window wrote is
+  /// `barriers_ & 1` after the barrier that ends it.
+  std::uint64_t barriers_{0};
   std::uint64_t windows_{0};
-  std::uint64_t boundary_events_{0};
   // Last member: its completion callback touches everything above.
   PhaseBarrier barrier_;
 };

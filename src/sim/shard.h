@@ -5,10 +5,10 @@
 // BoundaryEvent: a packet that left one shard over a cut link and must be
 // delivered into another shard's timeline.  BoundaryChannel is the sole
 // sanctioned conduit — one per source shard, single-writer by design (the
-// owning shard writes during a lookahead window; the coordinator drains
-// the outboxes inside the barrier completion callback while every worker
-// is parked), so no atomics are needed and TSan sees a clean
-// happens-before chain through the barrier mutex.
+// owning shard writes one of two outbox sets during a lookahead window;
+// in the next window each destination shard drains its outbox from the
+// other set, while the owner writes the first), so no atomics are needed
+// and TSan sees a clean happens-before chain through the barrier mutex.
 //
 // Determinism hinges on the merge order: receivers deliver boundary
 // events sorted by (time, src_shard, seq).  (src_shard, seq) is unique —
@@ -16,6 +16,7 @@
 // independent of thread scheduling.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -49,32 +50,40 @@ struct BoundaryEvent {
   return a.seq < b.seq;
 }
 
-/// Per-source-shard outboxes, one vector per destination shard.  Written
-/// only by the owning shard's worker thread during a window; read and
-/// cleared only by the coordinator inside the barrier completion
-/// callback.  The two phases never overlap, so plain vectors suffice.
+/// Per-source-shard outboxes, one vector per destination shard, in two
+/// sets that alternate by window: the owning shard's worker writes the
+/// set of the current window, and in the window after, each destination
+/// shard's worker drains and clears its outbox in that set.  A set is
+/// written again only two windows later, after its readers have passed
+/// the barrier between, so plain vectors suffice.
 class BoundaryChannel {
  public:
   BoundaryChannel(std::int32_t src_shard, std::size_t shard_count)
-      : src_shard_{src_shard}, out_(shard_count) {}
+      : src_shard_{src_shard} {
+    for (auto& set : out_) set.resize(shard_count);
+  }
 
   /// Records a packet arriving in `dst_shard` at `time`.  Called from the
   /// owning shard's run loop only.
   void emit(std::int32_t dst_shard, Time time, std::int32_t dest, const Packet& packet) {
-    out_[static_cast<std::size_t>(dst_shard)].push_back(
+    out_[phase_][static_cast<std::size_t>(dst_shard)].push_back(
         BoundaryEvent{time, src_shard_, next_seq_++, dest, packet});
   }
 
-  /// Coordinator-only access (barrier completion callback): the pending
-  /// events bound for `dst_shard`, to be moved out and merged.
-  [[nodiscard]] std::vector<BoundaryEvent>& outbox(std::size_t dst_shard) {
-    return out_[dst_shard];
+  /// Owner only, between windows: the set emit() writes from now on.
+  void set_phase(std::size_t phase) { phase_ = phase; }
+
+  /// Destination-only access: the events bound for `dst_shard` in set
+  /// `phase`, to be moved out and cleared by that shard's worker.
+  [[nodiscard]] std::vector<BoundaryEvent>& outbox(std::size_t phase, std::size_t dst_shard) {
+    return out_[phase][dst_shard];
   }
 
  private:
   std::int32_t src_shard_;
   std::uint64_t next_seq_{0};
-  std::vector<std::vector<BoundaryEvent>> out_;
+  std::size_t phase_{0};
+  std::array<std::vector<std::vector<BoundaryEvent>>, 2> out_;
 };
 
 }  // namespace bufq

@@ -29,6 +29,7 @@ std::uint64_t Simulator::restore_state(CheckpointReader& r) {
   const std::uint64_t pending = r.read_u64();
   r.end_section();
   calendar_ = CalendarQueue{};
+  calendar_.advance_clock(now);
   now_ = now;
   next_seq_ = next_seq;
   processed_ = processed;

@@ -8,12 +8,12 @@
 //
 // The hot path is allocation-free: actions are InlineActions (captures
 // up to 48 bytes live inside the event record, see inline_action.h) and
-// the calendar is a keyed 4-ary heap (calendar_queue.h) that pops the
-// exact (time, seq) minimum and reuses its storage, so the steady-state
-// event loop performs zero heap allocations.  Schedule and dispatch are
-// defined inline below — each runs once per simulated event, and
-// inlining them with the calendar's push and pop removes a cross-TU
-// call per hop.
+// the calendar is a keyed 4-ary heap beside constant-delay FIFO lanes
+// (calendar_queue.h) that pops the exact (time, seq) minimum and reuses
+// its storage, so the steady-state event loop performs zero heap
+// allocations.  Schedule and dispatch are defined inline below — each
+// runs once per simulated event, and inlining them with the calendar's
+// push and pop removes a cross-TU call per hop.
 #pragma once
 
 #include <cassert>
@@ -34,8 +34,6 @@ class CheckpointWriter;
 
 class Simulator {
  public:
-  using Action = InlineAction;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -47,21 +45,22 @@ class Simulator {
   /// Returns the assigned sequence number: components that hold pending
   /// events record it alongside the fire time so checkpoint restore can
   /// re-arm with the exact (time, seq) key and preserve tie order.
-  BUFQ_HOT std::uint64_t at(Time t, Action action) {
+  /// `action` is any callable an InlineAction accepts (or an
+  /// InlineAction); it is built straight into the calendar's slab, with
+  /// no temporaries.
+  template <typename F>
+  BUFQ_HOT std::uint64_t at(Time t, F&& action) {
     const std::uint64_t seq = reserve(t);
-#if BUFQ_CHECKS_ENABLED
-    calendar_.push(CalendarQueue::Event{t, seq, std::move(action), now_});
-#else
-    calendar_.push(CalendarQueue::Event{t, seq, std::move(action)});
-#endif
+    calendar_.schedule(t, seq, now_, std::forward<F>(action));
     return seq;
   }
 
   /// Schedules `action` `delay` after the current time.  Requires a
   /// non-negative delay.  Returns the assigned sequence number (see at()).
-  BUFQ_HOT std::uint64_t in(Time delay, Action action) {
+  template <typename F>
+  BUFQ_HOT std::uint64_t in(Time delay, F&& action) {
     assert(delay >= Time::zero());
-    return at(now_ + delay, std::move(action));
+    return at(now_ + delay, std::forward<F>(action));
   }
 
   /// Hands out the next sequence number without filing an event, after
@@ -86,13 +85,14 @@ class Simulator {
   /// overwritten by the engine after re-arming and must not be perturbed.
   /// When the seq was handed out is not known here, so in checks builds a
   /// re-armed event counts as filed before anything (see dispatching()).
-  void rearm(Time t, std::uint64_t seq, Action action) {
+  template <typename F>
+  BUFQ_HOT void rearm(Time t, std::uint64_t seq, F&& action) {
     assert(t >= now_ && "cannot re-arm in the past");
     assert(seq < next_seq_ && "re-armed seq was never issued");
 #if BUFQ_CHECKS_ENABLED
-    calendar_.push(CalendarQueue::Event{t, seq, std::move(action), kFiledBeforeAnything});
+    calendar_.schedule(t, seq, kFiledBeforeAnything, std::forward<F>(action));
 #else
-    calendar_.push(CalendarQueue::Event{t, seq, std::move(action)});
+    calendar_.schedule(t, seq, Time::zero(), std::forward<F>(action));
 #endif
   }
 
@@ -116,7 +116,10 @@ class Simulator {
     while (!stopped_ && calendar_.pop_min_at_or_before(t, ev)) {
       dispatch(ev);
     }
-    if (!stopped_) now_ = t;
+    if (!stopped_) {
+      now_ = t;
+      calendar_.advance_clock(t);
+    }
     stopped_ = false;
   }
 
@@ -149,6 +152,7 @@ class Simulator {
     BUFQ_CHECK(t >= now_, check::Invariant::kEventClock, -1, now_, t.to_seconds(),
                now_.to_seconds(), "boundary event behind the shard clock");
     now_ = t;
+    calendar_.advance_clock(t);
     ++processed_;
     events_metric_.add();
     if ((processed_ & 63u) == 0) {

@@ -43,7 +43,9 @@ class DaryMinHeap {
     return data_.front();
   }
 
-  BUFQ_HOT void push(T value) {
+  // Always inlined: the calendar files through one out-of-line function,
+  // whose other paths would otherwise push the heap's sift out of line.
+  [[gnu::always_inline]] BUFQ_HOT void push(T value) {
     data_.push_back(std::move(value));
     sift_up(data_.size() - 1);
   }

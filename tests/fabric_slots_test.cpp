@@ -85,6 +85,21 @@ TEST(FlatRouteTableTest, NextHopsMatchBruteForceBfs) {
   expect_table_matches_brute_force(make_fat_tree(4, kLink, kLink).topo, "fat_tree k=4");
   expect_table_matches_brute_force(make_wan_ring(6, kLink, kLink).topo, "wan_ring");
   expect_table_matches_brute_force(make_parking_lot(5, kLink, kLink).topo, "parking_lot");
+  // Nodes with one out-link answer through their neighbour: here three of
+  // them form a directed cycle, which never meets the node with no
+  // out-link, and a two-link node feeds both.
+  Topology odd;
+  const NodeId a = odd.add_switch("a");
+  const NodeId b = odd.add_switch("b");
+  const NodeId c = odd.add_switch("c");
+  const NodeId sink = odd.add_host("sink");
+  const NodeId fork = odd.add_switch("fork");
+  odd.add_link(a, b, kLink);
+  odd.add_link(b, c, kLink);
+  odd.add_link(c, a, kLink);
+  odd.add_link(fork, a, kLink);
+  odd.add_link(fork, sink, kLink);
+  expect_table_matches_brute_force(odd, "single-link cycle");
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 // fallback, the sharded run's errors and audit, and the checkpoint x
 // sharding rejection.  The end-to-end
 // bit-identical contract lives in parallel_diff_test.cpp.
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
@@ -207,6 +208,56 @@ TEST(ParallelCoordinator, DeliversEqualTimestampsInSrcShardSeqOrder) {
   EXPECT_EQ(seen_by_2[0].src_shard, 0);
   EXPECT_EQ(seen_by_2[0].seq, 0u);
   EXPECT_EQ(seen_by_2[3].src_shard, 1);
+}
+
+// Boundary events due after the next window wait until their own: each
+// is delivered once, in the window [start, end) that holds its time (the
+// drain round for the horizon itself), while both shards write each
+// other's outboxes every window; emissions past the horizon are counted
+// but never delivered.
+TEST(ParallelCoordinator, DeliversEachBoundaryEventInTheWindowItIsDueIn) {
+  ParallelCoordinator::Config cfg;
+  cfg.shards = 2;
+  cfg.lookahead = Time::milliseconds(1);
+  cfg.horizon = Time::milliseconds(5);
+  ParallelCoordinator coord{cfg};
+
+  std::vector<std::vector<Time>> seen(2);
+  std::vector<int> misplaced(2, 0);
+  parallel_for(2, 2, [&](std::size_t s) {
+    const auto shard = static_cast<std::int32_t>(s);
+    ParallelCoordinator::Window w;
+    Time start = Time::zero();
+    while (coord.next_window(shard, w)) {
+      for (const BoundaryEvent& ev : w.incoming) {
+        seen[s].push_back(ev.time);
+        const bool inside = start <= ev.time && (w.final ? ev.time <= w.end : ev.time < w.end);
+        if (!inside) ++misplaced[s];
+      }
+      if (!w.final) {
+        for (const Time ahead : {Time::zero(), Time::microseconds(1500), Time::milliseconds(3)}) {
+          coord.channel(shard).emit(1 - shard, w.end + ahead, /*dest=*/0, Packet{});
+        }
+      }
+      start = w.end;
+    }
+  });
+
+  // Emitted at each interior window's end e in 1..5 ms: e, e + 1.5 and
+  // e + 3 ms; those up to the horizon arrive, in time order.
+  std::vector<Time> expected;
+  for (std::int64_t e = 1; e <= 5; ++e) {
+    for (const Time t : {Time::milliseconds(e), Time::milliseconds(e) + Time::microseconds(1500),
+                         Time::milliseconds(e + 3)}) {
+      if (t <= cfg.horizon) expected.push_back(t);
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(seen[s], expected) << "shard " << s;
+    EXPECT_EQ(misplaced[s], 0) << "shard " << s;
+  }
+  EXPECT_EQ(coord.boundary_events(), 30u);  // 5 windows x 3 events x 2 shards
 }
 
 // A shard that fails on its first call must end the run for its peer at

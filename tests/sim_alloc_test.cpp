@@ -101,6 +101,31 @@ TEST(SimAllocTest, SteadyStateEventLoopIsAllocationFree) {
       << "steady-state event loop performed heap allocations";
 }
 
+/// The fabric's shape: every ticker at one gap, each at its own phase,
+/// so the calendar holds its whole population in one constant-delay lane
+/// whose ring must keep its capacity too.
+TEST(SimAllocTest, OneDelayManyPhasesIsAllocationFree) {
+  Simulator sim;
+  std::vector<Ticker> tickers(256);
+  for (std::size_t i = 0; i < tickers.size(); ++i) {
+    tickers[i] = Ticker{&sim, Time::nanoseconds(8'333)};
+    sim.at(Time::nanoseconds(static_cast<std::int64_t>(i) * 31), [t = &tickers[i]] { t->arm(); });
+  }
+
+  sim.run_until(Time::microseconds(2000));
+  const std::uint64_t warmup_events = sim.events_processed();
+  ASSERT_GT(warmup_events, 10'000u);
+
+  const std::uint64_t allocs_before = g_allocations.load();
+  sim.run_until(Time::microseconds(6000));
+  const std::uint64_t allocs_after = g_allocations.load();
+
+  ASSERT_GT(sim.events_processed() - warmup_events, 100'000u);
+  EXPECT_EQ(sim.events_pending(), tickers.size());
+  EXPECT_EQ(allocs_after - allocs_before, 0u)
+      << "steady-state event loop performed heap allocations";
+}
+
 /// A fixed-capacity ring with tail drop: a discipline that allocates
 /// nothing itself, so the test measures only the link and the calendar.
 class RingDiscipline final : public QueueDiscipline {
