@@ -25,7 +25,7 @@ BenchOptions parse_options(int argc, const char* const* argv,
     options.jobs = flags.get_count("jobs", default_thread_count());
     options.progress = flags.get_bool("progress", false);
     options.metrics_out = flags.get("metrics-out").value_or("");
-    options.checkpoint = parse_sweep_checkpoint(flags);
+    options.checkpoint = parse_checkpoint_request(flags);
     const auto unknown = flags.unused();
     if (!unknown.empty()) {
       throw std::invalid_argument(

@@ -50,7 +50,8 @@ using bufq::threshold_figure_schemes;
 ///   --checkpoint-events=N  snapshot after N dispatched events
 ///   --checkpoint-at=SECS   snapshot at simulated time SECS (default:
 ///                          end of warmup)
-/// The three mode flags are mutually exclusive.
+/// The three mode flags are mutually exclusive, and the two trigger flags
+/// need --checkpoint-out or --checkpoint-roundtrip.
 struct BenchOptions {
   std::size_t seeds{5};
   std::uint64_t base_seed{1};
@@ -60,7 +61,7 @@ struct BenchOptions {
   std::size_t jobs{0};  ///< 0 = hardware concurrency
   bool progress{false};
   std::string metrics_out;  ///< empty = no metrics artifact
-  SweepCheckpoint checkpoint;
+  CheckpointRequest checkpoint;
 };
 
 /// Parses options; exits 2 with a message on malformed or unknown flags.

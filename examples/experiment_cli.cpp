@@ -22,7 +22,8 @@
 //   --checkpoint-roundtrip snapshot + restore in-process; the report must
 //                          match a plain run exactly
 //   --checkpoint-events=N / --checkpoint-at=SECS  when to snapshot
-//                          (default: end of warmup)
+//                          (default: end of warmup; either needs
+//                          --checkpoint-out or --checkpoint-roundtrip)
 //
 // The replications are one case of the sweep engine (expt/sweep.h): seeds
 // derive from SeedSequence(1), and they run on every hardware thread with
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
     config.record_delays = flags.get_bool("delays", false);
     const std::size_t seeds = flags.get_count("seeds", 5);
 
-    const SweepCheckpoint checkpoint = parse_sweep_checkpoint(flags);
+    const CheckpointRequest checkpoint = parse_checkpoint_request(flags);
 
     std::vector<FlowId> conformant;
     if (workload == "table1") {

@@ -26,19 +26,21 @@
 //   --checkpoint-roundtrip  snapshot + restore in-process; the report
 //                           must match a plain run exactly
 //   --checkpoint-events=N / --checkpoint-at=SECS  when to snapshot
-//                           (default: end of warmup)
+//                           (default: end of warmup; either needs
+//                           --checkpoint-out or --checkpoint-roundtrip)
 //
 // Exits 2 on an unknown flag, and with "error: ..." on an unknown or
 // refused scheme name, a shape the topology cannot take (say
 // --topology=leaf_spine --size=0), --shards below 1, a non-positive
-// --duration or a negative --warmup.
+// --duration or a negative --warmup, a checkpoint flag with --shards
+// above 1, a trigger flag without --checkpoint-out or
+// --checkpoint-roundtrip, or a negative trigger.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 
 #include "check/invariants.h"
 #include "expt/experiment.h"
-#include "expt/sweep.h"
 #include "fabric/scenario.h"
 #include "util/flags.h"
 
@@ -77,9 +79,7 @@ int main(int argc, char** argv) try {
   const bool report = flags.get_bool("report", true);
   // The sweep's checkpoint flags, with a file path where the sweep takes a
   // directory.
-  const SweepCheckpoint checkpoint = parse_sweep_checkpoint(flags);
-  const SweepCheckpointRequest request{
-      .mode = checkpoint.mode, .trigger = checkpoint.trigger, .path = checkpoint.dir};
+  const CheckpointRequest request = parse_checkpoint_request(flags);
   if (const auto unused = flags.unused(); !unused.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unused.front().c_str());
     return 2;
@@ -88,7 +88,7 @@ int main(int argc, char** argv) try {
   // Build and run first, so a refused config prints nothing on stdout; the
   // header and plan report come from the scenario the run used.
   const FabricScenario scenario = build_fabric_scenario(config);
-  const ExperimentResult result = run_fabric_checkpoint_request(config, scenario, request);
+  const ExperimentResult result = run_fabric_experiment(config, scenario, request);
   std::printf("%s (size %d): %zu nodes (%zu switches, %zu hosts), %zu links, %zu flows\n",
               to_string(config.topology), config.size, scenario.topo.node_count(),
               scenario.topo.switch_count(), scenario.topo.host_count(),

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     options.seed_mode = SeedMode::kSharedAcrossCases;
     options.progress = flags.get_bool("progress", false) ? &std::cerr : nullptr;
-    options.checkpoint = parse_sweep_checkpoint(flags);
+    options.checkpoint = parse_checkpoint_request(flags);
     const auto unknown = flags.unused();
     if (!unknown.empty()) {
       throw std::invalid_argument(

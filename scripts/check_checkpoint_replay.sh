@@ -3,12 +3,14 @@
 # runs mid-flight, restores them into fresh pipelines, and requires the
 # output to be byte-identical to the uninterrupted run.
 #
-# Three legs:
+# Four legs:
 #   1. Figure-1 sweep, plain vs --checkpoint-roundtrip  -> identical CSV
 #   2. Figure-1 sweep, --checkpoint-out then --checkpoint-in (the
 #      warm-start path: write the snapshots once, resume from files)
 #   3. fabric example (parking-lot), plain vs roundtrip  -> identical
 #      stdout report
+#   4. fabric example, --checkpoint-out=FILE then --checkpoint-in=FILE
+#      -> both reports identical to the plain one
 #
 #   scripts/check_checkpoint_replay.sh [build-dir]
 #
@@ -62,5 +64,14 @@ FABRIC_ARGS=(--size=3 --duration=1 --report=false)
   >"$OUT_DIR/fabric_roundtrip.txt"
 require_identical "$OUT_DIR/fabric_plain.txt" "$OUT_DIR/fabric_roundtrip.txt" \
   "fabric report"
+
+"$FABRIC" "${FABRIC_ARGS[@]}" --checkpoint-out="$OUT_DIR/fabric.bufq" \
+  --checkpoint-events=20000 >"$OUT_DIR/fabric_write.txt"
+"$FABRIC" "${FABRIC_ARGS[@]}" --checkpoint-in="$OUT_DIR/fabric.bufq" \
+  >"$OUT_DIR/fabric_read.txt"
+require_identical "$OUT_DIR/fabric_plain.txt" "$OUT_DIR/fabric_write.txt" \
+  "fabric report (write leg)"
+require_identical "$OUT_DIR/fabric_plain.txt" "$OUT_DIR/fabric_read.txt" \
+  "fabric report (resume leg)"
 
 echo "OK: restored runs byte-identical to uninterrupted runs"

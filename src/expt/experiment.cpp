@@ -11,7 +11,6 @@
 #include "core/red.h"
 #include "core/sharing.h"
 #include "core/threshold.h"
-#include "expt/run_harness.h"
 #include "sched/fifo.h"
 #include "sched/hybrid.h"
 #include "sched/wfq.h"
@@ -24,33 +23,6 @@
 #include "util/rng.h"
 
 namespace bufq {
-
-double ExperimentResult::aggregate_throughput_mbps() const {
-  std::int64_t delivered = 0;
-  for (const auto& c : per_flow) delivered += c.delivered_bytes;
-  return static_cast<double>(delivered) * 8.0 / interval.to_seconds() * 1e-6;
-}
-
-double ExperimentResult::utilization(Rate link_rate) const {
-  return aggregate_throughput_mbps() / link_rate.mbps();
-}
-
-double ExperimentResult::flow_throughput_mbps(FlowId flow) const {
-  assert(flow >= 0 && static_cast<std::size_t>(flow) < per_flow.size());
-  const auto& c = per_flow[static_cast<std::size_t>(flow)];
-  return static_cast<double>(c.delivered_bytes) * 8.0 / interval.to_seconds() * 1e-6;
-}
-
-double ExperimentResult::loss_ratio(const std::vector<FlowId>& flows) const {
-  std::int64_t offered = 0;
-  std::int64_t dropped = 0;
-  for (FlowId f : flows) {
-    assert(f >= 0 && static_cast<std::size_t>(f) < per_flow.size());
-    offered += per_flow[static_cast<std::size_t>(f)].offered_bytes;
-    dropped += per_flow[static_cast<std::size_t>(f)].dropped_bytes;
-  }
-  return offered > 0 ? static_cast<double>(dropped) / static_cast<double>(offered) : 0.0;
-}
 
 std::vector<FlowSpec> flow_specs(const std::vector<TrafficProfile>& flows) {
   std::vector<FlowSpec> specs;
@@ -266,6 +238,8 @@ class ExperimentModel final : public RunModel {
   std::vector<std::unique_ptr<MarkovOnOffSource>> sources_;
 };
 
+}  // namespace
+
 RunHarness experiment_harness(const ExperimentConfig& config) {
   return RunHarness{
       RunSpec{.warmup = config.warmup,
@@ -277,8 +251,6 @@ RunHarness experiment_harness(const ExperimentConfig& config) {
         return std::make_unique<ExperimentModel>(config, sim);
       }};
 }
-
-}  // namespace
 
 std::uint64_t experiment_fingerprint(const ExperimentConfig& config) {
   FingerprintHasher h;
@@ -313,18 +285,9 @@ std::uint64_t experiment_fingerprint(const ExperimentConfig& config) {
   return h.digest();
 }
 
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  return experiment_harness(config).finish();
-}
-
-CheckpointedRun run_experiment_with_checkpoint(const ExperimentConfig& config,
-                                               const CheckpointTrigger& trigger) {
-  return experiment_harness(config).finish_with_checkpoint(trigger);
-}
-
-ExperimentResult resume_experiment(const ExperimentConfig& config,
-                                   std::span<const std::byte> checkpoint) {
-  return experiment_harness(config).resume(checkpoint);
+ExperimentResult run_experiment(const ExperimentConfig& config,
+                                const CheckpointRequest& request) {
+  return run_request(request, [&config] { return experiment_harness(config); });
 }
 
 }  // namespace bufq

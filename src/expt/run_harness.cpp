@@ -4,10 +4,83 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/annotations.h"
+#include "util/flags.h"
 
 namespace bufq {
+namespace {
+
+/// A time trigger before zero would run the clock backwards.
+void require_valid_trigger(const CheckpointTrigger& trigger) {
+  if (trigger.at < Time::zero()) {
+    throw std::invalid_argument("a checkpoint time trigger must not be negative, got " +
+                                trigger.at.to_string());
+  }
+}
+
+}  // namespace
+
+double ExperimentResult::aggregate_throughput_mbps() const {
+  std::int64_t delivered = 0;
+  for (const auto& c : per_flow) delivered += c.delivered_bytes;
+  return static_cast<double>(delivered) * 8.0 / interval.to_seconds() * 1e-6;
+}
+
+double ExperimentResult::utilization(Rate link_rate) const {
+  return aggregate_throughput_mbps() / link_rate.mbps();
+}
+
+double ExperimentResult::flow_throughput_mbps(FlowId flow) const {
+  assert(flow >= 0 && static_cast<std::size_t>(flow) < per_flow.size());
+  const auto& c = per_flow[static_cast<std::size_t>(flow)];
+  return static_cast<double>(c.delivered_bytes) * 8.0 / interval.to_seconds() * 1e-6;
+}
+
+double ExperimentResult::loss_ratio(const std::vector<FlowId>& flows) const {
+  std::int64_t offered = 0;
+  std::int64_t dropped = 0;
+  for (FlowId f : flows) {
+    assert(f >= 0 && static_cast<std::size_t>(f) < per_flow.size());
+    offered += per_flow[static_cast<std::size_t>(f)].offered_bytes;
+    dropped += per_flow[static_cast<std::size_t>(f)].dropped_bytes;
+  }
+  return offered > 0 ? static_cast<double>(dropped) / static_cast<double>(offered) : 0.0;
+}
+
+CheckpointRequest parse_checkpoint_request(const Flags& flags) {
+  const auto checkpoint_out = flags.get("checkpoint-out");
+  const auto checkpoint_in = flags.get("checkpoint-in");
+  const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
+  if (static_cast<int>(checkpoint_out.has_value()) + static_cast<int>(checkpoint_in.has_value()) +
+          static_cast<int>(roundtrip) >
+      1) {
+    throw std::invalid_argument(
+        "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually exclusive");
+  }
+  CheckpointRequest request;
+  if (checkpoint_out) {
+    request.mode = CheckpointMode::kWrite;
+    request.path = *checkpoint_out;
+  } else if (checkpoint_in) {
+    request.mode = CheckpointMode::kRead;
+    request.path = *checkpoint_in;
+  } else if (roundtrip) {
+    request.mode = CheckpointMode::kRoundtrip;
+  }
+  const bool snapshots =
+      request.mode == CheckpointMode::kWrite || request.mode == CheckpointMode::kRoundtrip;
+  if (!snapshots && (flags.get("checkpoint-events") || flags.get("checkpoint-at"))) {
+    throw std::invalid_argument(
+        "--checkpoint-events and --checkpoint-at need --checkpoint-out or "
+        "--checkpoint-roundtrip");
+  }
+  request.trigger.events = flags.get_count("checkpoint-events", 0);
+  request.trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
+  require_valid_trigger(request.trigger);
+  return request;
+}
 
 std::vector<FlowCounters> per_flow_deltas(std::vector<FlowCounters> at_end,
                                           const std::vector<FlowCounters>& at_warmup) {
@@ -83,6 +156,7 @@ ExperimentResult RunHarness::finish() {
 }
 
 CheckpointedRun RunHarness::finish_with_checkpoint(const CheckpointTrigger& trigger) {
+  require_valid_trigger(trigger);
   // Runs until the trigger without scheduling anything: an event-count
   // trigger stops between events, a time trigger uses run_until's clock
   // advance, so the trajectory is exactly that of an uninterrupted run.
@@ -171,6 +245,29 @@ void RunHarness::restore(std::span<const std::byte> blob) {
     throw CheckpointError("restore re-armed " + std::to_string(sim_.events_pending()) +
                           " events, checkpoint recorded " + std::to_string(expected_pending));
   }
+}
+
+ExperimentResult run_request(const CheckpointRequest& request,
+                             const std::function<RunHarness()>& make_harness) {
+  switch (request.mode) {
+    case CheckpointMode::kOff:
+      break;
+    case CheckpointMode::kRoundtrip: {
+      const std::vector<std::byte> checkpoint =
+          make_harness().finish_with_checkpoint(request.trigger).checkpoint;
+      return make_harness().resume(checkpoint);
+    }
+    case CheckpointMode::kWrite: {
+      CheckpointedRun run = make_harness().finish_with_checkpoint(request.trigger);
+      write_checkpoint_file(request.path, run.checkpoint);
+      return std::move(run.result);
+    }
+    case CheckpointMode::kRead: {
+      const std::vector<std::byte> checkpoint = read_checkpoint_file(request.path);
+      return make_harness().resume(checkpoint);
+    }
+  }
+  return make_harness().finish();
 }
 
 }  // namespace bufq

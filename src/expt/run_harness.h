@@ -11,6 +11,10 @@
 //   * settling the model's lazy state before each read: at the warmup
 //     snapshot, before a checkpoint and at the horizon;
 //   * the checkpoint trigger (an event count or a simulated time);
+//   * how a run meets a checkpoint — plain, snapshot to a file, resume
+//     from one, or snapshot and restore into a fresh harness — as one
+//     CheckpointRequest, parsed from the CLIs' shared flags and run by
+//     run_request over any family's harness;
 //   * checkpoint framing: simulator, then the model's components, then the
 //     harness section (warmup state), `registry` and `checker`, then the
 //     trailing-bytes and re-armed-event-count audits;
@@ -29,10 +33,10 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "check/invariants.h"
-#include "expt/experiment.h"
 #include "obs/metrics.h"
 #include "sim/checkpoint.h"
 #include "sim/link.h"
@@ -42,6 +46,95 @@
 #include "util/units.h"
 
 namespace bufq {
+
+class Flags;
+
+/// Per-flow delay digest for the measured interval.
+struct DelaySummary {
+  double mean_s{0.0};
+  double max_s{0.0};
+  double p50_s{0.0};
+  double p99_s{0.0};
+  std::uint64_t packets{0};
+};
+
+struct ExperimentResult {
+  /// Counter deltas over the measured interval, per flow.
+  std::vector<FlowCounters> per_flow;
+  /// Filled only when ExperimentConfig::record_delays was set.
+  std::vector<DelaySummary> delays;
+  Time interval{Time::zero()};
+  /// Invariant audit of this run (src/check): every run executes under its
+  /// own ScopedChecker, so these count exactly this run's checks — both
+  /// stay zero in builds without BUFQ_ENABLE_CHECKS.
+  std::uint64_t checks_run{0};
+  std::uint64_t check_violations{0};
+  /// Observability snapshot of this run (src/obs): every run executes under
+  /// its own ScopedMetrics, so these are exactly this run's counters,
+  /// gauges and histograms.  Includes the wall-clock `sim.wall_ns` counter
+  /// and so is NOT deterministic across machines; event-count and occupancy
+  /// metrics within it are seed-deterministic.
+  obs::RegistrySnapshot metrics;
+
+  [[nodiscard]] double aggregate_throughput_mbps() const;
+  [[nodiscard]] double utilization(Rate link_rate) const;
+  [[nodiscard]] double flow_throughput_mbps(FlowId flow) const;
+  /// Dropped/offered bytes aggregated over a set of flows.
+  [[nodiscard]] double loss_ratio(const std::vector<FlowId>& flows) const;
+};
+
+/// When a run snapshots.  `events` > 0 wins: checkpoint once that many
+/// events (lifetime count) have dispatched.  Otherwise the snapshot is
+/// taken at simulated time `at`, which must not be negative; Time::zero()
+/// defaults to the end of warmup.  Either way the trigger never schedules
+/// an event of its own, so the trajectory is identical to an untriggered
+/// run.
+struct CheckpointTrigger {
+  std::uint64_t events{0};
+  Time at{Time::zero()};
+};
+
+/// A completed run plus the mid-run snapshot it took along the way.
+struct CheckpointedRun {
+  ExperimentResult result;
+  /// Serialized checkpoint (see sim/checkpoint.h for the format).
+  std::vector<std::byte> checkpoint;
+  /// Where the snapshot was taken.
+  std::uint64_t events_at_checkpoint{0};
+  Time time_at_checkpoint{Time::zero()};
+};
+
+/// How a run meets a checkpoint.
+enum class CheckpointMode {
+  kOff,        ///< a plain run
+  kRoundtrip,  ///< snapshot mid-run, restore into a fresh harness, and
+               ///< return the *resumed* result — byte-identical to kOff
+               ///< while the checkpoint layer is deterministic
+  kWrite,      ///< snapshot mid-run into `path`, return the uninterrupted
+               ///< result (warm-start producer)
+  kRead,       ///< restore from `path` instead of replaying the warmup
+               ///< (warm-start consumer)
+};
+
+/// One run's checkpoint request.  In SweepOptions it is the sweep's
+/// policy, and `path` is the directory of every run's file.
+struct CheckpointRequest {
+  CheckpointMode mode{CheckpointMode::kOff};
+  CheckpointTrigger trigger;
+  /// Checkpoint file (kWrite / kRead); unused otherwise.
+  std::string path;
+};
+
+/// Reads the checkpoint flags every CLI shares:
+///   --checkpoint-out=PATH  kWrite to PATH
+///   --checkpoint-in=PATH   kRead from PATH
+///   --checkpoint-roundtrip kRoundtrip
+///   --checkpoint-events=N / --checkpoint-at=SECS  the trigger
+/// Throws std::invalid_argument when more than one mode flag is given,
+/// when a trigger flag comes without --checkpoint-out or
+/// --checkpoint-roundtrip (the only modes that snapshot), and for a
+/// negative trigger.
+[[nodiscard]] CheckpointRequest parse_checkpoint_request(const Flags& flags);
 
 /// Per-flow counter deltas `at_end - at_warmup`, computed in place in
 /// `at_end`.  Both snapshots hold the same flows: every per-flow table is
@@ -130,6 +223,8 @@ class RunHarness {
 
   /// Runs until `trigger` fires, snapshots, then finishes.  The trigger
   /// schedules nothing, so the result equals finish() on a fresh harness.
+  /// Throws std::invalid_argument for a negative time trigger, before any
+  /// event runs.
   [[nodiscard]] CheckpointedRun finish_with_checkpoint(const CheckpointTrigger& trigger);
 
   /// Restores `checkpoint` into this freshly built run, then finishes.
@@ -152,5 +247,12 @@ class RunHarness {
   bool warmup_pending_{false};
   std::uint64_t warmup_seq_{0};
 };
+
+/// Runs `request` over fresh harnesses from `make_harness`: finish() for
+/// kOff, finish_with_checkpoint for kWrite (then writes the file), resume()
+/// from the file for kRead, and for kRoundtrip a snapshot restored into a
+/// second harness.  The one place the four modes are told apart.
+[[nodiscard]] ExperimentResult run_request(const CheckpointRequest& request,
+                                           const std::function<RunHarness()>& make_harness);
 
 }  // namespace bufq

@@ -12,7 +12,6 @@
 
 #include "util/annotations.h"
 #include "util/csv.h"
-#include "util/flags.h"
 #include "util/rng.h"
 #include "util/task_pool.h"
 
@@ -48,31 +47,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-SweepCheckpoint parse_sweep_checkpoint(const Flags& flags) {
-  const auto checkpoint_out = flags.get("checkpoint-out");
-  const auto checkpoint_in = flags.get("checkpoint-in");
-  const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
-  if (static_cast<int>(checkpoint_out.has_value()) + static_cast<int>(checkpoint_in.has_value()) +
-          static_cast<int>(roundtrip) >
-      1) {
-    throw std::invalid_argument(
-        "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually exclusive");
-  }
-  SweepCheckpoint checkpoint;
-  if (checkpoint_out) {
-    checkpoint.mode = SweepCheckpointMode::kWrite;
-    checkpoint.dir = *checkpoint_out;
-  } else if (checkpoint_in) {
-    checkpoint.mode = SweepCheckpointMode::kRead;
-    checkpoint.dir = *checkpoint_in;
-  } else if (roundtrip) {
-    checkpoint.mode = SweepCheckpointMode::kRoundtrip;
-  }
-  checkpoint.trigger.events = static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
-  checkpoint.trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
-  return checkpoint;
-}
 
 bool SweepResult::ok() const {
   return std::all_of(rows.begin(), rows.end(),
@@ -116,21 +90,16 @@ SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extra
     slot.seed = options.seed_mode == SeedMode::kSharedAcrossCases
                     ? seq.derive(replication)
                     : seq.derive(case_index, replication);
-    SweepCheckpointRequest request;
-    request.mode = options.checkpoint.mode;
-    request.trigger = options.checkpoint.trigger;
-    if (request.mode == SweepCheckpointMode::kWrite ||
-        request.mode == SweepCheckpointMode::kRead) {
-      request.path = options.checkpoint.dir + "/ckpt_case" + std::to_string(case_index) +
-                     "_rep" + std::to_string(replication) + ".bufq";
+    CheckpointRequest request = options.checkpoint;
+    if (request.mode == CheckpointMode::kWrite || request.mode == CheckpointMode::kRead) {
+      request.path += "/ckpt_case" + std::to_string(case_index) + "_rep" +
+                      std::to_string(replication) + ".bufq";
     }
     try {
       ExperimentResult result;
       const SweepCase& item = cases[case_index];
-      if (request.mode != SweepCheckpointMode::kOff && item.checkpoint_runner) {
-        result = item.checkpoint_runner(slot.seed, request);
-      } else if (item.runner) {
-        if (request.mode != SweepCheckpointMode::kOff) {
+      if (item.runner) {
+        if (request.mode != CheckpointMode::kOff) {
           throw std::runtime_error("case '" + item.label +
                                    "' has a custom runner without checkpoint support");
         }
@@ -138,8 +107,7 @@ SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extra
       } else {
         ExperimentConfig config = item.config;
         config.seed = slot.seed;
-        result = run_checkpoint_request(config, request, run_experiment,
-                                        run_experiment_with_checkpoint, resume_experiment);
+        result = run_experiment(config, request);
       }
       slot.metrics = extract(result);
       slot.per_flow = result.per_flow;

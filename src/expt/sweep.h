@@ -17,40 +17,15 @@
 #include <functional>
 #include <map>
 #include <ostream>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "expt/experiment.h"
-#include "sim/checkpoint.h"
 #include "stats/collector.h"
 #include "stats/replication.h"
 
 namespace bufq {
-
-class Flags;
-
-/// How a sweep interacts with checkpoints (SweepOptions::checkpoint).
-enum class SweepCheckpointMode {
-  kOff,        ///< plain runs
-  kRoundtrip,  ///< snapshot mid-run, restore into a fresh pipeline, and
-               ///< return the *resumed* result — with a deterministic
-               ///< checkpoint layer the CSV is byte-identical to kOff
-  kWrite,      ///< snapshot mid-run into SweepCheckpoint::dir, return the
-               ///< uninterrupted result (warm-start producer)
-  kRead,       ///< restore every run from SweepCheckpoint::dir instead of
-               ///< replaying the warmup (warm-start consumer)
-};
-
-/// What the engine asks of one (case, replication) run when checkpointing
-/// is on; custom runners receive it via SweepCase::checkpoint_runner.
-struct SweepCheckpointRequest {
-  SweepCheckpointMode mode{SweepCheckpointMode::kOff};
-  CheckpointTrigger trigger;
-  /// Checkpoint file of this run (kWrite / kRead); empty otherwise.
-  std::string path;
-};
 
 /// One grid point: a labeled ExperimentConfig plus the parameter columns
 /// echoed into the result row.  The config's `seed` field is ignored —
@@ -66,15 +41,10 @@ struct SweepCase {
   /// Lets non-single-multiplexer pipelines (the fabric scenarios) ride the
   /// same engine; the determinism contract is unchanged as long as the
   /// runner's result depends only on the seed.  Must be thread safe across
-  /// concurrent invocations (called from pool workers).
+  /// concurrent invocations (called from pool workers).  Such a case fails
+  /// its runs loudly under an active checkpoint policy rather than
+  /// silently skipping the snapshot.
   std::function<ExperimentResult(std::uint64_t seed)> runner;
-  /// Checkpoint-aware companion to `runner`, called instead of it when
-  /// SweepOptions::checkpoint is active.  Must honour the request's mode
-  /// the way the built-in run_experiment path does.  A case with a plain
-  /// `runner` but no checkpoint_runner fails its runs loudly under an
-  /// active checkpoint policy rather than silently skipping the snapshot.
-  std::function<ExperimentResult(std::uint64_t seed, const SweepCheckpointRequest& request)>
-      checkpoint_runner;
 };
 
 /// How replication sub-seeds relate across cases.
@@ -97,54 +67,6 @@ struct SweepProgress {
   double eta_s{0.0};
 };
 
-/// Sweep-wide checkpoint policy: every (case, replication) run snapshots
-/// (or restores) per `mode`.  File names under `dir` are derived from the
-/// case and replication indices, so kWrite then kRead across two sweeps of
-/// the same grid pair up naturally.
-struct SweepCheckpoint {
-  SweepCheckpointMode mode{SweepCheckpointMode::kOff};
-  /// When to snapshot (see CheckpointTrigger): an event count, a simulated
-  /// time, or — both defaulted — the end of warmup.
-  CheckpointTrigger trigger;
-  /// Directory for kWrite / kRead checkpoint files.
-  std::string dir;
-};
-
-/// Reads the checkpoint flags every CLI shares into a SweepCheckpoint:
-///   --checkpoint-out=DIR   kWrite into DIR
-///   --checkpoint-in=DIR    kRead from DIR
-///   --checkpoint-roundtrip kRoundtrip
-///   --checkpoint-events=N / --checkpoint-at=SECS  the trigger
-/// Throws std::invalid_argument when more than one mode flag is given.
-[[nodiscard]] SweepCheckpoint parse_sweep_checkpoint(const Flags& flags);
-
-/// Runs `config` under `request` through one scenario family's entry
-/// points: plain, snapshotting and resuming — functions or callables taking
-/// (config), (config, trigger) and (config, checkpoint).  The one place the
-/// kOff/kRoundtrip/kWrite/kRead switch lives, shared by the built-in
-/// run_experiment path and every checkpoint-aware custom runner.
-template <class Config, class Run, class RunWithCheckpoint, class Resume>
-[[nodiscard]] ExperimentResult run_checkpoint_request(const Config& config,
-                                                      const SweepCheckpointRequest& request,
-                                                      const Run& run,
-                                                      const RunWithCheckpoint& run_with_checkpoint,
-                                                      const Resume& resume) {
-  switch (request.mode) {
-    case SweepCheckpointMode::kOff:
-      break;
-    case SweepCheckpointMode::kRoundtrip:
-      return resume(config, run_with_checkpoint(config, request.trigger).checkpoint);
-    case SweepCheckpointMode::kWrite: {
-      CheckpointedRun checkpointed = run_with_checkpoint(config, request.trigger);
-      write_checkpoint_file(request.path, checkpointed.checkpoint);
-      return std::move(checkpointed.result);
-    }
-    case SweepCheckpointMode::kRead:
-      return resume(config, read_checkpoint_file(request.path));
-  }
-  return run(config);
-}
-
 /// Engine knobs: parallelism, replication count, and the seed policy.
 struct SweepOptions {
   /// Worker threads; <= 1 runs inline on the calling thread (the serial
@@ -162,8 +84,12 @@ struct SweepOptions {
   /// Progress goes to a terminal, never into the CSV, so it does not
   /// perturb the bit-identical output contract.
   std::ostream* progress{nullptr};
-  /// Checkpoint policy; kOff by default.
-  SweepCheckpoint checkpoint;
+  /// Checkpoint policy, kOff by default: every (case, replication) run
+  /// snapshots (or restores) per its mode, with `path` the directory of
+  /// the runs' files.  File names derive from the case and replication
+  /// indices, so kWrite then kRead across two sweeps of the same grid pair
+  /// up naturally.
+  CheckpointRequest checkpoint;
 };
 
 /// One case folded over its replications.

@@ -214,10 +214,6 @@ void FabricModel::restore_state(CheckpointReader& r) {
   for (const auto& source : sources_) source->restore_state(r);
 }
 
-namespace {
-
-/// The harness of one run over `sc`, which must outlive it.  Its factory
-/// picks the engine: sharded when asked for and viable, else serial.
 RunHarness fabric_harness(const FabricConfig& config, const FabricScenario& sc) {
   if (config.shards < 1) {
     throw std::invalid_argument("a fabric run needs shards >= 1, got " +
@@ -251,8 +247,6 @@ RunHarness fabric_harness(const FabricConfig& config, const FabricScenario& sc) 
       }};
 }
 
-}  // namespace
-
 std::uint64_t fabric_fingerprint(const FabricConfig& config) {
   FingerprintHasher h;
   h.mix_string("fabric");
@@ -277,58 +271,20 @@ std::uint64_t fabric_fingerprint(const FabricConfig& config) {
   return h.digest();
 }
 
-ExperimentResult run_fabric_experiment(const FabricConfig& config) {
-  const FabricScenario sc = build_fabric_scenario(config);
-  return fabric_harness(config, sc).finish();
+ExperimentResult run_fabric_experiment(const FabricConfig& config,
+                                       const CheckpointRequest& request) {
+  return run_fabric_experiment(config, build_fabric_scenario(config), request);
 }
 
-namespace {
-
-/// Sharded runs neither write nor read checkpoints.
-void require_serial_checkpoint(const FabricConfig& config, const char* what) {
-  if (config.shards > 1) {
+ExperimentResult run_fabric_experiment(const FabricConfig& config, const FabricScenario& sc,
+                                       const CheckpointRequest& request) {
+  if (config.shards > 1 && request.mode != CheckpointMode::kOff) {
     throw CheckpointShardingError(
-        std::string{what} + " a sharded run (--shards=" + std::to_string(config.shards) +
+        "a checkpoint of a sharded run (--shards=" + std::to_string(config.shards) +
         ") is not supported: per-shard calendars and boundary-channel state are not "
         "serialized; run serial (shards=1)");
   }
-}
-
-CheckpointedRun checkpointed_run(const FabricConfig& config, const FabricScenario& sc,
-                                 const CheckpointTrigger& trigger) {
-  require_serial_checkpoint(config, "checkpointing");
-  return fabric_harness(config, sc).finish_with_checkpoint(trigger);
-}
-
-ExperimentResult resumed_run(const FabricConfig& config, const FabricScenario& sc,
-                             std::span<const std::byte> checkpoint) {
-  require_serial_checkpoint(config, "resuming into");
-  return fabric_harness(config, sc).resume(checkpoint);
-}
-
-}  // namespace
-
-CheckpointedRun run_fabric_experiment_with_checkpoint(const FabricConfig& config,
-                                                      const CheckpointTrigger& trigger) {
-  return checkpointed_run(config, build_fabric_scenario(config), trigger);
-}
-
-ExperimentResult resume_fabric_experiment(const FabricConfig& config,
-                                          std::span<const std::byte> checkpoint) {
-  return resumed_run(config, build_fabric_scenario(config), checkpoint);
-}
-
-ExperimentResult run_fabric_checkpoint_request(const FabricConfig& config,
-                                               const FabricScenario& sc,
-                                               const SweepCheckpointRequest& request) {
-  return run_checkpoint_request(
-      config, request, [&sc](const FabricConfig& c) { return fabric_harness(c, sc).finish(); },
-      [&sc](const FabricConfig& c, const CheckpointTrigger& trigger) {
-        return checkpointed_run(c, sc, trigger);
-      },
-      [&sc](const FabricConfig& c, std::span<const std::byte> checkpoint) {
-        return resumed_run(c, sc, checkpoint);
-      });
+  return run_request(request, [&] { return fabric_harness(config, sc); });
 }
 
 std::map<std::string, double> fabric_metrics(const ExperimentResult& result) {
@@ -363,11 +319,6 @@ SweepCase fabric_sweep_case(std::string label,
     FabricConfig run = config;
     run.seed = seed;
     return run_fabric_experiment(run);
-  };
-  c.checkpoint_runner = [config](std::uint64_t seed, const SweepCheckpointRequest& request) {
-    FabricConfig run = config;
-    run.seed = seed;
-    return run_fabric_checkpoint_request(run, build_fabric_scenario(run), request);
   };
   return c;
 }

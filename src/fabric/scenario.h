@@ -9,10 +9,11 @@
 // the datacenter/WAN shapes use Markov ON-OFF host pairs.
 //
 // run_fabric_experiment builds the scenario once and runs it on
-// expt::RunHarness — the same ScopedChecker + ScopedMetrics confinement,
-// warmup snapshot, measured interval and checkpoint framing as
-// expt::run_experiment — with a FabricModel, or with one FabricModel per
-// shard under the sharded engine (fabric/parallel_engine.h).  It returns
+// expt::RunHarness (fabric_harness) — the same ScopedChecker +
+// ScopedMetrics confinement, warmup snapshot, measured interval and
+// checkpoint framing as expt::run_experiment — with a FabricModel, or
+// with one FabricModel per shard under the sharded engine
+// (fabric/parallel_engine.h).  It returns
 // the same ExperimentResult, so fabric scenarios ride the sweep engine via
 // SweepCase::runner (see fabric_sweep_case) with the same
 // bit-identical-CSV determinism contract.
@@ -126,42 +127,36 @@ class FabricModel final : public RunModel {
   std::vector<std::unique_ptr<Source>> sources_;
 };
 
-/// Runs one fabric scenario to completion and packages the measured
-/// interval as an ExperimentResult: sharded when config.shards > 1 and the
-/// partition is viable (parallel_viability), else serial — after a loud
-/// stderr warning and a `parallel.serial_fallback` count when shards were
-/// asked for.  Extra observability: the `fabric.premium_delay_bound_us`
-/// gauge carries the planner's composed bound for flow 0,
-/// `fabric.plan_feasible` the planner's verdict, and `fabric.e2e_delay_us`
-/// the delivered-delay histogram.  Throws std::invalid_argument for
-/// shards < 1, a refused scheme or shape (build_fabric_scenario), and a
-/// non-positive duration or negative warmup (RunHarness).
-[[nodiscard]] ExperimentResult run_fabric_experiment(const FabricConfig& config);
-
 /// Scenario fingerprint mirroring experiment_fingerprint: every
 /// FabricConfig field that shapes the event trajectory.
 [[nodiscard]] std::uint64_t fabric_fingerprint(const FabricConfig& config);
 
-/// run_fabric_experiment with a mid-run snapshot, mirroring
-/// run_experiment_with_checkpoint (same CheckpointTrigger semantics).
-/// Sharded runs cannot checkpoint: throws CheckpointShardingError when
-/// config.shards > 1 (run serial to checkpoint).
-[[nodiscard]] CheckpointedRun run_fabric_experiment_with_checkpoint(
-    const FabricConfig& config, const CheckpointTrigger& trigger = {});
+/// The harness of one run over `sc`, which must be
+/// build_fabric_scenario(config); both must outlive it.  Its factory picks
+/// the engine: sharded when config.shards > 1 and the partition is viable
+/// (parallel_viability), else serial — after a loud stderr warning and a
+/// `parallel.serial_fallback` count when shards were asked for.  Extra
+/// observability: the `fabric.premium_delay_bound_us` gauge carries the
+/// planner's composed bound for flow 0, `fabric.plan_feasible` the
+/// planner's verdict, and `fabric.e2e_delay_us` the delivered-delay
+/// histogram.  Throws std::invalid_argument for shards < 1, and (from
+/// RunHarness) for a non-positive duration or a negative warmup.
+[[nodiscard]] RunHarness fabric_harness(const FabricConfig& config, const FabricScenario& sc);
 
-/// Restores a run_fabric_experiment_with_checkpoint snapshot into a fresh
-/// fabric for `config` and runs to completion; bit-identical to the run
-/// that wrote it.  Throws a CheckpointError subclass on corruption or a
-/// scenario mismatch.
-[[nodiscard]] ExperimentResult resume_fabric_experiment(const FabricConfig& config,
-                                                        std::span<const std::byte> checkpoint);
-
-/// The run `request` asks for — plain, snapshot, resume or roundtrip, as
-/// run_checkpoint_request switches them — over `sc`, which must be
-/// build_fabric_scenario(config).  A caller that also prints the scenario
-/// builds it once and hands it in here.
-[[nodiscard]] ExperimentResult run_fabric_checkpoint_request(
-    const FabricConfig& config, const FabricScenario& sc, const SweepCheckpointRequest& request);
+/// Runs one fabric scenario to completion, meeting a checkpoint as
+/// `request` asks (see run_request; plain by default), and packages the
+/// measured interval as an ExperimentResult.  The overload with `sc`
+/// takes the scenario a caller that also prints it has built once.
+/// Throws std::invalid_argument for a refused scheme or shape
+/// (build_fabric_scenario) and as fabric_harness does, and
+/// CheckpointShardingError, before any event runs, for a checkpoint
+/// request on a sharded config: per-shard calendars and boundary-channel
+/// state are not serialized.
+[[nodiscard]] ExperimentResult run_fabric_experiment(const FabricConfig& config,
+                                                     const CheckpointRequest& request = {});
+[[nodiscard]] ExperimentResult run_fabric_experiment(const FabricConfig& config,
+                                                     const FabricScenario& sc,
+                                                     const CheckpointRequest& request = {});
 
 /// Metric extractor for fabric sweeps: premium throughput / loss / p100
 /// delay vs. planner bound, aggregate throughput, cross-traffic loss.

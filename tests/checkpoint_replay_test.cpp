@@ -65,7 +65,7 @@ TEST_P(FigureReplayTest, RoundtripSweepCsvIsByteIdentical) {
       sweep_csv(make_figure_sweep(figure, params).cases, plain_fig.extract, base_options(2));
 
   SweepOptions roundtrip = base_options(2);
-  roundtrip.checkpoint.mode = SweepCheckpointMode::kRoundtrip;
+  roundtrip.checkpoint.mode = CheckpointMode::kRoundtrip;
   roundtrip.checkpoint.trigger.events =
       1'000 + trigger_rng(static_cast<std::uint64_t>(figure)).uniform_u64(49'000);
   const std::string resumed =
@@ -89,7 +89,7 @@ TEST(CheckpointReplayTest, RoundtripCsvIndependentOfJobs) {
   std::vector<std::string> csvs;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     SweepOptions options = base_options(jobs);
-    options.checkpoint.mode = SweepCheckpointMode::kRoundtrip;
+    options.checkpoint.mode = CheckpointMode::kRoundtrip;
     options.checkpoint.trigger.events = trigger;
     csvs.push_back(sweep_csv(make_figure_sweep(1, params).cases, fig.extract, options));
   }
@@ -103,14 +103,14 @@ TEST(CheckpointReplayTest, WriteThenReadMatchesWriteResult) {
   const FigureSweep fig = make_figure_sweep(2, params);
 
   SweepOptions write = base_options(2);
-  write.checkpoint.mode = SweepCheckpointMode::kWrite;
-  write.checkpoint.dir = testing::TempDir();
+  write.checkpoint.mode = CheckpointMode::kWrite;
+  write.checkpoint.path = testing::TempDir();
   write.checkpoint.trigger.events = 2'000 + trigger_rng(101).uniform_u64(10'000);
   const std::string produced =
       sweep_csv(make_figure_sweep(2, params).cases, fig.extract, write);
 
   SweepOptions read = write;
-  read.checkpoint.mode = SweepCheckpointMode::kRead;
+  read.checkpoint.mode = CheckpointMode::kRead;
   const std::string consumed =
       sweep_csv(make_figure_sweep(2, params).cases, fig.extract, read);
 
@@ -122,7 +122,7 @@ TEST(CheckpointReplayTest, CustomRunnerWithoutCheckpointSupportFailsLoudly) {
   c.label = "opaque";
   c.runner = [](std::uint64_t) { return ExperimentResult{}; };
   SweepOptions options = base_options(1);
-  options.checkpoint.mode = SweepCheckpointMode::kRoundtrip;
+  options.checkpoint.mode = CheckpointMode::kRoundtrip;
   const SweepResult result = run_sweep(
       {std::move(c)}, [](const ExperimentResult&) { return std::map<std::string, double>{}; },
       options);
@@ -147,9 +147,10 @@ class FabricReplayTest : public testing::TestWithParam<fabric::FabricTopologyKin
   /// checkpointing run.
   static CheckpointedRun expect_replay_matches_plain_run(const CheckpointTrigger& trigger) {
     const fabric::FabricConfig c = config();
+    const fabric::FabricScenario sc = fabric::build_fabric_scenario(c);
     const ExperimentResult plain = fabric::run_fabric_experiment(c);
-    CheckpointedRun run = fabric::run_fabric_experiment_with_checkpoint(c, trigger);
-    const ExperimentResult resumed = fabric::resume_fabric_experiment(c, run.checkpoint);
+    CheckpointedRun run = fabric::fabric_harness(c, sc).finish_with_checkpoint(trigger);
+    const ExperimentResult resumed = fabric::fabric_harness(c, sc).resume(run.checkpoint);
     expect_same_result(plain, run.result);
     expect_same_result(plain, resumed);
     return run;

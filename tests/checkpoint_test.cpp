@@ -1,7 +1,7 @@
 // Checkpoint substrate tests: format round trips, typed-error fuzzing
 // (truncation, bit flips, version skew, wrong scenario), and component
-// save/load — plus end-to-end resume_experiment equivalence on a small
-// Table-1 run.
+// save/load — plus end-to-end resume equivalence on a small Table-1 run,
+// through the family's harness.
 #include "sim/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -436,7 +436,7 @@ void expect_identical_results(const ExperimentResult& a, const ExperimentResult&
 TEST(ExperimentCheckpointTest, TriggeredRunMatchesPlainRun) {
   const auto config = small_table1_config();
   const ExperimentResult plain = run_experiment(config);
-  const CheckpointedRun run = run_experiment_with_checkpoint(config);
+  const CheckpointedRun run = experiment_harness(config).finish_with_checkpoint({});
   // The trigger never schedules an event, so the completed run is the
   // same trajectory.
   expect_identical_results(plain, run.result);
@@ -447,8 +447,8 @@ TEST(ExperimentCheckpointTest, TriggeredRunMatchesPlainRun) {
 
 TEST(ExperimentCheckpointTest, ResumeIsBitIdentical) {
   const auto config = small_table1_config();
-  const CheckpointedRun run = run_experiment_with_checkpoint(config);
-  const ExperimentResult resumed = resume_experiment(config, run.checkpoint);
+  const CheckpointedRun run = experiment_harness(config).finish_with_checkpoint({});
+  const ExperimentResult resumed = experiment_harness(config).resume(run.checkpoint);
   expect_identical_results(run.result, resumed);
 }
 
@@ -456,38 +456,38 @@ TEST(ExperimentCheckpointTest, EventCountTriggerResumesIdentically) {
   const auto config = small_table1_config();
   CheckpointTrigger trigger;
   trigger.events = 12'345;
-  const CheckpointedRun run = run_experiment_with_checkpoint(config, trigger);
+  const CheckpointedRun run = experiment_harness(config).finish_with_checkpoint(trigger);
   EXPECT_EQ(run.events_at_checkpoint, trigger.events);
-  const ExperimentResult resumed = resume_experiment(config, run.checkpoint);
+  const ExperimentResult resumed = experiment_harness(config).resume(run.checkpoint);
   expect_identical_results(run.result, resumed);
 }
 
 TEST(ExperimentCheckpointTest, RestoreIntoWrongScenarioThrows) {
   const auto config = small_table1_config();
-  const CheckpointedRun run = run_experiment_with_checkpoint(config);
+  const CheckpointedRun run = experiment_harness(config).finish_with_checkpoint({});
 
   ExperimentConfig other = config;
   other.seed = config.seed + 1;
-  EXPECT_THROW((void)resume_experiment(other, run.checkpoint), CheckpointScenarioError);
+  EXPECT_THROW((void)experiment_harness(other).resume(run.checkpoint), CheckpointScenarioError);
 
   other = config;
   other.scheme.manager = ManagerKind::kSharing;
-  EXPECT_THROW((void)resume_experiment(other, run.checkpoint), CheckpointScenarioError);
+  EXPECT_THROW((void)experiment_harness(other).resume(run.checkpoint), CheckpointScenarioError);
 
   other = config;
   other.buffer = ByteSize::megabytes(2.0);
-  EXPECT_THROW((void)resume_experiment(other, run.checkpoint), CheckpointScenarioError);
+  EXPECT_THROW((void)experiment_harness(other).resume(run.checkpoint), CheckpointScenarioError);
 }
 
 TEST(ExperimentCheckpointTest, CorruptedCheckpointNeverRestores) {
   const auto config = small_table1_config();
-  CheckpointedRun run = run_experiment_with_checkpoint(config);
+  CheckpointedRun run = experiment_harness(config).finish_with_checkpoint({});
   // Probe a spread of payload positions instead of every byte — the blob
   // is large and the CRC math is already covered exhaustively above.
   for (std::size_t i = 40; i < run.checkpoint.size(); i += run.checkpoint.size() / 17) {
     auto corrupt = run.checkpoint;
     corrupt[i] = static_cast<std::byte>(static_cast<std::uint8_t>(corrupt[i]) ^ 0x10u);
-    EXPECT_THROW((void)resume_experiment(config, corrupt), CheckpointError) << "byte " << i;
+    EXPECT_THROW((void)experiment_harness(config).resume(corrupt), CheckpointError) << "byte " << i;
   }
 }
 
@@ -504,14 +504,20 @@ fabric::FabricConfig small_fabric_config() {
 }
 
 TEST(CrossFamilyCheckpointTest, ExperimentCheckpointRejectedByFabricResume) {
-  const CheckpointedRun run = run_experiment_with_checkpoint(small_table1_config());
-  EXPECT_THROW((void)fabric::resume_fabric_experiment(small_fabric_config(), run.checkpoint),
+  const ExperimentConfig config = small_table1_config();
+  const CheckpointedRun run = experiment_harness(config).finish_with_checkpoint({});
+  const fabric::FabricConfig other = small_fabric_config();
+  const fabric::FabricScenario sc = fabric::build_fabric_scenario(other);
+  EXPECT_THROW((void)fabric::fabric_harness(other, sc).resume(run.checkpoint),
                CheckpointScenarioError);
 }
 
 TEST(CrossFamilyCheckpointTest, FabricCheckpointRejectedByExperimentResume) {
-  const CheckpointedRun run = fabric::run_fabric_experiment_with_checkpoint(small_fabric_config());
-  EXPECT_THROW((void)resume_experiment(small_table1_config(), run.checkpoint),
+  const fabric::FabricConfig config = small_fabric_config();
+  const fabric::FabricScenario sc = fabric::build_fabric_scenario(config);
+  const CheckpointedRun run = fabric::fabric_harness(config, sc).finish_with_checkpoint({});
+  const ExperimentConfig other = small_table1_config();
+  EXPECT_THROW((void)experiment_harness(other).resume(run.checkpoint),
                CheckpointScenarioError);
 }
 

@@ -133,13 +133,29 @@ TEST(ExperimentTest, RunDurationsAreValidated) {
     config.duration = duration;
     EXPECT_THROW((void)run_experiment(config), std::invalid_argument)
         << "warmup " << warmup.to_string() << ", duration " << duration.to_string();
-    EXPECT_THROW((void)run_experiment_with_checkpoint(config), std::invalid_argument);
+    const CheckpointRequest roundtrip{
+        .mode = CheckpointMode::kRoundtrip, .trigger = {}, .path = {}};
+    EXPECT_THROW((void)run_experiment(config, roundtrip), std::invalid_argument);
   }
   // A zero warmup measures from the start.
   auto config = base_config(SchedulerKind::kFifo, ManagerKind::kThreshold, 1.0);
   config.warmup = Time::zero();
   config.duration = Time::milliseconds(200);
   EXPECT_GT(run_experiment(config).aggregate_throughput_mbps(), 0.0);
+}
+
+/// A time trigger before zero would move the clock backwards: the harness
+/// refuses it before any event runs, on every path that snapshots.
+TEST(ExperimentTest, NegativeCheckpointTimeIsRefused) {
+  auto config = base_config(SchedulerKind::kFifo, ManagerKind::kThreshold, 1.0);
+  config.warmup = Time::milliseconds(100);
+  config.duration = Time::milliseconds(200);
+  const CheckpointTrigger before_zero{.events = 0, .at = Time::seconds(-3)};
+  EXPECT_THROW((void)experiment_harness(config).finish_with_checkpoint(before_zero),
+               std::invalid_argument);
+  const CheckpointRequest roundtrip{
+      .mode = CheckpointMode::kRoundtrip, .trigger = before_zero, .path = {}};
+  EXPECT_THROW((void)run_experiment(config, roundtrip), std::invalid_argument);
 }
 
 TEST(ExperimentTest, DeterministicForSameSeed) {

@@ -285,7 +285,9 @@ TEST(FabricScenarioTest, RunDurationsAreValidated) {
   }
   FabricConfig negative;
   negative.duration = Time::seconds(-1);
-  EXPECT_THROW(static_cast<void>(run_fabric_experiment_with_checkpoint(negative)),
+  const CheckpointRequest roundtrip{
+      .mode = CheckpointMode::kRoundtrip, .trigger = {}, .path = {}};
+  EXPECT_THROW(static_cast<void>(run_fabric_experiment(negative, roundtrip)),
                std::invalid_argument);
 }
 

@@ -104,7 +104,7 @@ ExperimentConfig canonical_config(SchedulerKind scheduler, ManagerKind manager) 
 Digests experiment_digests(const ExperimentConfig& config) {
   CheckpointTrigger trigger;
   trigger.events = kGoldenEvents;
-  const CheckpointedRun run = run_experiment_with_checkpoint(config, trigger);
+  const CheckpointedRun run = experiment_harness(config).finish_with_checkpoint(trigger);
   return checkpoint_section_digests(run.checkpoint);
 }
 
@@ -130,7 +130,8 @@ TEST(GoldenStateTest, FabricParkingLot) {
 
   CheckpointTrigger trigger;
   trigger.events = kGoldenEvents;
-  const CheckpointedRun run = fabric::run_fabric_experiment_with_checkpoint(config, trigger);
+  const fabric::FabricScenario sc = fabric::build_fabric_scenario(config);
+  const CheckpointedRun run = fabric::fabric_harness(config, sc).finish_with_checkpoint(trigger);
   expect_matches_golden("fabric_parking_lot", checkpoint_section_digests(run.checkpoint));
 }
 

@@ -6,7 +6,10 @@
 // bit-identical contract lives in parallel_diff_test.cpp.
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -391,24 +394,48 @@ TEST(ParallelRun, AuditFoldsOnceIntoTheEnclosingChecker) {
 
 // --- checkpoint x sharding -----------------------------------------------
 
+/// A checkpoint file path under the test temp dir, with no file there.
+std::string fresh_checkpoint_path(const char* name) {
+  std::string path = testing::TempDir() + "/" + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+CheckpointRequest request(CheckpointMode mode, const std::string& path) {
+  return CheckpointRequest{.mode = mode, .trigger = {}, .path = path};
+}
+
+// Every mode that meets a checkpoint refuses a sharded config before any
+// event runs: write mode leaves no file behind, and read mode refuses
+// before it looks for its file.
 TEST(CheckpointSharding, CheckpointOfShardedRunThrowsTypedError) {
   FabricConfig config = small_config();
   config.shards = 2;
-  EXPECT_THROW(static_cast<void>(run_fabric_experiment_with_checkpoint(config)),
-               CheckpointShardingError);
+  const std::string path = fresh_checkpoint_path("bufq_sharded_request.bufq");
+  for (const CheckpointMode mode :
+       {CheckpointMode::kRoundtrip, CheckpointMode::kWrite, CheckpointMode::kRead}) {
+    EXPECT_THROW(static_cast<void>(run_fabric_experiment(config, request(mode, path))),
+                 CheckpointShardingError)
+        << "mode " << static_cast<int>(mode);
+    EXPECT_FALSE(std::ifstream{path}.good()) << "mode " << static_cast<int>(mode);
+  }
 }
 
 TEST(CheckpointSharding, ResumeIntoShardedConfigThrowsTypedError) {
   FabricConfig config = small_config();
-  const CheckpointedRun run = run_fabric_experiment_with_checkpoint(config);
+  const std::string path = fresh_checkpoint_path("bufq_serial_snapshot.bufq");
+  const ExperimentResult written =
+      run_fabric_experiment(config, request(CheckpointMode::kWrite, path));
   FabricConfig sharded = config;
   sharded.shards = 2;
-  EXPECT_THROW(static_cast<void>(resume_fabric_experiment(sharded, run.checkpoint)),
-               CheckpointShardingError);
-  // The same blob restores fine serially — the rejection is about
+  EXPECT_THROW(
+      static_cast<void>(run_fabric_experiment(sharded, request(CheckpointMode::kRead, path))),
+      CheckpointShardingError);
+  // The same file restores fine serially — the rejection is about
   // sharding, not the checkpoint.
-  const ExperimentResult resumed = resume_fabric_experiment(config, run.checkpoint);
-  EXPECT_EQ(resumed.per_flow.size(), run.result.per_flow.size());
+  const ExperimentResult resumed =
+      run_fabric_experiment(config, request(CheckpointMode::kRead, path));
+  EXPECT_EQ(resumed.per_flow.size(), written.per_flow.size());
 }
 
 }  // namespace

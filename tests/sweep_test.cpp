@@ -216,24 +216,61 @@ TEST(SweepEngineTest, InconsistentMetricSetIsARowError) {
 
 TEST(SweepEngineTest, CheckpointFlagsParseIntoOnePolicy) {
   const char* plain[] = {"prog"};
-  EXPECT_EQ(parse_sweep_checkpoint(Flags{1, plain}).mode, SweepCheckpointMode::kOff);
+  EXPECT_EQ(parse_checkpoint_request(Flags{1, plain}).mode, CheckpointMode::kOff);
 
   const char* write[] = {"prog", "--checkpoint-out=dir", "--checkpoint-events=99"};
-  const SweepCheckpoint w = parse_sweep_checkpoint(Flags{3, write});
-  EXPECT_EQ(w.mode, SweepCheckpointMode::kWrite);
-  EXPECT_EQ(w.dir, "dir");
+  const CheckpointRequest w = parse_checkpoint_request(Flags{3, write});
+  EXPECT_EQ(w.mode, CheckpointMode::kWrite);
+  EXPECT_EQ(w.path, "dir");
   EXPECT_EQ(w.trigger.events, 99u);
 
-  const char* read[] = {"prog", "--checkpoint-in=dir", "--checkpoint-at=0.5"};
-  const SweepCheckpoint r = parse_sweep_checkpoint(Flags{3, read});
-  EXPECT_EQ(r.mode, SweepCheckpointMode::kRead);
-  EXPECT_EQ(r.trigger.at, Time::from_seconds(0.5));
+  const char* read[] = {"prog", "--checkpoint-in=dir"};
+  const CheckpointRequest r = parse_checkpoint_request(Flags{2, read});
+  EXPECT_EQ(r.mode, CheckpointMode::kRead);
+  EXPECT_EQ(r.path, "dir");
 
-  const char* roundtrip[] = {"prog", "--checkpoint-roundtrip"};
-  EXPECT_EQ(parse_sweep_checkpoint(Flags{2, roundtrip}).mode, SweepCheckpointMode::kRoundtrip);
+  const char* roundtrip[] = {"prog", "--checkpoint-roundtrip", "--checkpoint-at=0.5"};
+  const CheckpointRequest rt = parse_checkpoint_request(Flags{3, roundtrip});
+  EXPECT_EQ(rt.mode, CheckpointMode::kRoundtrip);
+  EXPECT_EQ(rt.trigger.at, Time::from_seconds(0.5));
 
   const char* both[] = {"prog", "--checkpoint-out=a", "--checkpoint-roundtrip"};
-  EXPECT_THROW((void)parse_sweep_checkpoint(Flags{3, both}), std::invalid_argument);
+  EXPECT_THROW((void)parse_checkpoint_request(Flags{3, both}), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument parse_checkpoint_request
+/// throws for `argv`, or "" when it parses.
+template <std::size_t N>
+std::string checkpoint_flag_error(const char* (&argv)[N]) {
+  try {
+    (void)parse_checkpoint_request(Flags{static_cast<int>(N), argv});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A trigger only means something to a mode that snapshots: without
+// --checkpoint-out or --checkpoint-roundtrip it would be dropped silently.
+TEST(SweepEngineTest, CheckpointTriggerFlagsNeedASnapshottingMode) {
+  const std::string need = "need --checkpoint-out or --checkpoint-roundtrip";
+  const char* events[] = {"prog", "--checkpoint-events=100"};
+  EXPECT_NE(checkpoint_flag_error(events).find(need), std::string::npos);
+  const char* at[] = {"prog", "--checkpoint-at=0.5"};
+  EXPECT_NE(checkpoint_flag_error(at).find(need), std::string::npos);
+  const char* read_events[] = {"prog", "--checkpoint-in=dir", "--checkpoint-events=100"};
+  EXPECT_NE(checkpoint_flag_error(read_events).find(need), std::string::npos);
+  const char* read_at[] = {"prog", "--checkpoint-in=dir", "--checkpoint-at=0.5"};
+  EXPECT_NE(checkpoint_flag_error(read_at).find(need), std::string::npos);
+}
+
+TEST(SweepEngineTest, NegativeCheckpointTriggersAreRefused) {
+  const char* at[] = {"prog", "--checkpoint-roundtrip", "--checkpoint-at=-3"};
+  EXPECT_NE(checkpoint_flag_error(at).find("checkpoint time trigger must not be negative"),
+            std::string::npos);
+  const char* events[] = {"prog", "--checkpoint-out=dir", "--checkpoint-events=-5"};
+  EXPECT_NE(checkpoint_flag_error(events).find("--checkpoint-events must not be negative"),
+            std::string::npos);
 }
 
 TEST(SweepEngineTest, RowsComeBackInInputOrderWithParamEcho) {
