@@ -145,6 +145,7 @@ std::map<std::string, double> adaptive_metrics(const ExperimentResult& result) {
 
 int main(int argc, char** argv) {
   const auto options = parse_options(argc, argv, {0.25, 0.5, 1.0});
+  refuse_checkpoints(options);
   print_banner(std::cout, "Adaptive traffic",
                "4 AIMD flows (16 Mb/s reserved) vs 2 greedy blasters (4 Mb/s reserved)",
                options);

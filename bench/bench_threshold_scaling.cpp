@@ -72,6 +72,7 @@ ExperimentResult run_with_scaling(ThresholdScaling scaling, ByteSize buffer,
 
 int main(int argc, char** argv) {
   const auto options = parse_options(argc, argv, {0.5, 1.0, 2.0, 3.0, 5.0, 8.0});
+  refuse_checkpoints(options);
   print_banner(std::cout, "Footnote 5 ablation",
                "threshold scale-to-fill vs exact analytic thresholds", options);
 

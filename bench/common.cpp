@@ -41,6 +41,14 @@ BenchOptions parse_options(int argc, const char* const* argv,
   return options;
 }
 
+void refuse_checkpoints(const BenchOptions& options) {
+  if (options.checkpoint.mode == CheckpointMode::kOff) return;
+  std::fprintf(stderr,
+               "this bench builds its own run pipeline, which cannot checkpoint: "
+               "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are not supported\n");
+  std::exit(2);
+}
+
 SweepOptions sweep_options(const BenchOptions& options) {
   SweepOptions sweep;
   sweep.jobs = options.jobs == 0 ? default_thread_count() : options.jobs;

@@ -68,6 +68,11 @@ struct BenchOptions {
 BenchOptions parse_options(int argc, const char* const* argv,
                            std::vector<double> default_buffers_mb);
 
+/// For a bench whose runs are its own pipelines, which the checkpoint
+/// layer cannot snapshot: exits 2, before anything is printed, when a
+/// --checkpoint-* mode flag was given.
+void refuse_checkpoints(const BenchOptions& options);
+
 /// The sweep options a bench derives from its BenchOptions: --jobs (0 =
 /// hardware concurrency), --seeds replications under --seed with common
 /// random numbers (SeedMode::kSharedAcrossCases), --progress and the

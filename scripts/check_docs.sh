@@ -23,11 +23,14 @@ fail=0
 # find), so build trees and editor droppings never enter the lint.
 # SNIPPETS.md is machine-retrieved exemplar material (quoted verbatim
 # from other repos) and .claude/ is tooling config — neither is repo
-# prose, so neither is linted.
+# prose, so neither is linted.  A tracked file deleted from the working
+# tree is skipped: the lint reads the tree as it is.
 docs() {
   if git -C "$ROOT" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     git -C "$ROOT" ls-files '*.md' | grep -v -e '^\.claude/' -e '^SNIPPETS\.md$' \
-      | sed "s|^|$ROOT/|"
+      | sed "s|^|$ROOT/|" | while IFS= read -r doc; do
+          if [ -e "$doc" ]; then printf '%s\n' "$doc"; fi
+        done
   else
     find "$ROOT" -name '*.md' \
       -not -path '*/build*/*' -not -path '*/.git/*' -not -path '*/.claude/*' \

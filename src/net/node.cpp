@@ -18,6 +18,7 @@ OutputPort::OutputPort(Simulator& sim, Rate rate, Time propagation_delay,
       propagation_{propagation_delay},
       manager_{std::move(manager)},
       discipline_{std::move(discipline)},
+      link_{sim_, *discipline_, rate},
       downstream_{downstream},
       flows_{std::move(flows)} {
   assert(manager_ != nullptr);
@@ -29,9 +30,8 @@ OutputPort::OutputPort(Simulator& sim, Rate rate, Time propagation_delay,
     drop_bytes_metric_.add(static_cast<std::uint64_t>(p.size_bytes));
     if (drop_tap_) drop_tap_(to_global(p), t);
   });
-  link_ = std::make_unique<Link>(sim_, *discipline_, rate);
   if (downstream_ != nullptr) {
-    link_->set_delivery_handler([this](const Packet& slotted, Time) {
+    link_.set_delivery_handler([this](const Packet& slotted, Time) {
       const Packet p = to_global(slotted);
       if (propagation_ == Time::zero()) {
         downstream_->accept(p);
@@ -52,7 +52,7 @@ BUFQ_HOT void OutputPort::accept(const Packet& packet, std::uint32_t slot) {
   assert(slot < flows_.size() && flows_[slot] == packet.flow);
   Packet slotted = packet;
   slotted.flow = static_cast<FlowId>(slot);
-  link_->accept(slotted);
+  link_.accept(slotted);
 }
 
 BUFQ_HOT Packet OutputPort::to_global(Packet packet) const {
@@ -74,6 +74,8 @@ void OutputPort::arm_front() {
 void OutputPort::deliver_front() {
   const Packet head = in_flight_.front().packet;
   in_flight_.pop_front();
+  // arm_front reads the new head at once; the one after it is next.
+  in_flight_.prefetch(1);
   wire_metric_.add(-1);
   // The next head's key is larger than this one and is filed before any
   // other event pops, so the calendar pops the same (time, seq) order as
@@ -93,7 +95,7 @@ void OutputPort::save_state(CheckpointWriter& w, const std::string& label) const
   w.end_section();
   manager_->save_state(w);
   discipline_->save_state(w);
-  link_->save_state(w);
+  link_.save_state(w);
 }
 
 void OutputPort::restore_state(CheckpointReader& r, const std::string& label) {
@@ -110,7 +112,7 @@ void OutputPort::restore_state(CheckpointReader& r, const std::string& label) {
   r.end_section();
   manager_->restore_state(r);
   discipline_->restore_state(r);
-  link_->restore_state(r);
+  link_.restore_state(r);
 }
 
 Node::Node(std::string name) : name_{std::move(name)} {}

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -36,6 +35,7 @@
 #include "sim/link.h"
 #include "sim/queue_discipline.h"
 #include "sim/simulator.h"
+#include "util/fifo_ring.h"
 
 namespace bufq {
 
@@ -69,7 +69,7 @@ class OutputPort {
   /// The global flow id in each slot.
   [[nodiscard]] std::span<const FlowId> flows() const { return flows_; }
 
-  [[nodiscard]] const Link& link() const { return *link_; }
+  [[nodiscard]] const Link& link() const { return link_; }
   [[nodiscard]] const BufferManager& manager() const { return *manager_; }
 
   /// Observer invoked (after the port's drop metrics) for every packet the
@@ -106,7 +106,7 @@ class OutputPort {
   Time propagation_;
   std::unique_ptr<BufferManager> manager_;
   std::unique_ptr<QueueDiscipline> discipline_;
-  std::unique_ptr<Link> link_;
+  Link link_;
   PacketSink* downstream_;
   std::vector<FlowId> flows_;  ///< slot -> global flow id, ascending
   /// Packets on the propagation wire, oldest first.  The delay is
@@ -114,7 +114,7 @@ class OutputPort {
   /// calendar event; the rest keep the (time, seq) reserved on transmit
   /// until they reach the head.  The event captures only `this` (inside
   /// the InlineAction buffer) and pops the front.
-  std::deque<Wire> in_flight_;
+  FifoRing<Wire> in_flight_;
   std::function<void(const Packet&, Time)> drop_tap_;
   obs::CounterHandle drops_metric_{obs::CounterHandle::lookup("net.drops")};
   obs::CounterHandle drop_bytes_metric_{obs::CounterHandle::lookup("net.drop_bytes")};

@@ -5,11 +5,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "core/buffer_manager.h"
 #include "obs/metrics.h"
 #include "sim/queue_discipline.h"
+#include "util/fifo_ring.h"
 
 namespace bufq {
 
@@ -32,7 +32,7 @@ class FifoScheduler final : public QueueDiscipline {
 
  private:
   BufferManager& manager_;
-  std::deque<Packet> queue_;
+  FifoRing<Packet> queue_;
   std::int64_t backlog_bytes_{0};
   DropHandler on_drop_;
   obs::CounterHandle accepts_metric_{obs::CounterHandle::lookup("sched.accepts")};

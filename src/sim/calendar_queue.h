@@ -108,7 +108,7 @@ class CalendarQueue {
       scheduled_[slot] = scheduled_at;
 #endif
     }
-    file_key(Key{time, seq, slot});
+    file_key(time, seq, slot);
   }
 
   /// Timestamp of the pending event with the smallest (time, seq).
@@ -165,9 +165,11 @@ class CalendarQueue {
     std::uint32_t slot;  ///< Index of the event's action in actions_.
   };
   struct EarlierKey {
-    bool operator()(const Key& a, const Key& b) const {
-      if (a.time != b.time) return a.time < b.time;
-      return a.seq < b.seq;
+    bool operator()(const Key& a, const Key& b) const { return earlier(a, b.time, b.seq); }
+    /// Whether `a` pops before a key at (time, seq).
+    static bool earlier(const Key& a, Time time, std::uint64_t seq) {
+      if (a.time != time) return a.time < time;
+      return a.seq < seq;
     }
   };
 
@@ -189,7 +191,10 @@ class CalendarQueue {
     [[nodiscard]] std::size_t mask() const { return ring.size() - 1; }
     [[nodiscard]] const Key& front() const { return ring[head]; }
     [[nodiscard]] const Key& back() const { return ring[(head + count - 1) & mask()]; }
-    BUFQ_HOT void put(const Key& key) {
+    /// Writes the key field by field into its slot: a key built on the
+    /// stack and copied whole would be reloaded wide before its scalar
+    /// stores retire, which stalls store forwarding.
+    BUFQ_HOT void put(Time time, std::uint64_t seq, std::uint32_t slot) {
       if (count == ring.size()) {
         // Doubling keeps the keys at [head, old size) in place and moves
         // the wrapped ones, [0, head), to just past the old end.
@@ -198,7 +203,10 @@ class CalendarQueue {
         ring.resize(std::max<std::size_t>(old_size * 2, 16));
         std::copy(ring.begin(), ring.begin() + head, ring.begin() + static_cast<std::ptrdiff_t>(old_size));
       }
-      ring[(head + count) & mask()] = key;
+      Key& key = ring[(head + count) & mask()];
+      key.time = time;
+      key.seq = seq;
+      key.slot = slot;
       ++count;
     }
     BUFQ_HOT Key take() {
@@ -234,23 +242,24 @@ class CalendarQueue {
     return key;
   }
 
-  BUFQ_HOT void put_on(std::size_t lane, const Key& key) {
-    lanes_[lane].put(key);
+  BUFQ_HOT void put_on(std::size_t lane, Time time, std::uint64_t seq, std::uint32_t slot) {
+    lanes_[lane].put(time, seq, slot);
     occupied_ |= 1u << lane;
   }
 
-  /// Puts a key on its delay's lane when that keeps the lane increasing,
-  /// on an empty lane when its delay repeats the previous heap-bound
-  /// filing's, and on the heap otherwise.
-  BUFQ_HOT void file_key(const Key& key) {
+  /// Puts the key (time, seq, slot) on its delay's lane when that keeps
+  /// the lane increasing, on an empty lane when its delay repeats the
+  /// previous heap-bound filing's, and on the heap otherwise.  The key
+  /// travels as scalars until it is written where it stays.
+  BUFQ_HOT void file_key(Time time, std::uint64_t seq, std::uint32_t slot) {
     ++size_;
-    const std::uint64_t delay = delay_of(key.time);
+    const std::uint64_t delay = delay_of(time);
     for (std::size_t i = 0; i < kLanes; ++i) {
       if (lane_delay_[i] != delay) continue;
-      if (lanes_[i].count == 0 || EarlierKey{}(lanes_[i].back(), key)) {
-        put_on(i, key);
+      if (lanes_[i].count == 0 || EarlierKey::earlier(lanes_[i].back(), time, seq)) {
+        put_on(i, time, seq, slot);
       } else {
-        to_heap(delay, key);  // behind its own lane's tail: the heap orders it
+        to_heap(delay, time, seq, slot);  // behind its own lane's tail: the heap orders it
       }
       return;
     }
@@ -258,15 +267,15 @@ class CalendarQueue {
     if (delay == last_heap_delay_ && empty != 0) {
       const auto i = static_cast<std::size_t>(std::countr_zero(empty));
       lane_delay_[i] = delay;
-      put_on(i, key);
+      put_on(i, time, seq, slot);
       return;
     }
-    to_heap(delay, key);
+    to_heap(delay, time, seq, slot);
   }
 
-  BUFQ_HOT void to_heap(std::uint64_t delay, const Key& key) {
+  BUFQ_HOT void to_heap(std::uint64_t delay, Time time, std::uint64_t seq, std::uint32_t slot) {
     last_heap_delay_ = delay;
-    keys_.push(key);
+    keys_.push(Key{time, seq, slot});
   }
 
   DaryMinHeap<Key, 4, EarlierKey> keys_;

@@ -13,10 +13,15 @@ LazyLink::LazyLink(Simulator& sim, QueueDiscipline& queue, Rate rate)
 
 BUFQ_HOT void LazyLink::start(Time t) {
   assert(!busy_);
-  auto next = queue_.dequeue(t);
+  const std::optional<Packet> next = queue_.dequeue(t);
   if (!next) return;
   busy_ = true;
-  in_flight_ = *next;
+  // Field by field: the discipline has just written `next` with scalar
+  // stores, and a wide reload of it would stall on store forwarding.
+  in_flight_.flow = next->flow;
+  in_flight_.size_bytes = next->size_bytes;
+  in_flight_.seq = next->seq;
+  in_flight_.created = next->created;
   if (in_flight_.size_bytes != tx_bytes_) {
     tx_bytes_ = in_flight_.size_bytes;
     tx_time_ = rate_.transmission_time(tx_bytes_);

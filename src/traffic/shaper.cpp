@@ -32,6 +32,7 @@ void LeakyBucketShaper::release_ready() {
     }
     Packet released = head;
     queue_.pop_front();
+    queue_.prefetch(0);  // the next release reads the new head
     // Stamp the release time: conformance is a property of the shaped
     // stream, so downstream consumers see the shaped arrival time.
     released.created = now;

@@ -9,11 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "sim/packet.h"
 #include "sim/simulator.h"
 #include "traffic/token_bucket.h"
+#include "util/fifo_ring.h"
 #include "util/units.h"
 
 namespace bufq {
@@ -51,7 +51,7 @@ class LeakyBucketShaper : public PacketSink {
   TokenBucket bucket_;
   Rate peak_rate_;
   Time earliest_next_release_{Time::zero()};
-  std::deque<Packet> queue_;
+  FifoRing<Packet> queue_;
   bool release_pending_{false};
   Time release_time_{Time::zero()};
   std::uint64_t release_seq_{0};

@@ -4,7 +4,8 @@
 // need push + pop-min (WFQ's head-of-line index, the event calendar's
 // keys).  A 4-ary layout halves the tree depth of a binary heap and
 // keeps each sift level's children in one or two cache lines; the
-// element type only needs move construction and a strict-weak order.
+// element type only needs default and move construction and a
+// strict-weak order.
 //
 // Determinism: pop() removes the exact minimum under Compare.  Callers
 // that need total reproducibility (the simulator, WFQ) make Compare a
@@ -45,9 +46,18 @@ class DaryMinHeap {
 
   // Always inlined: the calendar files through one out-of-line function,
   // whose other paths would otherwise push the heap's sift out of line.
+  // The new element rides the sift in registers and is stored once, at
+  // its final place, so it is never reloaded from the slot just written.
   [[gnu::always_inline]] BUFQ_HOT void push(T value) {
-    data_.push_back(std::move(value));
-    sift_up(data_.size() - 1);
+    std::size_t i = data_.size();
+    data_.emplace_back();
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / Arity;
+      if (!less_(value, data_[parent])) break;
+      data_[i] = std::move(data_[parent]);
+      i = parent;
+    }
+    data_[i] = std::move(value);
   }
 
   /// Removes and returns the smallest element.
@@ -64,15 +74,6 @@ class DaryMinHeap {
   }
 
  private:
-  BUFQ_HOT void sift_up(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / Arity;
-      if (!less_(data_[i], data_[parent])) break;
-      std::swap(data_[i], data_[parent]);
-      i = parent;
-    }
-  }
-
   BUFQ_HOT void sift_down(std::size_t i) {
     const std::size_t n = data_.size();
     for (;;) {

@@ -2,7 +2,8 @@
 // 11): once a fixed event population has warmed the calendar up — key
 // heap, action slab and free-slot list at their high-water capacity —
 // scheduling and dispatching events touches the heap exactly never.  The
-// same holds for a LazyLink settling departures between those events.
+// same holds for a LazyLink settling departures between those events,
+// and for a fabric port's FIFO and propagation wire.
 //
 // Every form of the global allocation functions is replaced with a
 // counting wrapper.  The counters run for the whole process; the test
@@ -17,6 +18,9 @@
 #include <optional>
 #include <vector>
 
+#include "core/threshold.h"
+#include "net/node.h"
+#include "sched/fifo.h"
 #include "sim/link.h"
 #include "sim/queue_discipline.h"
 #include "sim/simulator.h"
@@ -193,6 +197,47 @@ TEST(SimAllocTest, LazyLinkSteadyStateIsAllocationFree) {
   EXPECT_EQ(sim.events_pending(), sources.size()) << "the lazy link filed events";
   EXPECT_EQ(allocs_after - allocs_before, 0u)
       << "steady-state lazy link performed heap allocations";
+}
+
+/// Counts what reaches the end of a wire.
+struct CountingSink final : PacketSink {
+  std::uint64_t packets{0};
+  void accept(const Packet& /*packet*/) override { ++packets; }
+};
+
+TEST(SimAllocTest, FifoPortSteadyStateIsAllocationFree) {
+  // A fabric port: FIFO + thresholds in front of a timer-driven link and
+  // a 1 ms wire.  Three CBR flows offer 1.5x the link rate, so the FIFO
+  // stays backlogged, the thresholds drop, and ~40 packets are always on
+  // the wire; both queues cycle through their slots many times over.
+  Simulator sim;
+  const Rate rate = Rate::megabits_per_second(40.0);
+  auto manager = std::make_unique<ThresholdManager>(
+      ByteSize::bytes(30'000), std::vector<std::int64_t>{10'000, 10'000, 10'000});
+  auto discipline = std::make_unique<FifoScheduler>(*manager);
+  CountingSink sink;
+  Node node{"port"};
+  node.add_port(std::make_unique<OutputPort>(sim, rate, Time::milliseconds(1), std::move(manager),
+                                             std::move(discipline), &sink,
+                                             std::vector<FlowId>{0, 1, 2}));
+  std::vector<std::unique_ptr<CbrSource>> sources;
+  for (FlowId f = 0; f < 3; ++f) {
+    node.route(f, 0);
+    sources.push_back(std::make_unique<CbrSource>(sim, node, f, Rate::megabits_per_second(20.0),
+                                                  500 + 200 * f));
+    sources.back()->start();
+  }
+
+  sim.run_until(Time::milliseconds(50));
+  const std::uint64_t delivered_before = sink.packets;
+
+  const std::uint64_t allocs_before = g_allocations.load();
+  sim.run_until(Time::milliseconds(500));
+  const std::uint64_t allocs_after = g_allocations.load();
+
+  ASSERT_GT(sink.packets - delivered_before, 3'000u);
+  EXPECT_EQ(allocs_after - allocs_before, 0u)
+      << "steady-state FIFO port performed heap allocations";
 }
 
 }  // namespace
